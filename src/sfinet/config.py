@@ -9,14 +9,13 @@ reproduced from its own artifacts.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .backbone import BackboneConfig, ConfigError
 from .data import DataConfig, SyntheticDataset, make_synthetic
-from .filters import AmbiguityParams, NoiseParams, validate_filter_ratios
+from .filters import AmbiguityParams, NoiseParams, kept_rows, validate_filter_ratios
 from .model import SFINet
 from .reconstitution import SirConfig
 from .train import TrainConfig
@@ -199,9 +198,7 @@ def build_run_config(raw: dict[str, str]) -> RunConfig:
         raise ConfigError(f"ambiguity.k ({amb.k}) exceeds data.classes ({data.num_classes})")
     if not bypass:
         validate_filter_ratios(amb, noise, backbone.stage_shapes())
-    kept = [s if bypass else math.floor((1 - noise.gamma2) * s)
-            for s in (w * h for w, h, _ in backbone.stage_shapes())]
-    if sum(kept) < 1:
+    if sum(kept_rows(w * h, noise.gamma2, bypass) for w, h, _ in backbone.stage_shapes()) < 1:
         raise ConfigError("configuration keeps no feature rows")
     return RunConfig(backbone, amb, noise, sir, train, data, bypass,
                      values["output.dir"], dict(raw))

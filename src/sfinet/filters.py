@@ -53,6 +53,16 @@ class NoiseParams:
             raise ConfigError(f"noise: gamma2 must lie in (0, 1), got {self.gamma2}")
 
 
+def kept_rows(s: int, gamma2: float, bypass: bool = False) -> int:
+    """Rows the noise filter keeps of ``s`` positions: floor((1 - gamma2) * s).
+
+    With the filters bypassed every position is kept.
+    """
+    if bypass:
+        return s
+    return math.floor((1.0 - gamma2) * s)
+
+
 def validate_filter_ratios(amb: AmbiguityParams, noise: NoiseParams,
                            stage_shapes: Sequence[tuple[int, int, int]]) -> None:
     """Cross-checks that depend on the stage extents.
@@ -67,7 +77,7 @@ def validate_filter_ratios(amb: AmbiguityParams, noise: NoiseParams,
         keep = math.floor((1.0 - amb.gamma1) * s)
         if keep <= 0 or keep >= s:
             raise ConfigError(f"stage {i}: gamma1={amb.gamma1} keeps {keep} of {s} positions (degenerate)")
-        if math.floor((1.0 - noise.gamma2) * s) < 1:
+        if kept_rows(s, noise.gamma2) < 1:
             raise ConfigError(f"stage {i}: gamma2={noise.gamma2} keeps no positions of {s}")
 
 
@@ -175,7 +185,7 @@ def noise_select(masked_maps: Tensor, masked_features: Tensor, gamma2: float,
     """
     w, h, _ = masked_maps.shape
     s = w * h
-    s_keep = math.floor((1.0 - gamma2) * s)
+    s_keep = kept_rows(s, gamma2)
     if s_keep < 1:
         raise ConfigError(f"noise_select: gamma2={gamma2} keeps no positions of {s}")
     scores = T.channel_average_pool(masked_maps)
@@ -230,13 +240,9 @@ def filter_loss(selected_per_stage: Sequence[Tensor], classifiers: Sequence[Tens
     """
     if not 0 <= label < n_classes:
         raise ConfigError(f"filter_loss: label {label} outside 0..{n_classes - 1}")
-    onehot = np.zeros(n_classes)
-    onehot[label] = 1.0
-    target = Tensor(onehot)
     terms = []
     for g, cls in zip(selected_per_stage, classifiers):
         z = T.mean_rows(g)
         logits = T.reshape(T.matmul(T.reshape(z, (1, z.shape[0])), cls), (n_classes,))
-        logp = T.log(T.softmax(logits))
-        terms.append(T.scale(T.sum_all(T.hadamard(logp, target)), -1.0))
+        terms.append(T.cross_entropy(logits, label))
     return T.add_n(terms)

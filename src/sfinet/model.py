@@ -9,7 +9,6 @@ alone, which lets the adjacency matrix be allocated up front.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,17 +78,12 @@ class SFINet:
         self.wv = Tensor(_uniform(rng, (sir_cfg.heads, cc, d), cc), requires_grad=True)
         self.mix = Tensor(np.eye(sir_cfg.heads), requires_grad=True)
 
-        self.seq_len = sum(self._kept_count(w * h) for w, h, _ in shapes)
+        self.seq_len = sum(F.kept_rows(w * h, noise.gamma2, bypass_filters) for w, h, _ in shapes)
         a0 = sir_cfg.adjacency_init if sir_cfg.adjacency_init is not None else 1.0 / self.seq_len
         self.adjacency = Tensor(np.full((self.seq_len, self.seq_len), a0), requires_grad=True)
         self.gcn_weights = [Tensor(_uniform(rng, (cc, cc), cc), requires_grad=True)
                             for _ in range(sir_cfg.gcn_depth)]
         self.classifier = Tensor(_uniform(rng, (cc, n_classes), cc), requires_grad=True)
-
-    def _kept_count(self, s: int) -> int:
-        if self.bypass_filters:
-            return s
-        return math.floor((1.0 - self.noise.gamma2) * s)
 
     def parameters(self) -> dict[str, Tensor]:
         out = self.backbone.parameters()
@@ -142,19 +136,17 @@ class SFINet:
         reassembled = R.semantic_reassembly(concatenated, self.sr_prev, self.sr_self, self.sr_next)
         attended, attn = R.talking_head_attention(reassembled, self.wq, self.wk, self.wv, self.mix)
         reconstituted = R.gcn_forward(attended, self.adjacency, self.gcn_weights)
-        probs = R.classify(reconstituted, self.classifier)
+        logits = R.classify(reconstituted, self.classifier)
         semantic = R.SemanticState(concatenated, reassembled, attended, attn, reconstituted)
 
         class_loss = None
         f_loss = None
         if label is not None:
-            onehot = np.zeros(self.n_classes)
-            onehot[int(label)] = 1.0
-            picked = T.hadamard(T.log(probs), Tensor(onehot))
-            class_loss = T.scale(T.sum_all(picked), -1.0)
+            class_loss = T.cross_entropy(logits, label)
             f_loss = F.filter_loss([a.selected_features for a in arts],
                                    self.filter_cls, int(label), self.n_classes)
-        return ForwardResult(probs.data.copy(), class_loss, f_loss, stages, cmaps, arts, semantic)
+        probs = T.softmax(Tensor(logits.data)).data
+        return ForwardResult(probs, class_loss, f_loss, stages, cmaps, arts, semantic)
 
     def predict(self, image) -> int:
         return int(np.argmax(self.forward(image).probs))

@@ -89,15 +89,23 @@ def semantic_reassembly(g: Tensor, w_prev: Tensor, w_self: Tensor, w_next: Tenso
 
 
 def project_heads(x: Tensor, w: Tensor) -> Tensor:
-    """Per-head pointwise projection: (S, C) x (H, C, d) -> (H, S, d)."""
+    """Per-head pointwise projection: (S, C) x (H, C, d) -> (H, S, d).
+
+    All heads run as one (S, C) x (C, H * d) product; the output is a
+    head-major view of its (S, H, d) result.
+    """
     if x.ndim != 2 or w.ndim != 3 or x.shape[1] != w.shape[1]:
         raise T.ShapeError(f"project_heads: shapes {x.shape} and {w.shape} incompatible")
+    h, c, d = w.shape
+    s = x.shape[0]
+    w_all = w.data.transpose(1, 0, 2).reshape(c, h * d)
 
     def bw(g):
-        accumulate(x, np.einsum("hsd,hcd->sc", g, w.data))
-        accumulate(w, np.einsum("sc,hsd->hcd", x.data, g))
+        g_all = g.transpose(1, 0, 2).reshape(s, h * d)
+        accumulate(x, g_all @ w_all.T)
+        accumulate(w, (x.data.T @ g_all).reshape(c, h, d).transpose(1, 0, 2))
 
-    return node(np.einsum("sc,hcd->hsd", x.data, w.data), (x, w), bw, "project_heads")
+    return node((x.data @ w_all).reshape(s, h, d).transpose(1, 0, 2), (x, w), bw, "project_heads")
 
 
 def pairwise_scores(q: Tensor, k: Tensor) -> Tensor:
@@ -106,10 +114,10 @@ def pairwise_scores(q: Tensor, k: Tensor) -> Tensor:
         raise T.ShapeError(f"pairwise_scores: shapes {q.shape} and {k.shape} incompatible")
 
     def bw(g):
-        accumulate(q, np.einsum("hst,htd->hsd", g, k.data))
-        accumulate(k, np.einsum("hst,hsd->htd", g, q.data))
+        accumulate(q, g @ k.data)
+        accumulate(k, g.transpose(0, 2, 1) @ q.data)
 
-    return node(np.einsum("hsd,htd->hst", q.data, k.data), (q, k), bw, "pairwise_scores")
+    return node(q.data @ k.data.transpose(0, 2, 1), (q, k), bw, "pairwise_scores")
 
 
 def attend(weights: Tensor, v: Tensor) -> Tensor:
@@ -118,10 +126,10 @@ def attend(weights: Tensor, v: Tensor) -> Tensor:
         raise T.ShapeError(f"attend: shapes {weights.shape} and {v.shape} incompatible")
 
     def bw(g):
-        accumulate(weights, np.einsum("hsd,htd->hst", g, v.data))
-        accumulate(v, np.einsum("hst,hsd->htd", weights.data, g))
+        accumulate(weights, g @ v.data.transpose(0, 2, 1))
+        accumulate(v, weights.data.transpose(0, 2, 1) @ g)
 
-    return node(np.einsum("hst,htd->hsd", weights.data, v.data), (weights, v), bw, "attend")
+    return node(weights.data @ v.data, (weights, v), bw, "attend")
 
 
 def head_mix(j: Tensor, u: Tensor) -> Tensor:
@@ -129,12 +137,14 @@ def head_mix(j: Tensor, u: Tensor) -> Tensor:
     heads = j.shape[0]
     if u.shape != (heads, heads):
         raise T.ShapeError(f"head_mix: mixing matrix {u.shape}, expected ({heads}, {heads})")
+    flat = j.data.reshape(heads, -1)
 
     def bw(g):
-        accumulate(j, np.einsum("gh,gsd->hsd", u.data, g))
-        accumulate(u, np.einsum("gsd,hsd->gh", g, j.data))
+        g_flat = g.reshape(heads, -1)
+        accumulate(j, (u.data.T @ g_flat).reshape(j.shape))
+        accumulate(u, g_flat @ flat.T)
 
-    return node(np.einsum("gh,hsd->gsd", u.data, j.data), (j, u), bw, "head_mix")
+    return node((u.data @ flat).reshape(j.shape), (j, u), bw, "head_mix")
 
 
 def merge_heads(o: Tensor) -> Tensor:
@@ -179,10 +189,9 @@ def gcn_forward(x: Tensor, adjacency: Tensor, layer_weights: list[Tensor]) -> Te
 
 
 def classify(f_rec: Tensor, classifier: Tensor) -> Tensor:
-    """Mean-pool the rows, apply the linear head, return class probabilities."""
+    """Mean-pool the rows and apply the linear head, giving class logits."""
     if f_rec.shape[0] < 1:
         raise T.ShapeError("classify: no feature rows")
     pooled = T.mean_rows(f_rec)
-    logits = T.reshape(T.matmul(T.reshape(pooled, (1, pooled.shape[0])), classifier),
-                       (classifier.shape[1],))
-    return T.softmax(logits)
+    return T.reshape(T.matmul(T.reshape(pooled, (1, pooled.shape[0])), classifier),
+                     (classifier.shape[1],))

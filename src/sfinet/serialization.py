@@ -45,10 +45,13 @@ def _parse_block(header: str, value_lines: list[str], origin: str) -> np.ndarray
     if not header.startswith("shape:"):
         raise SerializationError(f"{origin}: expected 'shape:' header, got {header!r}")
     dims_text = header[len("shape:"):].strip()
-    shape = tuple(int(d) for d in dims_text.split(",")) if dims_text else ()
-    values = []
-    for line in value_lines:
-        values.extend(float(v) for v in line.split(","))
+    try:
+        shape = tuple(int(d) for d in dims_text.split(",")) if dims_text else ()
+        values = [float(v) for line in value_lines for v in line.split(",")]
+    except ValueError as exc:
+        raise SerializationError(f"{origin}: {exc}") from exc
+    if any(d < 0 for d in shape):
+        raise SerializationError(f"{origin}: negative dimension in shape {shape}")
     arr = np.array(values, dtype=np.float64)
     expected = int(np.prod(shape)) if shape else 1
     if arr.size != expected:

@@ -361,6 +361,32 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return node(y, (a,), bw, "softmax")
 
 
+def cross_entropy(logits: Tensor, label: int) -> Tensor:
+    """-log softmax(logits)[label] via log-sum-exp; gradient softmax - onehot.
+
+    Finite for every finite logit vector, however confident: the log's
+    argument is the sum of the max-shifted exponentials, which lies in
+    [1, N].  That log is taken through the :func:`log` op, so per-op
+    counts and faults injected into ``log`` still see every loss.
+    """
+    if logits.ndim != 1:
+        raise ShapeError(f"cross_entropy: need a logit vector, got shape {logits.shape}")
+    label = int(label)
+    if not 0 <= label < logits.shape[0]:
+        raise ShapeError(f"cross_entropy: label {label} outside 0..{logits.shape[0] - 1}")
+    shifted = logits.data - logits.data.max()
+    e = np.exp(shifted)
+    total = e.sum()
+    probs = e / total
+
+    def bw(g):
+        d = probs.copy()
+        d[label] -= 1.0
+        accumulate(logits, g * d)
+
+    return node(log(Tensor(total)).data - shifted[label], (logits,), bw, "cross_entropy")
+
+
 def sum_all(a: Tensor) -> Tensor:
     def bw(g):
         accumulate(a, np.full_like(a.data, float(g)))

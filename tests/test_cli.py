@@ -105,6 +105,14 @@ class TestEvalCommand:
         assert rc == 2
         assert "checkpoint" in capsys.readouterr().err
 
+    def test_unparsable_checkpoint_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "ckpt.csv"
+        path.write_text("tensor: sir.classifier\nshape: 2\n1.0,abc\n")
+        rc = run_cli(["eval", *TINY, "--checkpoint", path])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{path}:sir.classifier" in err and "Traceback" not in err
+
     def test_missing_checkpoint_exits_2(self, capsys):
         rc = run_cli(["eval", *TINY, "--checkpoint", "/nope/ckpt.csv"])
         assert rc == 2

@@ -183,6 +183,40 @@ class TestTalkingHeadAttention:
         assert_grads_match(loss, {"b": b, "wq": wq, "wk": wk, "wv": wv, "mix": mix})
 
 
+class TestEinsumOracle:
+    """The matmul-based ops against np.einsum, forward and every parent gradient.
+
+    Every axis has its own length (H=3, S=5, T=6, C=12, d=4) wherever the
+    op allows it, so a wrong transpose or reshape changes a shape or the
+    values.
+    """
+    H, S, T_, C, D = 3, 5, 6, 12, 4
+
+    # op, operand shapes in call order, einsum spec over the same operands
+    CASES = {
+        "project_heads": (project_heads, [(S, C), (H, C, D)], "sc,hcd->hsd"),
+        "pairwise_scores": (pairwise_scores, [(H, S, D), (H, S, D)], "hsd,htd->hst"),
+        "attend": (attend, [(H, S, T_), (H, T_, D)], "hst,htd->hsd"),
+        "head_mix": (head_mix, [(H, S, D), (H, H)], "hsd,gh->gsd"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_forward_and_gradients_match_einsum(self, rng, name):
+        op, shapes, spec = self.CASES[name]
+        a, b = (Tensor(rng.standard_normal(shape), requires_grad=True) for shape in shapes)
+        out = op(a, b)
+        npt.assert_allclose(out.data, np.einsum(spec, a.data, b.data), rtol=0, atol=1e-12)
+
+        upstream = rng.standard_normal(out.shape)
+        T.backward(T.sum_all(T.hadamard(out, Tensor(upstream))))
+        sub_a, rest = spec.split(",")
+        sub_b, sub_out = rest.split("->")
+        npt.assert_allclose(a.grad, np.einsum(f"{sub_out},{sub_b}->{sub_a}", upstream, b.data),
+                            rtol=0, atol=1e-12)
+        npt.assert_allclose(b.grad, np.einsum(f"{sub_a},{sub_out}->{sub_b}", a.data, upstream),
+                            rtol=0, atol=1e-12)
+
+
 class TestGcn:
     def test_identity_on_nonnegative(self, rng):
         x = Tensor(np.abs(rng.standard_normal((4, 3))))
@@ -224,21 +258,19 @@ class TestGcn:
 
 class TestClassify:
     def test_zero_weights_uniform(self, rng):
-        probs = classify(Tensor(rng.standard_normal((5, 4))), Tensor(np.zeros((4, 3))))
+        probs = T.softmax(classify(Tensor(rng.standard_normal((5, 4))), Tensor(np.zeros((4, 3)))))
         npt.assert_allclose(probs.data, 1 / 3, atol=1e-15)
 
     def test_single_row_pooling_is_identity(self, rng):
         row = rng.standard_normal((1, 4))
         w = rng.standard_normal((4, 3))
-        probs = classify(Tensor(row), Tensor(w))
-        logits = row @ w
-        e = np.exp(logits - logits.max())
-        npt.assert_allclose(probs.data, (e / e.sum()).ravel(), rtol=1e-12)
+        logits = classify(Tensor(row), Tensor(w))
+        npt.assert_allclose(logits.data, (row @ w).ravel(), rtol=1e-12)
 
     def test_probabilities_sum_to_one(self, rng):
         for _ in range(20):
-            probs = classify(Tensor(rng.standard_normal((6, 5)) * 10),
-                             Tensor(rng.standard_normal((5, 7))))
+            probs = T.softmax(classify(Tensor(rng.standard_normal((6, 5)) * 10),
+                                       Tensor(rng.standard_normal((5, 7)))))
             assert abs(probs.data.sum() - 1.0) < 1e-12
             assert np.all(probs.data > 0)
 

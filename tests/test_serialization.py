@@ -54,6 +54,14 @@ class TestCheckpoint:
         with pytest.raises(SerializationError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("block", ["shape: 2\n1.0,abc\n", "shape: 2,x\n1.0,2.0\n",
+                                       "shape: 0,-1\n"])
+    def test_unparsable_block_names_file_and_block(self, tmp_path, block):
+        path = tmp_path / "ckpt.csv"
+        path.write_text("tensor: ok\nshape: 1\n0.5\ntensor: sir.classifier\n" + block)
+        with pytest.raises(SerializationError, match=f"{path}:sir.classifier"):
+            load_checkpoint(path)
+
 
 class TestPgm:
     def test_binary_mask_maps_to_0_and_255(self, tmp_path):

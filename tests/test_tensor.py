@@ -72,6 +72,62 @@ class TestSoftmax:
             T.softmax(Tensor([1.0, 2.0]), axis=3)
 
 
+class TestCrossEntropy:
+    def test_hand_value(self):
+        z = np.array([1.0, 2.0, 3.0])
+        out = T.cross_entropy(Tensor(z), 0)
+        npt.assert_allclose(out.item(), -np.log(np.e / np.exp(z).sum()), rtol=1e-12)
+
+    def test_uniform_logits_give_ln_n_exactly(self):
+        for n in (2, 3, 7):
+            assert T.cross_entropy(Tensor(np.full(n, 4.5)), n - 1).item() == np.log(n)
+
+    def test_gradient_vs_finite_differences(self, rng):
+        z = Tensor(rng.standard_normal(5), requires_grad=True)
+        for label in (0, 3):
+            assert_grads_match(lambda: T.cross_entropy(z, label), {"z": z})
+
+    def test_gradient_is_softmax_minus_onehot(self, rng):
+        z = Tensor(rng.standard_normal(4), requires_grad=True)
+        T.cross_entropy(z, 2).backward()
+        expected = T.softmax(Tensor(z.data)).data - np.eye(4)[2]
+        npt.assert_allclose(z.grad, expected, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("label, loss", [(0, 0.0), (1, 2e6), (2, 3e6)])
+    def test_large_logits_stay_finite(self, label, loss):
+        # softmax underflows to exactly 0 for the losing classes here, so
+        # log(softmax) would be -inf
+        z = Tensor(np.array([3e6, 1e6, 0.0]), requires_grad=True)
+        out = T.cross_entropy(z, label)
+        assert out.item() == loss
+        out.backward()
+        npt.assert_array_equal(z.grad, np.eye(3)[0] - np.eye(3)[label])
+
+    def test_confident_model_loss_and_gradients_finite(self):
+        from sfinet import config as C
+        from sfinet.train import total_loss
+
+        ds, model, _ = C.build_experiment(C.preset("tiny"))
+        model.classifier.data *= 1e6
+        for cls in model.filter_cls:
+            cls.data *= 1e6
+        res = model.forward(ds.train_images[0], int(ds.train_labels[0]))
+        loss = total_loss(res.filter_loss, res.class_loss, 3.0)
+        assert np.isfinite(loss.item())
+        npt.assert_allclose(res.probs.sum(), 1.0, atol=1e-12)
+        model.zero_grad()
+        loss.backward()
+        assert all(np.all(np.isfinite(p.grad)) for p in model.parameters().values())
+
+    def test_label_and_shape_checked(self):
+        with pytest.raises(ShapeError):
+            T.cross_entropy(Tensor([1.0, 2.0]), 2)
+        with pytest.raises(ShapeError):
+            T.cross_entropy(Tensor([1.0, 2.0]), -1)
+        with pytest.raises(ShapeError):
+            T.cross_entropy(Tensor(np.zeros((2, 2))), 0)
+
+
 class TestHadamard:
     def test_ones_identity(self, rng):
         a = Tensor(rng.standard_normal((3, 3)))

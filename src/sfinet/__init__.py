@@ -1,11 +1,11 @@
 """Desk-scale differentiable feature filtering and semantic reconstitution."""
 
-from .backbone import Backbone, BackboneConfig, ConfigError, StageFeatures
+from .backbone import Backbone, BackboneConfig, StageFeatures
 from .data import DataConfig, SyntheticDataset, make_synthetic
 from .filters import AmbiguityParams, FilterArtifacts, NoiseParams
 from .model import ForwardResult, SFINet
 from .reconstitution import SemanticState, SirConfig
-from .tensor import CompGraph, GraphError, NonFiniteError, ShapeError, Tensor
+from .tensor import CompGraph, ConfigError, GraphError, NonFiniteError, ShapeError, Tensor
 from .train import TrainConfig, cosine_lr, sgd_momentum_step, total_loss, train
 
 __all__ = [

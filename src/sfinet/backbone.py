@@ -14,11 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .tensor import Tensor
-
-
-class ConfigError(ValueError):
-    """A configuration violates a documented invariant."""
+from .tensor import ConfigError, Tensor
 
 
 @dataclass(frozen=True)

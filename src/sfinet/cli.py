@@ -10,13 +10,11 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from . import config as C
 from . import gradcheck as GC
-from .backbone import ConfigError
 from .export import export_adjacency, export_stage_maps
 from .serialization import SerializationError, load_checkpoint, load_tensor, save_tensor
+from .tensor import ConfigError, NonFiniteError
 from .train import TrainAbort, evaluate, train
 
 
@@ -25,12 +23,8 @@ def _load_config(path: str | None, sets: list[str], preset: str | None) -> C.Run
         if not os.path.exists(path):
             raise ConfigError(f"config file not found: {path}")
         raw = C.parse_config_file(path)
-    elif preset is not None:
-        raw = dict(C.PRESETS[preset]) if preset in C.PRESETS else None
-        if raw is None:
-            raise ConfigError(f"unknown preset {preset!r}; have {sorted(C.PRESETS)}")
     else:
-        raw = {}
+        raw = dict(C.PRESETS[preset or "default"])
     raw = C.apply_overrides(raw, sets)
     if "SFI_SEED" in os.environ:
         raw["train.seed"] = os.environ["SFI_SEED"].strip()
@@ -159,7 +153,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, SerializationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except TrainAbort as exc:
+    except (TrainAbort, NonFiniteError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

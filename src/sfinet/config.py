@@ -13,63 +13,51 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backbone import BackboneConfig, ConfigError
+from .backbone import BackboneConfig
 from .data import DataConfig, SyntheticDataset, make_synthetic
-from .filters import AmbiguityParams, NoiseParams, kept_rows, validate_filter_ratios
+from .filters import AmbiguityParams, NoiseParams, validate_filter_ratios
 from .model import SFINet
 from .reconstitution import SirConfig
+from .tensor import ConfigError
 from .train import TrainConfig
 
-# key -> (type tag, default); type tags: int, float, bool, str, ints
+# key -> (type tag, default); type tags: int, float, bool, str, ints.  A default
+# is read from the dataclass field that owns the key; the rest are literals.
 _SCHEMA: dict[str, tuple[str, object]] = {
-    "backbone.input": ("int", 32),
-    "backbone.in_channels": ("int", 3),
-    "backbone.strides": ("ints", (4, 2, 2, 1)),
-    "backbone.channels": ("ints", (16, 32, 64, 64)),
-    "ambiguity.k": ("int", 4),
-    "ambiguity.beta_h": ("float", 1.1),
-    "ambiguity.beta_l": ("float", 0.95),
-    "ambiguity.gamma1": ("float", 0.1),
-    "noise.gamma2": ("float", 0.2),
-    "sir.channels": ("int", 64),
-    "sir.heads": ("int", 4),
-    "sir.gcn_depth": ("int", 1),
+    "backbone.input": ("int", BackboneConfig.input_size[0]),
+    "backbone.in_channels": ("int", BackboneConfig.in_channels),
+    "backbone.strides": ("ints", BackboneConfig.strides),
+    "backbone.channels": ("ints", BackboneConfig.channels),
+    "ambiguity.k": ("int", AmbiguityParams.k),
+    "ambiguity.beta_h": ("float", AmbiguityParams.beta_h),
+    "ambiguity.beta_l": ("float", AmbiguityParams.beta_l),
+    "ambiguity.gamma1": ("float", AmbiguityParams.gamma1),
+    "noise.gamma2": ("float", NoiseParams.gamma2),
+    "sir.channels": ("int", SirConfig.channels),
+    "sir.heads": ("int", SirConfig.heads),
+    "sir.gcn_depth": ("int", SirConfig.gcn_depth),
     "sir.adjacency_init": ("str", "auto"),
     "model.bypass_filters": ("bool", False),
-    "train.xi": ("float", 3.0),
-    # desk-scale default; the published full-scale protocol's 0.0005 lives
-    # in the paper-protocol preset
-    "train.lr": ("float", 0.05),
-    "train.momentum": ("float", 0.9),
-    "train.weight_decay": ("float", 0.0005),
-    "train.epochs": ("int", 30),
-    "train.batch_size": ("int", 12),
-    "train.seed": ("int", 42),
-    "train.augment": ("bool", False),
-    "data.classes": ("int", 4),
-    "data.samples_per_class": ("int", 64),
-    "data.patch_size": ("int", 12),
-    "data.signal_amplitude": ("float", 1.5),
-    "data.noise_amplitude": ("float", 0.3),
-    "data.overlap": ("float", 0.0),
-    "data.train_fraction": ("float", 0.75),
+    "train.xi": ("float", TrainConfig.xi),
+    "train.lr": ("float", TrainConfig.lr),
+    "train.momentum": ("float", TrainConfig.momentum),
+    "train.weight_decay": ("float", TrainConfig.weight_decay),
+    "train.epochs": ("int", TrainConfig.epochs),
+    "train.batch_size": ("int", TrainConfig.batch_size),
+    "train.seed": ("int", TrainConfig.seed),
+    "train.augment": ("bool", TrainConfig.augment),
+    "data.classes": ("int", DataConfig.num_classes),
+    "data.samples_per_class": ("int", DataConfig.samples_per_class),
+    "data.patch_size": ("int", DataConfig.patch_size),
+    "data.signal_amplitude": ("float", DataConfig.signal_amplitude),
+    "data.noise_amplitude": ("float", DataConfig.noise_amplitude),
+    "data.overlap": ("float", DataConfig.overlap),
+    "data.train_fraction": ("float", DataConfig.train_fraction),
     "output.dir": ("str", "runs/default"),
 }
 
 PRESETS: dict[str, dict[str, str]] = {
     "default": {},
-    # documentation preset mirroring the published full-scale protocol;
-    # not exercised by tests (384 px inputs are not desk scale)
-    "paper-protocol": {
-        "backbone.input": "384",
-        "backbone.strides": "4,2,2,2",
-        "backbone.channels": "96,192,384,768",
-        "train.lr": "0.0005",
-        "train.epochs": "60",
-        "train.batch_size": "12",
-        "data.classes": "200",
-        "ambiguity.k": "4",
-    },
     # small enough for exhaustive finite-difference checking
     "tiny": {
         "backbone.input": "8",
@@ -97,7 +85,7 @@ class RunConfig:
     data: DataConfig
     bypass_filters: bool
     out_dir: str
-    raw: dict[str, str]
+    values: dict[str, object]
 
 
 def _parse_value(key: str, text: str):
@@ -198,10 +186,7 @@ def build_run_config(raw: dict[str, str]) -> RunConfig:
         raise ConfigError(f"ambiguity.k ({amb.k}) exceeds data.classes ({data.num_classes})")
     if not bypass:
         validate_filter_ratios(amb, noise, backbone.stage_shapes())
-    if sum(kept_rows(w * h, noise.gamma2, bypass) for w, h, _ in backbone.stage_shapes()) < 1:
-        raise ConfigError("configuration keeps no feature rows")
-    return RunConfig(backbone, amb, noise, sir, train, data, bypass,
-                     values["output.dir"], dict(raw))
+    return RunConfig(backbone, amb, noise, sir, train, data, bypass, values["output.dir"], values)
 
 
 def preset(name: str) -> RunConfig:
@@ -212,11 +197,9 @@ def preset(name: str) -> RunConfig:
 
 def resolved_text(cfg: RunConfig) -> str:
     """Every key with its effective value; reparses to the same config."""
-    values = {key: tag_default[1] for key, tag_default in _SCHEMA.items()}
-    values.update({k: _parse_value(k, v) for k, v in cfg.raw.items()})
     lines = []
     for key in sorted(_SCHEMA):
-        v = values[key]
+        v = cfg.values[key]
         tag = _SCHEMA[key][0]
         if tag == "ints":
             text = ",".join(str(i) for i in v)

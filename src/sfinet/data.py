@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backbone import ConfigError
+from .tensor import ConfigError
 
 
 @dataclass(frozen=True)
@@ -39,6 +39,7 @@ class DataConfig:
             raise ConfigError(f"data: overlap must lie in [0, 1], got {self.overlap}")
         if not 0.0 < self.train_fraction < 1.0:
             raise ConfigError(f"data: train_fraction must lie in (0, 1), got {self.train_fraction}")
+        _anchors(self)  # rejects class counts whose anchors would collide
 
 
 @dataclass
@@ -55,7 +56,10 @@ class SyntheticDataset:
 
 
 def _anchors(cfg: DataConfig) -> list[tuple[int, int]]:
-    """One distinct anchor per class, except classes 0 and 1 share slot 0."""
+    """One distinct anchor per class, except classes 0 and 1 share slot 0.
+
+    Raises ConfigError when the image leaves no room for distinct anchors.
+    """
     margin = max((cfg.image_size - cfg.patch_size) // 6, 0)
     hi = cfg.image_size - cfg.patch_size - margin
     corners = [(margin, margin), (hi, hi), (margin, hi), (hi, margin)]
@@ -67,7 +71,10 @@ def _anchors(cfg: DataConfig) -> list[tuple[int, int]]:
         else:
             # deterministic diagonal fill for many classes
             step = (hi - margin) // max(slots_needed - 1, 1)
-            slots.append((margin + (s % slots_needed) * step, margin + (s % slots_needed) * step))
+            slots.append((margin + s * step, margin + s * step))
+    if len(set(slots)) < len(slots):
+        raise ConfigError(f"data: {cfg.num_classes} classes get colliding anchors with "
+                          f"{cfg.patch_size} px patches in {cfg.image_size} px images")
     out = [slots[0], slots[0]]
     for c in range(2, cfg.num_classes):
         out.append(slots[c - 1])

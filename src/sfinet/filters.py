@@ -22,8 +22,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import tensor as T
-from .backbone import ConfigError
-from .tensor import Tensor
+from .tensor import ConfigError, Tensor
 
 
 @dataclass(frozen=True)
@@ -202,6 +201,13 @@ def noise_select(masked_maps: Tensor, masked_features: Tensor, gamma2: float,
     return NoiseSelection(chosen, T.gather_rows(flat_features, chosen), scores)
 
 
+def select_all(masked_maps: Tensor, masked_features: Tensor) -> NoiseSelection:
+    """Every position in row-major order: the selection with the filters bypassed."""
+    w, h, c = masked_features.shape
+    scores = T.channel_average_pool(masked_maps)
+    return NoiseSelection(list(range(w * h)), T.reshape(masked_features, (w * h, c)), scores)
+
+
 def filter_stage(features: Tensor, projection: Tensor, amb: AmbiguityParams,
                  noise: NoiseParams, bypass: bool = False) -> tuple[ClassMaps, FilterArtifacts]:
     """Run one stage through both filters.
@@ -210,22 +216,13 @@ def filter_stage(features: Tensor, projection: Tensor, amb: AmbiguityParams,
     in row-major order; class maps and the ambiguity map are still
     computed so exports stay comparable.
     """
-    w, h, c = features.shape
     cmaps = class_maps(features, projection)
     topk, weights = topk_weights(cmaps.coarse, amb)
     amb_map = ambiguity_map(cmaps.maps, topk, weights)
-    if bypass:
-        mask = Tensor(np.ones((w, h)))
-        masked_maps, masked_features = apply_mask(mask, cmaps.maps, features)
-        scores = T.channel_average_pool(masked_maps)
-        indices = list(range(w * h))
-        selected = T.reshape(masked_features, (w * h, c))
-        arts = FilterArtifacts(topk, weights, amb_map, mask, masked_maps,
-                               masked_features, scores, indices, selected)
-        return cmaps, arts
-    mask = ambiguity_mask(amb_map, amb.gamma1)
+    mask = Tensor(np.ones(amb_map.shape)) if bypass else ambiguity_mask(amb_map, amb.gamma1)
     masked_maps, masked_features = apply_mask(mask, cmaps.maps, features)
-    sel = noise_select(masked_maps, masked_features, noise.gamma2, keep_mask=mask)
+    sel = (select_all(masked_maps, masked_features) if bypass
+           else noise_select(masked_maps, masked_features, noise.gamma2, keep_mask=mask))
     arts = FilterArtifacts(topk, weights, amb_map, mask, masked_maps,
                            masked_features, sel.scores, sel.indices, sel.selected)
     return cmaps, arts

@@ -16,8 +16,8 @@ import numpy as np
 from . import filters as F
 from . import reconstitution as R
 from . import tensor as T
-from .backbone import Backbone, BackboneConfig, ConfigError, StageFeatures
-from .tensor import Tensor
+from .backbone import Backbone, BackboneConfig, StageFeatures
+from .tensor import ConfigError, Tensor
 
 
 def _uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
@@ -119,6 +119,8 @@ class SFINet:
             arr = np.asarray(state[name], dtype=np.float64)
             if arr.shape != p.shape:
                 raise ConfigError(f"checkpoint tensor {name}: shape {arr.shape}, model expects {p.shape}")
+            if not np.isfinite(arr).all():
+                raise ConfigError(f"checkpoint tensor {name}: holds NaN or Inf values")
             p.data = arr.copy()
 
     def forward(self, image, label: int | None = None) -> ForwardResult:

@@ -18,8 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .backbone import ConfigError
-from .tensor import Tensor, accumulate, node
+from .tensor import ConfigError, Tensor, accumulate, node
 
 
 @dataclass(frozen=True)

@@ -85,6 +85,8 @@ def load_checkpoint(path: str | os.PathLike) -> dict[str, np.ndarray]:
         if not lines[i].startswith("tensor:"):
             raise SerializationError(f"{path}: expected 'tensor:' block at line {i + 1}")
         name = lines[i][len("tensor:"):].strip()
+        if name in out:
+            raise SerializationError(f"{path}: block {name!r} appears more than once")
         if i + 1 >= len(lines):
             raise SerializationError(f"{path}: block {name!r} missing shape header")
         j = i + 2

@@ -36,6 +36,10 @@ class GraphError(RuntimeError):
     """Invalid computation graph use (non-scalar loss, cycle, ...)."""
 
 
+class ConfigError(ValueError):
+    """A configuration violates a documented invariant."""
+
+
 _seq = itertools.count()
 
 

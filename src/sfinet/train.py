@@ -14,20 +14,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .backbone import ConfigError
 from .data import SyntheticDataset, augment_image
 from .model import SFINet
 from .serialization import save_checkpoint
-from .tensor import NonFiniteError, Tensor
+from .tensor import ConfigError, NonFiniteError, Tensor
 
 
 @dataclass(frozen=True)
 class TrainConfig:
     xi: float = 3.0
-    lr: float = 0.0005
+    lr: float = 0.05
     momentum: float = 0.9
     weight_decay: float = 0.0005
-    epochs: int = 60
+    epochs: int = 30
     batch_size: int = 12
     seed: int = 42
     augment: bool = False

@@ -212,6 +212,7 @@ def test_criterion_06_permutation_equivariance():
         print(f"\n  worst deviation {worst:.3e}")
 
 
+@pytest.mark.slow
 def test_criterion_07_end_to_end_learning():
     with criterion(7, "clean synthetic run reaches 95% train / 85% held-out in 30 epochs"):
         cfg = C.build_run_config({"train.epochs": "30"})
@@ -241,6 +242,7 @@ def _ambiguous_run(seed: int, bypass: bool) -> float:
     return [r for r in rows if r.split == "test"][-1].acc
 
 
+@pytest.mark.slow
 def test_criterion_08_filter_direction_of_effect():
     desc = "filters help (or at least do not hurt) on the ambiguous-pair dataset"
     with criterion(8, desc):

@@ -6,7 +6,7 @@ import pytest
 
 from sfinet import cli
 from sfinet import tensor as T
-from sfinet.serialization import load_tensor, save_tensor
+from sfinet.serialization import load_checkpoint, load_tensor, save_checkpoint, save_tensor
 from sfinet.tensor import Tensor, accumulate, node
 
 TINY = ["--preset", "tiny"]
@@ -112,6 +112,34 @@ class TestEvalCommand:
         assert rc == 2
         err = capsys.readouterr().err
         assert f"{path}:sir.classifier" in err and "Traceback" not in err
+
+    def test_non_finite_checkpoint_exits_2(self, trained, capsys):
+        path = trained / "checkpoint.csv"
+        state = load_checkpoint(path)
+        state["sir.classifier"][0, 0] = np.nan
+        save_checkpoint(path, state)
+        rc = run_cli(["eval", *TINY, "--checkpoint", path])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "sir.classifier" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["eval", "export-maps"])
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_non_finite_forward_exits_1_naming_op(self, trained, tmp_path, capsys, command):
+        # finite weights whose forward overflows in the attention scores
+        path = trained / "checkpoint.csv"
+        state = load_checkpoint(path)
+        state["sir.stage0.proj"][:] = 1e307
+        save_checkpoint(path, state)
+        args = [command, *TINY, "--checkpoint", path]
+        if command == "export-maps":
+            image = tmp_path / "img.csv"
+            save_tensor(image, np.ones((8, 8, 3)))
+            args += ["--image", image, "--out", tmp_path / "maps"]
+        rc = run_cli(args)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: op 'pairwise_scores'") and "Traceback" not in err
 
     def test_missing_checkpoint_exits_2(self, capsys):
         rc = run_cli(["eval", *TINY, "--checkpoint", "/nope/ckpt.csv"])

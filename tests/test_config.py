@@ -1,7 +1,19 @@
+import os
+
 import pytest
 
 from sfinet import config as C
 from sfinet.backbone import ConfigError
+
+CONFIGS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "configs")
+
+# criterion 08's dataset (test_acceptance._ambiguous_run) without its seed and bypass keys
+AMBIGUOUS_PAIR = {"train.epochs": "40", "data.overlap": "0.8", "data.noise_amplitude": "1.5",
+                  "data.signal_amplitude": "1.25", "data.samples_per_class": "48"}
+
+
+def shipped(name):
+    return C.build_run_config(C.parse_config_file(os.path.join(CONFIGS, name)))
 
 
 class TestParsing:
@@ -99,7 +111,8 @@ class TestPresets:
         assert max(w * h for w, h, _ in cfg.backbone.stage_shapes()) <= 16
 
     def test_paper_protocol_preset_valid(self):
-        cfg = C.preset("paper-protocol")
+        # documentation only, as a config file: 384 px does not fit at desk scale
+        cfg = shipped("paper-protocol.txt")
         assert cfg.backbone.input_size == (384, 384)
         assert cfg.train.epochs == 60
         assert cfg.train.batch_size == 12
@@ -107,3 +120,14 @@ class TestPresets:
     def test_unknown_preset_rejected(self):
         with pytest.raises(ConfigError):
             C.preset("gigantic")
+
+
+class TestShippedConfigs:
+    @pytest.mark.parametrize("name, build", [
+        ("default.txt", lambda: C.build_run_config({})),
+        ("tiny.txt", lambda: C.preset("tiny")),
+        ("ambiguous-pair.txt", lambda: C.build_run_config(dict(AMBIGUOUS_PAIR))),
+    ], ids=["default", "tiny", "ambiguous-pair"])
+    def test_file_resolves_like_code(self, name, build):
+        from_file, from_code = shipped(name).values, build().values
+        assert {**from_file, "output.dir": None} == {**from_code, "output.dir": None}

@@ -3,7 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from sfinet.backbone import ConfigError
-from sfinet.data import (DataConfig, augment_image, linear_probe, make_synthetic,
+from sfinet.data import (DataConfig, _anchors, augment_image, linear_probe, make_synthetic,
                          probe_accuracies)
 
 
@@ -53,6 +53,20 @@ class TestGeneration:
     def test_overlap_bounds_checked(self):
         with pytest.raises(ConfigError):
             DataConfig(overlap=1.5)
+
+
+class TestAnchors:
+    @pytest.mark.parametrize("classes, expected", [
+        (4, [(3, 3), (3, 3), (17, 17), (3, 17)]),
+        (8, [(3, 3), (3, 3), (17, 17), (3, 17), (17, 3), (11, 11), (13, 13), (15, 15)]),
+    ])
+    def test_anchors_at_32px_unchanged(self, classes, expected):
+        assert _anchors(DataConfig(num_classes=classes)) == expected
+
+    def test_colliding_anchors_rejected(self):
+        # 19 slots on a 14 px diagonal: the fill step rounds down to 0
+        with pytest.raises(ConfigError, match="20 classes get colliding anchors"):
+            DataConfig(num_classes=20, image_size=32, patch_size=12)
 
 
 class TestLinearProbe:

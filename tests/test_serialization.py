@@ -62,6 +62,12 @@ class TestCheckpoint:
         with pytest.raises(SerializationError, match=f"{path}:sir.classifier"):
             load_checkpoint(path)
 
+    def test_repeated_block_names_file_and_block(self, tmp_path):
+        path = tmp_path / "ckpt.csv"
+        path.write_text("tensor: a\nshape: 1\n1.0\ntensor: a\nshape: 1\n2.0\n")
+        with pytest.raises(SerializationError, match=f"{path}: block 'a' appears more than once"):
+            load_checkpoint(path)
+
 
 class TestPgm:
     def test_binary_mask_maps_to_0_and_255(self, tmp_path):

@@ -184,6 +184,14 @@ class TestCheckpointRoundTrip:
         with pytest.raises(ConfigError, match="missing"):
             model.load_state(state)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tensor_rejected_by_name(self, value):
+        _, model, _ = C.build_experiment(tiny_cfg())
+        state = {k: v.data.copy() for k, v in model.parameters().items()}
+        state["sir.classifier"][0, 0] = value
+        with pytest.raises(ConfigError, match="sir.classifier"):
+            model.load_state(state)
+
 
 class TestEvaluate:
     def test_eval_matches_manual_accuracy(self):

@@ -13,7 +13,8 @@ import sys
 from . import config as C
 from . import gradcheck as GC
 from .export import export_adjacency, export_stage_maps
-from .serialization import SerializationError, load_checkpoint, load_tensor, save_tensor
+from .serialization import (SerializationError, atomic_open, load_checkpoint, load_tensor,
+                            save_tensor)
 from .tensor import ConfigError, NonFiniteError
 from .train import TrainAbort, evaluate, train
 
@@ -35,7 +36,7 @@ def cmd_train(args) -> int:
     cfg = _load_config(args.config, args.set, args.preset)
     out_dir = args.out or cfg.out_dir
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "config_resolved.txt"), "w") as fh:
+    with atomic_open(os.path.join(out_dir, "config_resolved.txt")) as fh:
         fh.write(C.resolved_text(cfg))
     dataset, model, rng = C.build_experiment(cfg)
     rows = train(model, dataset, cfg.train, rng=rng, out_dir=out_dir,

@@ -9,8 +9,13 @@ rows feed the rest of the network together with an auxiliary
 cross-entropy on their per-stage mean.
 
 Rank selections are frozen at forward time: gradients flow only through
-the values that survive.  All tie-breaks are by lower row-major index so
-results are totally ordered and reproducible.
+the values that survive.  The values that only feed a ranking or an
+export (the coarse prediction, the ambiguity map, the masked class maps
+and the noise scores) are therefore computed on plain arrays and entered
+as checked constants (``T.node(arr, (), None, op)``): a NaN or Inf still
+raises ``NonFiniteError`` naming the op, but backward never visits them.
+All tie-breaks are by lower row-major index so results are totally
+ordered and reproducible.
 """
 
 from __future__ import annotations
@@ -120,7 +125,8 @@ def class_maps(features: Tensor, projection: Tensor) -> ClassMaps:
         raise T.ShapeError(f"class_maps: projection {projection.shape} does not match channels {c}")
     flat = T.reshape(features, (w * h, c))
     maps = T.reshape(T.matmul(flat, projection), (w, h, projection.shape[1]))
-    return ClassMaps(maps=maps, coarse=T.global_average_pool(maps), projection=projection)
+    coarse = T.node(maps.data.mean(axis=(0, 1)), (), None, "coarse_pool")
+    return ClassMaps(maps=maps, coarse=coarse, projection=projection)
 
 
 def topk_weights(coarse, params: AmbiguityParams) -> tuple[list[int], np.ndarray]:
@@ -139,12 +145,11 @@ def topk_weights(coarse, params: AmbiguityParams) -> tuple[list[int], np.ndarray
 
 def ambiguity_map(maps: Tensor, topk_indices: Sequence[int], weights: np.ndarray) -> Tensor:
     """Weighted average of the selected class map slices: (1/k) sum w_i T_i."""
-    w, h, _ = maps.shape
+    w, h, n = maps.shape
     k = len(topk_indices)
-    flat = T.reshape(maps, (w * h, maps.shape[2]))
-    picked = T.gather_cols(flat, topk_indices)
-    combo = T.matmul(picked, Tensor(np.asarray(weights, dtype=np.float64).reshape(k, 1)))
-    return T.reshape(T.scale(combo, 1.0 / k), (w, h))
+    picked = maps.data.reshape(w * h, n)[:, np.asarray(topk_indices, dtype=np.intp)]
+    combo = picked @ np.asarray(weights, dtype=np.float64).reshape(k, 1)
+    return T.node(((1.0 / k) * combo).reshape(w, h), (), None, "ambiguity_map")
 
 
 def ambiguity_mask(scores: Tensor, gamma1: float) -> Tensor:
@@ -167,8 +172,18 @@ def ambiguity_mask(scores: Tensor, gamma1: float) -> Tensor:
 
 
 def apply_mask(mask: Tensor, maps: Tensor, features: Tensor) -> tuple[Tensor, Tensor]:
-    """Zero dropped positions in both the class maps and the features."""
-    return T.hadamard(maps, mask), T.hadamard(features, mask)
+    """Zero dropped positions in both the class maps and the features.
+
+    Only the features stay on the tape; the masked maps feed the noise
+    scores alone.
+    """
+    masked_features = T.hadamard(features, mask)
+    return T.node(maps.data * mask.data[..., None], (), None, "masked_maps"), masked_features
+
+
+def _noise_scores(masked_maps: Tensor) -> Tensor:
+    """(W, H) channel-average of the masked class maps."""
+    return T.node(masked_maps.data.mean(axis=2), (), None, "noise_scores")
 
 
 def noise_select(masked_maps: Tensor, masked_features: Tensor, gamma2: float,
@@ -187,7 +202,7 @@ def noise_select(masked_maps: Tensor, masked_features: Tensor, gamma2: float,
     s_keep = kept_rows(s, gamma2)
     if s_keep < 1:
         raise ConfigError(f"noise_select: gamma2={gamma2} keeps no positions of {s}")
-    scores = T.channel_average_pool(masked_maps)
+    scores = _noise_scores(masked_maps)
     flat_scores = scores.data.ravel()
     if keep_mask is not None:
         candidates = np.flatnonzero(keep_mask.data.ravel() > 0.5)
@@ -204,7 +219,7 @@ def noise_select(masked_maps: Tensor, masked_features: Tensor, gamma2: float,
 def select_all(masked_maps: Tensor, masked_features: Tensor) -> NoiseSelection:
     """Every position in row-major order: the selection with the filters bypassed."""
     w, h, c = masked_features.shape
-    scores = T.channel_average_pool(masked_maps)
+    scores = _noise_scores(masked_maps)
     return NoiseSelection(list(range(w * h)), T.reshape(masked_features, (w * h, c)), scores)
 
 

@@ -110,18 +110,26 @@ class SFINet:
             p.zero_grad()
 
     def load_state(self, state: dict[str, np.ndarray]) -> None:
+        """Replace every parameter from ``state``, or none of them.
+
+        Names, shapes and finiteness are all checked before the first
+        assignment, so a rejected checkpoint leaves the model as it was.
+        """
         params = self.parameters()
         missing = sorted(set(params) - set(state))
         extra = sorted(set(state) - set(params))
         if missing or extra:
             raise ConfigError(f"checkpoint mismatch: missing {missing}, unexpected {extra}")
+        arrays = {}
         for name, p in params.items():
             arr = np.asarray(state[name], dtype=np.float64)
             if arr.shape != p.shape:
                 raise ConfigError(f"checkpoint tensor {name}: shape {arr.shape}, model expects {p.shape}")
             if not np.isfinite(arr).all():
                 raise ConfigError(f"checkpoint tensor {name}: holds NaN or Inf values")
-            p.data = arr.copy()
+            arrays[name] = arr
+        for name, p in params.items():
+            p.data = arrays[name].copy()
 
     def forward(self, image, label: int | None = None) -> ForwardResult:
         img = image if isinstance(image, Tensor) else Tensor(image)
@@ -147,7 +155,10 @@ class SFINet:
             class_loss = T.cross_entropy(logits, label)
             f_loss = F.filter_loss([a.selected_features for a in arts],
                                    self.filter_cls, int(label), self.n_classes)
-        probs = T.softmax(Tensor(logits.data)).data
+        # reported only, so a checked constant off the tape; same arithmetic as T.softmax
+        z = logits.data
+        e = np.exp(z - z.max(axis=-1, keepdims=True))
+        probs = T.node(e / e.sum(axis=-1, keepdims=True), (), None, "softmax").data
         return ForwardResult(probs, class_loss, f_loss, stages, cmaps, arts, semantic)
 
     def predict(self, image) -> int:

@@ -5,12 +5,21 @@ values in row-major order, one line per leading-axes row.  Floats are
 written with ``repr``, the shortest round-trip representation, so a
 save/load cycle is bit-exact.  A checkpoint is one file holding a
 sequence of named blocks in this format.
+
+Every file is written through :func:`atomic_open`: the text goes to a
+temporary file next to the target, which replaces the target only once
+it is complete, so a write that fails part way leaves the previous file
+as it was.  Files are UTF-8; one that is not raises
+:class:`SerializationError` naming it.
 """
 
 from __future__ import annotations
 
+import contextlib
+import math
 import os
-from typing import Mapping
+import uuid
+from typing import Iterator, Mapping, TextIO
 
 import numpy as np
 
@@ -19,12 +28,41 @@ class SerializationError(ValueError):
     """Malformed tensor file or checkpoint."""
 
 
+@contextlib.contextmanager
+def atomic_open(path: str | os.PathLike) -> Iterator[TextIO]:
+    """Open a text file for writing that appears at ``path`` only when complete.
+
+    Writes go to a temporary file in the target's directory, which
+    ``os.replace`` moves over ``path`` when the block exits normally.  If
+    the block raises, the temporary file is removed and ``path`` keeps its
+    previous content.  (This guards against a failed or interrupted
+    process, not against power loss: nothing is fsynced.)
+    """
+    path = os.fspath(path)
+    tmp = f"{path}.{uuid.uuid4().hex[:8]}.tmp"
+    try:
+        with open(tmp, "x", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
+def _read_lines(path: str | os.PathLike) -> list[str]:
+    """The non-blank lines of a UTF-8 text file, stripped."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return [ln.strip() for ln in fh if ln.strip()]
+    except UnicodeDecodeError as exc:
+        raise SerializationError(f"{path}: not UTF-8 text ({exc})") from exc
+
+
 def _rows(arr: np.ndarray) -> np.ndarray:
     if arr.ndim == 0:
         return arr.reshape(1, 1)
-    if arr.ndim == 1:
-        return arr.reshape(1, -1)
-    return arr.reshape(-1, arr.shape[-1])
+    return arr.reshape(math.prod(arr.shape[:-1]), arr.shape[-1])
 
 
 def format_tensor(arr: np.ndarray) -> str:
@@ -37,7 +75,7 @@ def format_tensor(arr: np.ndarray) -> str:
 
 
 def save_tensor(path: str | os.PathLike, arr: np.ndarray) -> None:
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         fh.write(format_tensor(arr))
 
 
@@ -60,8 +98,7 @@ def _parse_block(header: str, value_lines: list[str], origin: str) -> np.ndarray
 
 
 def load_tensor(path: str | os.PathLike) -> np.ndarray:
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    lines = _read_lines(path)
     if not lines:
         raise SerializationError(f"{path}: empty tensor file")
     return _parse_block(lines[0], lines[1:], str(path))
@@ -69,7 +106,7 @@ def load_tensor(path: str | os.PathLike) -> np.ndarray:
 
 def save_checkpoint(path: str | os.PathLike, params: Mapping[str, np.ndarray]) -> None:
     """Write named tensors as consecutive blocks, preserving order."""
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         for name, arr in params.items():
             data = getattr(arr, "data", arr)
             fh.write(f"tensor: {name}\n")
@@ -77,8 +114,7 @@ def save_checkpoint(path: str | os.PathLike, params: Mapping[str, np.ndarray]) -
 
 
 def load_checkpoint(path: str | os.PathLike) -> dict[str, np.ndarray]:
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    lines = _read_lines(path)
     out: dict[str, np.ndarray] = {}
     i = 0
     while i < len(lines):
@@ -111,7 +147,7 @@ def write_pgm(path: str | os.PathLike, arr: np.ndarray) -> None:
     else:
         pixels = np.zeros(arr.shape, dtype=int)
     w, h = arr.shape
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         fh.write(f"P2\n{h} {w}\n255\n")
         for row in pixels:
             fh.write(" ".join(str(int(v)) for v in row) + "\n")

@@ -7,7 +7,11 @@ backward passes (after a grad reset) are bit-for-bit identical.
 
 All arithmetic is float64.  Each op checks its result for NaN/Inf and
 raises :class:`NonFiniteError` naming the op, which doubles as the
-"first non-finite tensor" diagnostic during training.
+"first non-finite tensor" diagnostic during training.  A value that no
+gradient flows through (a selection score, a reported probability) is
+computed on plain arrays and entered as a checked constant,
+``node(arr, (), None, name)``: the same check and error, but no parents
+and no backward closure, so the tape only holds differentiable work.
 
 There is no implicit broadcasting.  The only documented broadcast is the
 spatial-mask case of :func:`hadamard` (a ``(W, H)`` mask applied across
@@ -95,7 +99,7 @@ class Tensor:
 
 
 def node(data: np.ndarray, parents: Sequence[Tensor],
-         backward_fn: Callable[[np.ndarray], None], op: str) -> Tensor:
+         backward_fn: Callable[[np.ndarray], None] | None, op: str) -> Tensor:
     """Create an op output tensor; the extension point for custom ops.
 
     ``backward_fn`` receives the output gradient and must accumulate into
@@ -103,7 +107,7 @@ def node(data: np.ndarray, parents: Sequence[Tensor],
     least one of them requires grad, so constant subgraphs stay leaves.
     """
     arr = np.asarray(data, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NonFiniteError(f"op '{op}' produced non-finite values")
     out = Tensor(arr)
     out.op = op
@@ -115,11 +119,17 @@ def node(data: np.ndarray, parents: Sequence[Tensor],
 
 
 def accumulate(t: Tensor, g: np.ndarray) -> None:
-    """Add ``g`` into ``t.grad``; no-op for tensors outside the tape."""
+    """Add ``g`` into ``t.grad``; no-op for tensors outside the tape.
+
+    The first gradient is stored as ``g + 0.0``: a fresh array (never an
+    alias of ``g``) equal bit for bit to ``0.0 + g``, so -0.0 becomes +0.0
+    just as adding into a zero buffer would make it.
+    """
     if t.requires_grad:
         if t.grad is None:
-            t.grad = np.zeros_like(t.data)
-        t.grad += g
+            t.grad = g + 0.0
+        else:
+            t.grad += g
 
 
 class CompGraph:

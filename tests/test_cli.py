@@ -33,6 +33,20 @@ class TestTrainCommand:
         epochs = 2  # tiny preset
         assert len(lines) - 1 >= epochs
 
+    def test_failed_snapshot_write_keeps_the_previous_snapshot(self, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "config_resolved.txt").write_text("previous\n")
+
+        def fail(cfg):
+            raise RuntimeError("injected")
+
+        monkeypatch.setattr(cli.C, "resolved_text", fail)
+        with pytest.raises(RuntimeError, match="injected"):
+            run_cli(["train", *TINY, "--out", out, "--quiet"])
+        assert (out / "config_resolved.txt").read_text() == "previous\n"
+        assert os.listdir(out) == ["config_resolved.txt"]
+
     def test_outputs_confined_to_out_dir(self, tmp_path, monkeypatch):
         workdir = tmp_path / "cwd"
         workdir.mkdir()
@@ -112,6 +126,16 @@ class TestEvalCommand:
         assert rc == 2
         err = capsys.readouterr().err
         assert f"{path}:sir.classifier" in err and "Traceback" not in err
+
+    def test_non_utf8_checkpoint_exits_2(self, trained, tmp_path, capsys):
+        raw = bytearray((trained / "checkpoint.csv").read_bytes())
+        raw[12] = 0xFF
+        path = tmp_path / "ckpt.csv"
+        path.write_bytes(bytes(raw))
+        rc = run_cli(["eval", *TINY, "--checkpoint", path])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{path}: not UTF-8" in err and "Traceback" not in err
 
     def test_non_finite_checkpoint_exits_2(self, trained, capsys):
         path = trained / "checkpoint.csv"

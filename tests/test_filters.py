@@ -346,3 +346,78 @@ class TestEndToEndDifferentiability:
         params = dict(bb.parameters())
         params.update({f"cls{i}": c for i, c in enumerate(clss)})
         assert_grads_match(loss, params, tol=1e-4)
+
+
+class TestCheckedConstants:
+    """Selection-only values are computed off the tape, with the finiteness check kept."""
+
+    @staticmethod
+    def old_tape_chains(maps: Tensor, topk, weights, mask: Tensor):
+        """Coarse pool, ambiguity map, masked maps and noise scores as tape ops."""
+        w, h, n = maps.shape
+        k = len(topk)
+        coarse = T.global_average_pool(maps)
+        picked = T.gather_cols(T.reshape(maps, (w * h, n)), topk)
+        combo = T.matmul(picked, Tensor(np.asarray(weights, dtype=np.float64).reshape(k, 1)))
+        amb = T.reshape(T.scale(combo, 1.0 / k), (w, h))
+        masked = T.hadamard(maps, mask)
+        return coarse, amb, masked, T.channel_average_pool(masked)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("shape", [(2, 3, 5, 6), (4, 4, 7, 5), (8, 8, 4, 16)])
+    def test_bitwise_equal_to_the_old_tape_chains(self, seed, shape):
+        w, h, n, c = shape
+        g = np.random.default_rng(seed)
+        feats = Tensor(g.standard_normal((w, h, c)) * 10.0 ** g.integers(-3, 4), requires_grad=True)
+        proj = Tensor(g.standard_normal((c, n)), requires_grad=True)
+        cm = class_maps(feats, proj)
+        topk, weights = topk_weights(cm.coarse, AmbiguityParams(k=2 + seed % 3))
+        amb = ambiguity_map(cm.maps, topk, weights)
+        mask = ambiguity_mask(amb, 0.2)
+        masked, masked_feats = apply_mask(mask, cm.maps, feats)
+        scores = noise_select(masked, masked_feats, 0.3, keep_mask=mask).scores
+        for new, old in zip((cm.coarse, amb, masked, scores),
+                            self.old_tape_chains(cm.maps, topk, weights, mask)):
+            assert new.shape == old.shape
+            assert new.data.tobytes() == old.data.tobytes()
+
+    @pytest.mark.parametrize("bypass", [False, True])
+    def test_only_the_feature_path_requires_grad(self, rng, bypass):
+        feats = Tensor(rng.standard_normal((4, 4, 6)), requires_grad=True)
+        proj = Tensor(rng.standard_normal((6, 5)), requires_grad=True)
+        cm, art = filter_stage(feats, proj, AmbiguityParams(), NoiseParams(), bypass=bypass)
+        for value in (cm.coarse, art.ambiguity_map, art.masked_maps, art.noise_scores):
+            assert not value.requires_grad and value._parents == ()
+        assert art.masked_features.requires_grad
+        assert art.selected_features.requires_grad
+
+    def test_overflowing_ambiguity_map_still_raises(self):
+        # one class score near the float maximum: the maps and their mean are
+        # finite, but the top weight 1.1 pushes the ambiguity map to Inf
+        feats = np.zeros((2, 2, 1))
+        feats[0, 0, 0] = 1.7e308
+        proj = Tensor(np.array([[1.0, 0.5]]))
+        cm = class_maps(Tensor(feats), proj)
+        assert np.isfinite(cm.maps.data).all() and np.isfinite(cm.coarse.data).all()
+        with np.errstate(over="ignore"), pytest.raises(T.NonFiniteError, match="ambiguity_map"):
+            filter_stage(Tensor(feats), proj, AmbiguityParams(k=2), NoiseParams())
+
+    def test_backward_graph_of_a_default_sample_is_unchanged(self):
+        from collections import Counter
+
+        from sfinet import config as C
+        from sfinet.train import total_loss
+
+        cfg = C.build_run_config({})
+        ds, model, _ = C.build_experiment(cfg)
+        res = model.forward(ds.train_images[0], int(ds.train_labels[0]))
+        loss = total_loss(res.filter_loss, res.class_loss, cfg.train.xi)
+        counts = Counter(t.op for t in T.CompGraph.from_output(loss).nodes)
+        # recorded when the selection values were still tape ops
+        assert counts == {
+            "add": 1, "add_n": 1, "add_rowvec": 4, "attend": 1, "concat_rows": 1,
+            "cross_entropy": 5, "gather_rows": 7, "hadamard": 4, "head_mix": 1, "leaf": 26,
+            "matmul": 15, "mean_rows": 5, "merge_heads": 1, "pairwise_scores": 1,
+            "project_heads": 3, "relu": 1, "reshape": 24, "scale": 2,
+            "semantic_reassembly": 1, "softmax": 1, "tanh": 4,
+        }

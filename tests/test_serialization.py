@@ -1,9 +1,29 @@
+import os
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from sfinet.serialization import (SerializationError, format_tensor, load_checkpoint,
-                                  load_tensor, save_checkpoint, save_tensor, write_pgm)
+from sfinet.serialization import (SerializationError, atomic_open, format_tensor,
+                                  load_checkpoint, load_tensor, save_checkpoint, save_tensor,
+                                  write_pgm)
+
+# fixed example sequence and no example database: the same cases on every run
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=80)
+
+FLOAT_MAX = np.finfo(np.float64).max
+SUBNORMAL = 5e-324
+float_arrays = hnp.arrays(np.float64,
+                          hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4),
+                          elements=st.floats(allow_nan=False))
+names = st.from_regex(r"[a-z][a-z0-9_.]{0,12}", fullmatch=True)
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype == np.float64 and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestTensorRoundTrip:
@@ -32,6 +52,93 @@ class TestTensorRoundTrip:
         path.write_text("1.0,2.0\n")
         with pytest.raises(SerializationError):
             load_tensor(path)
+
+
+class TestRoundTripProperties:
+    @PROPERTY
+    @given(float_arrays)
+    @example(np.array(-0.0))
+    @example(np.zeros((0,)))
+    @example(np.zeros((3, 0)))
+    @example(np.zeros((2, 0, 3)))
+    @example(np.array([-0.0, SUBNORMAL, -SUBNORMAL, FLOAT_MAX, -FLOAT_MAX]))
+    def test_tensor_bit_exact(self, tmp_path_factory, arr):
+        path = tmp_path_factory.getbasetemp() / "prop_tensor.csv"
+        save_tensor(path, arr)
+        assert same_bits(load_tensor(path), arr)
+
+    @PROPERTY
+    @given(st.dictionaries(names, float_arrays, min_size=1, max_size=4))
+    @example({"a": np.array(-0.0), "b": np.zeros((3, 0)),
+              "c": np.array([[SUBNORMAL, FLOAT_MAX], [-FLOAT_MAX, -0.0]])})
+    def test_checkpoint_bit_exact(self, tmp_path_factory, params):
+        path = tmp_path_factory.getbasetemp() / "prop_ckpt.csv"
+        save_checkpoint(path, params)
+        back = load_checkpoint(path)
+        assert list(back) == list(params)
+        assert all(same_bits(back[k], params[k]) for k in params)
+
+
+class TestCorruptCheckpoint:
+    PARAMS = {"backbone.stage0.weight": np.array([[0.25, -1.5e-7], [3.0, -0.0]]),
+              "sir.gcn.adjacency": np.array(1.0 / 3.0),
+              "sir.classifier": np.array([SUBNORMAL, FLOAT_MAX, -2.0])}
+
+    @pytest.fixture(scope="class")
+    def clean(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("corrupt") / "ckpt.csv"
+        save_checkpoint(path, self.PARAMS)
+        return path.read_bytes()
+
+    @PROPERTY
+    @given(st.data())
+    def test_one_byte_mutation_loads_or_raises_serialization_error(self, tmp_path_factory,
+                                                                   clean, data):
+        pos = data.draw(st.integers(0, len(clean) - 1), label="pos")
+        byte = data.draw(st.integers(0, 255), label="byte")
+        path = tmp_path_factory.getbasetemp() / "mutated.csv"
+        path.write_bytes(clean[:pos] + bytes([byte]) + clean[pos + 1:])
+        try:
+            out = load_checkpoint(path)
+        except SerializationError:
+            return
+        assert all(isinstance(v, np.ndarray) and v.dtype == np.float64 for v in out.values())
+
+    @pytest.mark.parametrize("load", [load_checkpoint, load_tensor])
+    def test_non_utf8_byte_names_the_file(self, tmp_path, clean, load):
+        path = tmp_path / "ckpt.csv"
+        path.write_bytes(clean[:12] + b"\xff" + clean[13:])
+        with pytest.raises(SerializationError, match=f"{path}: not UTF-8"):
+            load(path)
+
+
+class TestAtomicWrites:
+    def test_failure_inside_the_block_keeps_the_previous_file(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("previous\n")
+        with pytest.raises(RuntimeError, match="injected"):
+            with atomic_open(path) as fh:
+                fh.write("half of the new")
+                raise RuntimeError("injected")
+        assert path.read_text() == "previous\n"
+        assert os.listdir(tmp_path) == ["out.txt"]
+
+    def test_checkpoint_failing_mid_write_keeps_the_previous_checkpoint(self, tmp_path):
+        path = tmp_path / "ckpt.csv"
+        save_checkpoint(path, {"a": np.ones(2)})
+        before = path.read_bytes()
+        # the first block is written before the second fails to convert
+        with pytest.raises(ValueError):
+            save_checkpoint(path, {"a": np.zeros(2), "b": np.array(["not a number"])})
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["ckpt.csv"]
+
+    def test_completed_write_replaces_the_file(self, tmp_path):
+        path = tmp_path / "t.csv"
+        save_tensor(path, np.ones(2))
+        save_tensor(path, np.zeros(3))
+        npt.assert_array_equal(load_tensor(path), np.zeros(3))
+        assert os.listdir(tmp_path) == ["t.csv"]
 
 
 class TestCheckpoint:

@@ -247,6 +247,25 @@ class TestBackward:
         assert max(errs.values()) < 1e-3, errs
 
 
+class TestAccumulate:
+    def test_first_write_is_a_fresh_zero_plus_g(self):
+        t = T.scale(Tensor(np.ones(3), requires_grad=True), 1.0)  # op output: no buffer yet
+        g = np.array([-0.0, 1.5, -2.5])
+        zero_plus_g = np.zeros(3) + g
+        T.accumulate(t, g)
+        assert t.grad.tobytes() == zero_plus_g.tobytes()
+        assert not np.signbit(t.grad[0])  # -0.0 became +0.0
+        assert not np.shares_memory(t.grad, g)
+        T.accumulate(t, g)
+        npt.assert_array_equal(t.grad, 2 * g)
+        npt.assert_array_equal(g, [-0.0, 1.5, -2.5])  # g was not written through
+
+    def test_no_op_outside_the_tape(self):
+        t = Tensor(np.ones(2))
+        T.accumulate(t, np.ones(2))
+        assert t.grad is None
+
+
 class TestCompGraph:
     def test_topological_order_and_single_visit(self, rng):
         a = Tensor(rng.standard_normal((2, 2)), requires_grad=True)
@@ -282,6 +301,10 @@ class TestNonFiniteDetection:
         big = Tensor([1e308])
         with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="hadamard"):
             T.hadamard(big, big)
+
+    def test_non_finite_checked_constant_reported(self):
+        with pytest.raises(NonFiniteError, match="probe"):
+            T.node(np.array([0.0, np.inf]), (), None, "probe")
 
 
 class TestElementwiseGradients:
@@ -351,3 +374,7 @@ class TestTensorBasics:
     def test_constant_graphs_stay_leaves(self):
         out = T.add(Tensor(np.ones(3)), Tensor(np.ones(3)))
         assert out._parents == ()
+
+    def test_parentless_node_is_a_constant(self):
+        c = T.node(np.arange(3.0), (), None, "probe")
+        assert c.op == "probe" and not c.requires_grad and c._parents == ()

@@ -1,3 +1,6 @@
+import importlib
+import os
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -153,6 +156,23 @@ class TestTrainingLoop:
         assert runs[0] == runs[1]
 
 
+class TestOutputFiles:
+    def test_failed_metrics_write_keeps_the_previous_file(self, tmp_path, monkeypatch):
+        TR = importlib.import_module("sfinet.train")  # the package re-exports train()
+        (tmp_path / "metrics.csv").write_text("previous\n")
+
+        def fail(rows):
+            raise RuntimeError("injected")
+
+        monkeypatch.setattr(TR, "metrics_csv", fail)
+        cfg = tiny_cfg(**{"train.epochs": 1})
+        ds, model, rng = C.build_experiment(cfg)
+        with pytest.raises(RuntimeError, match="injected"):
+            train(model, ds, cfg.train, rng=rng, out_dir=tmp_path)
+        assert (tmp_path / "metrics.csv").read_text() == "previous\n"
+        assert os.listdir(tmp_path) == ["metrics.csv"]
+
+
 class TestCheckpointRoundTrip:
     def test_forward_outputs_bitwise_identical(self, tmp_path):
         cfg = tiny_cfg(**{"train.epochs": 1})
@@ -183,6 +203,18 @@ class TestCheckpointRoundTrip:
         del state["sir.classifier"]
         with pytest.raises(ConfigError, match="missing"):
             model.load_state(state)
+
+    @pytest.mark.parametrize("fault", ["nan", "shape"])
+    def test_rejected_state_leaves_every_parameter_unchanged(self, fault):
+        _, model, _ = C.build_experiment(tiny_cfg())
+        params = model.parameters()
+        before = {k: v.data.tobytes() for k, v in params.items()}
+        state = {k: v.data + 1.0 for k, v in params.items()}
+        last = list(params)[-1]  # every other tensor would load
+        state[last] = np.full_like(state[last], np.nan) if fault == "nan" else np.zeros((99, 3))
+        with pytest.raises(ConfigError, match=last):
+            model.load_state(state)
+        assert {k: v.data.tobytes() for k, v in model.parameters().items()} == before
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_tensor_rejected_by_name(self, value):

@@ -23,9 +23,9 @@ projection = Tensor(rng.uniform(-0.5, 0.5, size=(8, 5)))
 amb = AmbiguityParams(k=3, gamma1=0.15)
 noise = NoiseParams(gamma2=0.3)
 
-cmaps, arts = filter_stage(Tensor(features), projection, amb, noise)
+arts = filter_stage(Tensor(features), projection, amb, noise)
 
-print("coarse prediction p:", np.round(cmaps.coarse.data, 3))
+print("coarse prediction p:", np.round(arts.coarse.data, 3))
 print("top-k classes:", arts.topk_indices, "with weights", np.round(arts.weights, 3))
 print("\nambiguity map (higher = more confusable):")
 print(np.round(arts.ambiguity_map.data, 2))
@@ -39,5 +39,5 @@ print(f"\nnoise filter keeps {len(arts.selected_indices)} positions:")
 print(kept.reshape(6, 6))
 print("\nselected feature block:", arts.selected_features.shape)
 
-written = export_stage_maps("demo_out", "demo", 0, cmaps, arts)
+written = export_stage_maps("demo_out", "demo", 0, arts)
 print(f"\nwrote {len(written)} map files under demo_out/")

@@ -20,12 +20,7 @@ from .train import TrainAbort, evaluate, train
 
 
 def _load_config(path: str | None, sets: list[str], preset: str | None) -> C.RunConfig:
-    if path is not None:
-        if not os.path.exists(path):
-            raise ConfigError(f"config file not found: {path}")
-        raw = C.parse_config_file(path)
-    else:
-        raw = dict(C.PRESETS[preset or "default"])
+    raw = C.parse_config_file(path) if path is not None else dict(C.PRESETS[preset or "default"])
     raw = C.apply_overrides(raw, sets)
     if "SFI_SEED" in os.environ:
         raw["train.seed"] = os.environ["SFI_SEED"].strip()
@@ -49,8 +44,6 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _load_config(args.config, args.set, args.preset)
-    if not os.path.exists(args.checkpoint):
-        raise ConfigError(f"checkpoint file not found: {args.checkpoint}")
     dataset, model, _ = C.build_experiment(cfg)
     model.load_state(load_checkpoint(args.checkpoint))
     if args.split == "train":
@@ -64,9 +57,6 @@ def cmd_eval(args) -> int:
 
 def cmd_export_maps(args) -> int:
     cfg = _load_config(args.config, args.set, args.preset)
-    for path, kind in ((args.checkpoint, "checkpoint"), (args.image, "image")):
-        if not os.path.exists(path):
-            raise ConfigError(f"{kind} file not found: {path}")
     _, model, _ = C.build_experiment(cfg)
     model.load_state(load_checkpoint(args.checkpoint))
     image = load_tensor(args.image)
@@ -76,8 +66,8 @@ def cmd_export_maps(args) -> int:
     res = model.forward(image)
     image_id = os.path.splitext(os.path.basename(args.image))[0]
     written = []
-    for i, (cm, art) in enumerate(zip(res.class_maps, res.artifacts)):
-        written += export_stage_maps(args.out, image_id, i, cm, art)
+    for i, art in enumerate(res.artifacts):
+        written += export_stage_maps(args.out, image_id, i, art)
     written += export_adjacency(args.out, image_id, model.adjacency.data)
     attn_path = os.path.join(args.out, f"{image_id}_attention.csv")
     save_tensor(attn_path, res.semantic.attention.data)

@@ -18,6 +18,7 @@ from .data import DataConfig, SyntheticDataset, make_synthetic
 from .filters import AmbiguityParams, NoiseParams, validate_filter_ratios
 from .model import SFINet
 from .reconstitution import SirConfig
+from .serialization import read_text
 from .tensor import ConfigError
 from .train import TrainConfig
 
@@ -127,8 +128,7 @@ def parse_config_text(text: str, origin: str = "<config>") -> dict[str, str]:
 
 
 def parse_config_file(path: str) -> dict[str, str]:
-    with open(path) as fh:
-        return parse_config_text(fh.read(), origin=path)
+    return parse_config_text(read_text(path), origin=path)
 
 
 def apply_overrides(raw: dict[str, str], overrides: list[str]) -> dict[str, str]:

@@ -12,7 +12,7 @@ import os
 
 import numpy as np
 
-from .filters import ClassMaps, FilterArtifacts
+from .filters import FilterArtifacts
 from .serialization import save_tensor, write_pgm
 
 
@@ -24,8 +24,7 @@ def _pair(out_dir: str, name: str, arr: np.ndarray) -> list[str]:
     return [csv_path, pgm_path]
 
 
-def export_stage_maps(out_dir: str, image_id: str, stage: int,
-                      cmaps: ClassMaps, arts: FilterArtifacts) -> list[str]:
+def export_stage_maps(out_dir: str, image_id: str, stage: int, arts: FilterArtifacts) -> list[str]:
     """Ambiguity map, mask, noise scores, and the voted class slices."""
     os.makedirs(out_dir, exist_ok=True)
     written = []
@@ -34,7 +33,7 @@ def export_stage_maps(out_dir: str, image_id: str, stage: int,
     written += _pair(out_dir, f"{prefix}_mask", arts.mask.data)
     written += _pair(out_dir, f"{prefix}_noise", arts.noise_scores.data)
     for c in arts.topk_indices:
-        written += _pair(out_dir, f"{prefix}_class{c}", cmaps.maps.data[:, :, c])
+        written += _pair(out_dir, f"{prefix}_class{c}", arts.maps.data[:, :, c])
     return written
 
 

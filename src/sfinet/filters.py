@@ -9,13 +9,15 @@ rows feed the rest of the network together with an auxiliary
 cross-entropy on their per-stage mean.
 
 Rank selections are frozen at forward time: gradients flow only through
-the values that survive.  The values that only feed a ranking or an
-export (the coarse prediction, the ambiguity map, the masked class maps
-and the noise scores) are therefore computed on plain arrays and entered
-as checked constants (``T.node(arr, (), None, op)``): a NaN or Inf still
-raises ``NonFiniteError`` naming the op, but backward never visits them.
-All tie-breaks are by lower row-major index so results are totally
-ordered and reproducible.
+the kept feature rows, gathered straight from the stage's features.
+Everything that only feeds a ranking or an export (the class maps, the
+coarse prediction, the ambiguity map, the masked class maps and the noise
+scores) is computed on plain arrays and entered as a checked constant
+(``T.node(arr, (), None, op)``): a NaN or Inf still raises
+``NonFiniteError`` naming the op, but backward never visits it.  The
+class-map projection therefore gets no gradient from the loss, only
+weight decay, and no ranking depends on its scale.  All tie-breaks are by
+lower row-major index so results are totally ordered and reproducible.
 """
 
 from __future__ import annotations
@@ -57,14 +59,24 @@ class NoiseParams:
             raise ConfigError(f"noise: gamma2 must lie in (0, 1), got {self.gamma2}")
 
 
-def kept_rows(s: int, gamma2: float, bypass: bool = False) -> int:
-    """Rows the noise filter keeps of ``s`` positions: floor((1 - gamma2) * s).
+def kept_rows(s: int, gamma: float, bypass: bool = False) -> int:
+    """Positions a filter keeps of ``s`` when it drops the fraction ``gamma``.
 
-    With the filters bypassed every position is kept.
+    floor((1 - gamma) * s): the ambiguity mask's ones for gamma1, the noise
+    filter's rows for gamma2.  With the filters bypassed every position is
+    kept.
     """
     if bypass:
         return s
-    return math.floor((1.0 - gamma2) * s)
+    return math.floor((1.0 - gamma) * s)
+
+
+def _ambiguity_keep(s: int, gamma1: float, where: str) -> int:
+    """The ambiguity mask's keep count, rejected unless it drops some but not all."""
+    keep = kept_rows(s, gamma1)
+    if keep <= 0 or keep >= s:
+        raise ConfigError(f"{where}: gamma1={gamma1} keeps {keep} of {s} positions (degenerate)")
+    return keep
 
 
 def validate_filter_ratios(amb: AmbiguityParams, noise: NoiseParams,
@@ -78,19 +90,9 @@ def validate_filter_ratios(amb: AmbiguityParams, noise: NoiseParams,
         raise ConfigError(f"gamma1 ({amb.gamma1}) must not exceed gamma2 ({noise.gamma2})")
     for i, (w, h, _) in enumerate(stage_shapes):
         s = w * h
-        keep = math.floor((1.0 - amb.gamma1) * s)
-        if keep <= 0 or keep >= s:
-            raise ConfigError(f"stage {i}: gamma1={amb.gamma1} keeps {keep} of {s} positions (degenerate)")
+        _ambiguity_keep(s, amb.gamma1, f"stage {i}")
         if kept_rows(s, noise.gamma2) < 1:
             raise ConfigError(f"stage {i}: gamma2={noise.gamma2} keeps no positions of {s}")
-
-
-@dataclass
-class ClassMaps:
-    """Per-pixel class scores M plus the pooled coarse prediction p."""
-    maps: Tensor
-    coarse: Tensor
-    projection: Tensor
 
 
 class NoiseSelection(NamedTuple):
@@ -103,30 +105,35 @@ class NoiseSelection(NamedTuple):
 class FilterArtifacts:
     """Everything one stage's filter pass produces, kept for export.
 
-    Invariants: the mask has exactly floor((1 - gamma1) * W * H) ones;
-    selected_indices has floor((1 - gamma2) * W * H) entries, each at a
-    mask=1 position, in descending noise-score order.
+    ``maps`` are the per-pixel class scores M and ``coarse`` their pooled
+    prediction p.  Invariants: the mask has exactly floor((1 - gamma1) *
+    W * H) ones; selected_indices has floor((1 - gamma2) * W * H)
+    entries, each at a mask=1 position, in descending noise-score order.
+    Only selected_features is on the tape.
     """
+    maps: Tensor
+    coarse: Tensor
     topk_indices: list[int]
     weights: np.ndarray
     ambiguity_map: Tensor
     mask: Tensor
     masked_maps: Tensor
-    masked_features: Tensor
     noise_scores: Tensor
     selected_indices: list[int]
     selected_features: Tensor
 
 
-def class_maps(features: Tensor, projection: Tensor) -> ClassMaps:
-    """Project (W, H, C) features onto class channels and pool to p."""
+def class_maps(features: Tensor, projection: Tensor) -> tuple[Tensor, Tensor]:
+    """Project (W, H, C) features onto class channels M and pool them to p.
+
+    Both are selection-only constants, off the tape.
+    """
     w, h, c = features.shape
     if projection.ndim != 2 or projection.shape[0] != c:
         raise T.ShapeError(f"class_maps: projection {projection.shape} does not match channels {c}")
-    flat = T.reshape(features, (w * h, c))
-    maps = T.reshape(T.matmul(flat, projection), (w, h, projection.shape[1]))
-    coarse = T.node(maps.data.mean(axis=(0, 1)), (), None, "coarse_pool")
-    return ClassMaps(maps=maps, coarse=coarse, projection=projection)
+    arr = (features.data.reshape(w * h, c) @ projection.data).reshape(w, h, projection.shape[1])
+    maps = T.node(arr, (), None, "class_maps")
+    return maps, T.node(arr.mean(axis=(0, 1)), (), None, "coarse_pool")
 
 
 def topk_weights(coarse, params: AmbiguityParams) -> tuple[list[int], np.ndarray]:
@@ -162,23 +169,20 @@ def ambiguity_mask(scores: Tensor, gamma1: float) -> Tensor:
     arr = np.asarray(scores.data if isinstance(scores, Tensor) else scores, dtype=np.float64)
     w, h = arr.shape
     s = w * h
-    keep = math.floor((1.0 - gamma1) * s)
-    if keep <= 0 or keep >= s:
-        raise ConfigError(f"ambiguity_mask: gamma1={gamma1} keeps {keep} of {s} positions (degenerate)")
+    keep = _ambiguity_keep(s, gamma1, "ambiguity_mask")
     order = np.argsort(arr.ravel(), kind="stable")
     mask = np.zeros(s)
     mask[order[:keep]] = 1.0
     return Tensor(mask.reshape(w, h))
 
 
-def apply_mask(mask: Tensor, maps: Tensor, features: Tensor) -> tuple[Tensor, Tensor]:
-    """Zero dropped positions in both the class maps and the features.
+def apply_mask(mask: Tensor, maps: Tensor) -> Tensor:
+    """Zero dropped positions in the class maps, which feed the noise scores alone.
 
-    Only the features stay on the tape; the masked maps feed the noise
-    scores alone.
+    The features need no masking: every row the noise filter keeps has
+    mask 1, so the kept rows are gathered from the features as they are.
     """
-    masked_features = T.hadamard(features, mask)
-    return T.node(maps.data * mask.data[..., None], (), None, "masked_maps"), masked_features
+    return T.node(maps.data * mask.data[..., None], (), None, "masked_maps")
 
 
 def _noise_scores(masked_maps: Tensor) -> Tensor:
@@ -186,7 +190,7 @@ def _noise_scores(masked_maps: Tensor) -> Tensor:
     return T.node(masked_maps.data.mean(axis=2), (), None, "noise_scores")
 
 
-def noise_select(masked_maps: Tensor, masked_features: Tensor, gamma2: float,
+def noise_select(masked_maps: Tensor, features: Tensor, gamma2: float,
                  keep_mask: Tensor | None = None) -> NoiseSelection:
     """Keep the floor((1 - gamma2) * S) highest channel-average scores.
 
@@ -212,35 +216,32 @@ def noise_select(masked_maps: Tensor, masked_features: Tensor, gamma2: float,
         candidates = np.arange(s)
     order = np.argsort(-flat_scores[candidates], kind="stable")
     chosen = [int(i) for i in candidates[order][:s_keep]]
-    flat_features = T.reshape(masked_features, (s, masked_features.shape[2]))
+    flat_features = T.reshape(features, (s, features.shape[2]))
     return NoiseSelection(chosen, T.gather_rows(flat_features, chosen), scores)
 
 
-def select_all(masked_maps: Tensor, masked_features: Tensor) -> NoiseSelection:
-    """Every position in row-major order: the selection with the filters bypassed."""
-    w, h, c = masked_features.shape
-    scores = _noise_scores(masked_maps)
-    return NoiseSelection(list(range(w * h)), T.reshape(masked_features, (w * h, c)), scores)
-
-
 def filter_stage(features: Tensor, projection: Tensor, amb: AmbiguityParams,
-                 noise: NoiseParams, bypass: bool = False) -> tuple[ClassMaps, FilterArtifacts]:
+                 noise: NoiseParams, bypass: bool = False) -> FilterArtifacts:
     """Run one stage through both filters.
 
-    With ``bypass`` the mask is all ones and every position is selected
-    in row-major order; class maps and the ambiguity map are still
-    computed so exports stay comparable.
+    With ``bypass`` the mask is all ones and every position is kept in
+    row-major order, so the kept rows are the features reshaped; class
+    maps, the ambiguity map and the noise scores are still computed so
+    exports stay comparable.
     """
-    cmaps = class_maps(features, projection)
-    topk, weights = topk_weights(cmaps.coarse, amb)
-    amb_map = ambiguity_map(cmaps.maps, topk, weights)
+    maps, coarse = class_maps(features, projection)
+    topk, weights = topk_weights(coarse, amb)
+    amb_map = ambiguity_map(maps, topk, weights)
     mask = Tensor(np.ones(amb_map.shape)) if bypass else ambiguity_mask(amb_map, amb.gamma1)
-    masked_maps, masked_features = apply_mask(mask, cmaps.maps, features)
-    sel = (select_all(masked_maps, masked_features) if bypass
-           else noise_select(masked_maps, masked_features, noise.gamma2, keep_mask=mask))
-    arts = FilterArtifacts(topk, weights, amb_map, mask, masked_maps,
-                           masked_features, sel.scores, sel.indices, sel.selected)
-    return cmaps, arts
+    masked_maps = apply_mask(mask, maps)
+    if bypass:
+        w, h, c = features.shape
+        sel = NoiseSelection(list(range(w * h)), T.reshape(features, (w * h, c)),
+                             _noise_scores(masked_maps))
+    else:
+        sel = noise_select(masked_maps, features, noise.gamma2, keep_mask=mask)
+    return FilterArtifacts(maps, coarse, topk, weights, amb_map, mask, masked_maps,
+                           sel.scores, sel.indices, sel.selected)
 
 
 def filter_loss(selected_per_stage: Sequence[Tensor], classifiers: Sequence[Tensor],

@@ -5,6 +5,10 @@ then per-stage filter weights, then reconstitution weights), so the same
 seed always yields the same initial weights.  The sequence length seen by
 the reconstitution stage is fixed by the drop ratios and stage extents
 alone, which lets the adjacency matrix be allocated up front.
+
+The class-map projections ``mff.stage{i}.class_proj`` only drive the
+filters' selections, which are constants off the tape, so the loss gives
+them no gradient: training changes them through weight decay alone.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import numpy as np
 from . import filters as F
 from . import reconstitution as R
 from . import tensor as T
-from .backbone import Backbone, BackboneConfig, StageFeatures
+from .backbone import Backbone, BackboneConfig
 from .tensor import ConfigError, Tensor
 
 
@@ -27,12 +31,10 @@ def _uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> n
 
 @dataclass
 class ForwardResult:
-    """Per-sample outputs: probabilities, losses, and filter artifacts."""
+    """Per-sample outputs: probabilities, losses, and one filter record per stage."""
     probs: np.ndarray
     class_loss: Tensor | None
     filter_loss: Tensor | None
-    stages: list[StageFeatures]
-    class_maps: list[F.ClassMaps]
     artifacts: list[F.FilterArtifacts]
     semantic: R.SemanticState
 
@@ -133,14 +135,8 @@ class SFINet:
 
     def forward(self, image, label: int | None = None) -> ForwardResult:
         img = image if isinstance(image, Tensor) else Tensor(image)
-        stages = self.backbone.forward(img)
-        cmaps: list[F.ClassMaps] = []
-        arts: list[F.FilterArtifacts] = []
-        for st, proj in zip(stages, self.class_projs):
-            cm, art = F.filter_stage(st.features, proj, self.amb, self.noise,
-                                     bypass=self.bypass_filters)
-            cmaps.append(cm)
-            arts.append(art)
+        arts = [F.filter_stage(st.features, proj, self.amb, self.noise, bypass=self.bypass_filters)
+                for st, proj in zip(self.backbone.forward(img), self.class_projs)]
 
         concatenated = R.concat_stages([a.selected_features for a in arts], self.stage_projs)
         reassembled = R.semantic_reassembly(concatenated, self.sr_prev, self.sr_self, self.sr_next)
@@ -159,7 +155,7 @@ class SFINet:
         z = logits.data
         e = np.exp(z - z.max(axis=-1, keepdims=True))
         probs = T.node(e / e.sum(axis=-1, keepdims=True), (), None, "softmax").data
-        return ForwardResult(probs, class_loss, f_loss, stages, cmaps, arts, semantic)
+        return ForwardResult(probs, class_loss, f_loss, arts, semantic)
 
     def predict(self, image) -> int:
         return int(np.argmax(self.forward(image).probs))

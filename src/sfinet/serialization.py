@@ -9,7 +9,8 @@ sequence of named blocks in this format.
 Every file is written through :func:`atomic_open`: the text goes to a
 temporary file next to the target, which replaces the target only once
 it is complete, so a write that fails part way leaves the previous file
-as it was.  Files are UTF-8; one that is not raises
+as it was.  Files are read through :func:`read_text`: a file that is
+missing, is a directory, cannot be opened or is not UTF-8 raises
 :class:`SerializationError` naming it.
 """
 
@@ -50,13 +51,20 @@ def atomic_open(path: str | os.PathLike) -> Iterator[TextIO]:
         raise
 
 
-def _read_lines(path: str | os.PathLike) -> list[str]:
-    """The non-blank lines of a UTF-8 text file, stripped."""
+def read_text(path: str | os.PathLike) -> str:
+    """The content of a UTF-8 text file; any failure to read it names the path."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return [ln.strip() for ln in fh if ln.strip()]
+            return fh.read()
     except UnicodeDecodeError as exc:
         raise SerializationError(f"{path}: not UTF-8 text ({exc})") from exc
+    except OSError as exc:
+        raise SerializationError(f"{path}: cannot read ({exc.strerror})") from exc
+
+
+def _read_lines(path: str | os.PathLike) -> list[str]:
+    """The non-blank lines of a UTF-8 text file, stripped."""
+    return [ln.strip() for ln in read_text(path).split("\n") if ln.strip()]
 
 
 def _rows(arr: np.ndarray) -> np.ndarray:

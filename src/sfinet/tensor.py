@@ -145,30 +145,25 @@ class CompGraph:
 
     @classmethod
     def from_output(cls, out: Tensor) -> "CompGraph":
-        seen: set[int] = set()
-        on_stack: set[int] = set()
-        collected: list[Tensor] = []
-        stack: list[tuple[Tensor, int]] = [(out, 0)]
+        """Every requires_grad tensor reachable from ``out``, in creation order.
+
+        A parent is always created before its child, so a parent whose
+        ``_seq_id`` is not smaller than its child's can only come from a
+        corrupted tape with a cycle.
+        """
+        collected = {id(out): out}
+        stack = [out]
         while stack:
-            t, idx = stack.pop()
-            if idx == 0:
-                if id(t) in on_stack:
-                    raise GraphError("cycle detected in computation graph")
-                if id(t) in seen:
+            t = stack.pop()
+            for p in t._parents:
+                if not p.requires_grad:
                     continue
-                on_stack.add(id(t))
-            parents = t._parents
-            if idx < len(parents):
-                stack.append((t, idx + 1))
-                p = parents[idx]
-                if p.requires_grad and id(p) not in seen:
-                    stack.append((p, 0))
-            else:
-                on_stack.discard(id(t))
-                seen.add(id(t))
-                collected.append(t)
-        collected.sort(key=lambda t: t._seq_id)
-        return cls(collected)
+                if p._seq_id >= t._seq_id:
+                    raise GraphError("cycle detected in computation graph")
+                if id(p) not in collected:
+                    collected[id(p)] = p
+                    stack.append(p)
+        return cls(sorted(collected.values(), key=lambda t: t._seq_id))
 
 
 def backward(loss: Tensor) -> None:

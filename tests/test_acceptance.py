@@ -60,8 +60,8 @@ def test_criterion_02_filter_cardinalities_exact():
             assert int(mask.data.sum()) == keep1
             maps = Tensor(rng.standard_normal((w, h, 3)))
             feats = Tensor(rng.standard_normal((w, h, 4)))
-            mm, mf = apply_mask(mask, maps, feats)
-            sel = noise_select(mm, mf, gamma2, keep_mask=mask)
+            mm = apply_mask(mask, maps)
+            sel = noise_select(mm, feats, gamma2, keep_mask=mask)
             assert len(sel.indices) == keep2
             assert sel.selected.shape == (keep2, 4)
             checked += 1
@@ -85,8 +85,9 @@ def test_criterion_03_oracle_equivalence():
                                    naive_mask(scores, gamma1))
             maps = rng.standard_normal((w, h, 3))
             mask = ambiguity_mask(Tensor(scores), gamma1)
-            mm, mf = apply_mask(mask, Tensor(maps), Tensor(rng.standard_normal((w, h, 4))))
-            sel = noise_select(mm, mf, gamma2, keep_mask=mask)
+            feats = Tensor(rng.standard_normal((w, h, 4)))
+            mm = apply_mask(mask, Tensor(maps))
+            sel = noise_select(mm, feats, gamma2, keep_mask=mask)
             assert sel.indices == naive_select(mm.data, gamma2, mask.data)
 
 

@@ -1,10 +1,13 @@
 import os
+import subprocess
+import sys
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from sfinet import cli
+from sfinet import config as C
 from sfinet import tensor as T
 from sfinet.serialization import load_checkpoint, load_tensor, save_checkpoint, save_tensor
 from sfinet.tensor import Tensor, accumulate, node
@@ -81,6 +84,22 @@ class TestTrainCommand:
                       "--out", second, "--quiet"])
         assert rc == 0
         assert (first / "metrics.csv").read_bytes() == (second / "metrics.csv").read_bytes()
+
+    def test_blas_thread_count_leaves_outputs_unchanged(self, tmp_path):
+        # OpenBLAS reads its thread count when numpy loads: one process per setting
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        outputs = []
+        for threads in ("1", None):
+            env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+            if threads is not None:
+                env["OPENBLAS_NUM_THREADS"] = threads
+            out = tmp_path / f"threads-{threads}"
+            subprocess.run([sys.executable, "-m", "sfinet.cli", "train", *TINY,
+                            "--set", "train.epochs=3", "--out", str(out), "--quiet"],
+                           env=env, check=True, capture_output=True)
+            outputs.append([(out / name).read_bytes() for name in ("metrics.csv", "checkpoint.csv")])
+        assert outputs[0] == outputs[1]
 
     def test_sfi_seed_env_overrides_config(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SFI_SEED", "777")
@@ -222,6 +241,26 @@ class TestExportMapsCommand:
                       "--image", img_path, "--out", tmp_path / "maps"])
         assert rc == 2
         assert "image shape" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["config-not-utf8", "config-dir", "checkpoint-dir", "image-dir"])
+def test_unreadable_input_file_exits_2_naming_it(tmp_path, capsys, case):
+    bad = tmp_path / "bad"
+    if case == "config-not-utf8":
+        bad.write_bytes(b"train.epochs = 2\n\xff\n")
+    else:
+        bad.mkdir()
+    ckpt = tmp_path / "ckpt.csv"
+    save_checkpoint(ckpt, C.build_experiment(C.preset("tiny"))[1].parameters())
+    argv = {
+        "config-not-utf8": ["train", "--config", bad, "--out", tmp_path / "run"],
+        "config-dir": ["train", "--config", bad, "--out", tmp_path / "run"],
+        "checkpoint-dir": ["eval", *TINY, "--checkpoint", bad],
+        "image-dir": ["export-maps", *TINY, "--checkpoint", ckpt, "--image", bad,
+                      "--out", tmp_path / "maps"],
+    }[case]
+    assert run_cli(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}: ")
 
 
 class TestGradcheckCommand:

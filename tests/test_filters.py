@@ -58,22 +58,22 @@ class TestParams:
 class TestClassMaps:
     def test_zero_weights(self, rng):
         f = Tensor(rng.standard_normal((3, 3, 4)))
-        cm = class_maps(f, Tensor(np.zeros((4, 5))))
-        npt.assert_array_equal(cm.maps.data, 0.0)
-        npt.assert_array_equal(cm.coarse.data, 0.0)
+        maps, coarse = class_maps(f, Tensor(np.zeros((4, 5))))
+        npt.assert_array_equal(maps.data, 0.0)
+        npt.assert_array_equal(coarse.data, 0.0)
 
     def test_single_pixel_coarse_equals_that_pixel(self, rng):
         f = Tensor(rng.standard_normal((1, 1, 4)))
-        cm = class_maps(f, Tensor(rng.standard_normal((4, 6))))
-        npt.assert_allclose(cm.coarse.data, cm.maps.data[0, 0], rtol=1e-15)
+        maps, coarse = class_maps(f, Tensor(rng.standard_normal((4, 6))))
+        npt.assert_allclose(coarse.data, maps.data[0, 0], rtol=1e-15)
 
     def test_coarse_matches_hand_pooling(self, rng):
         f = rng.standard_normal((2, 2, 3))
         proj = np.zeros((3, 5))
         proj[:3, :3] = np.eye(3)  # identity-extended weights
-        cm = class_maps(Tensor(f), Tensor(proj))
+        _, coarse = class_maps(Tensor(f), Tensor(proj))
         expected = np.concatenate([f.mean(axis=(0, 1)), [0.0, 0.0]])
-        npt.assert_allclose(cm.coarse.data, expected, rtol=1e-12)
+        npt.assert_allclose(coarse.data, expected, rtol=1e-12)
 
     def test_channel_mismatch(self, rng):
         with pytest.raises(T.ShapeError):
@@ -174,26 +174,22 @@ class TestAmbiguityMask:
 class TestApplyMask:
     def test_all_ones_identity(self, rng):
         maps = Tensor(rng.standard_normal((3, 3, 4)))
-        feats = Tensor(rng.standard_normal((3, 3, 6)))
-        m2, f2 = apply_mask(Tensor(np.ones((3, 3))), maps, feats)
+        m2 = apply_mask(Tensor(np.ones((3, 3))), maps)
         npt.assert_array_equal(m2.data, maps.data)
-        npt.assert_array_equal(f2.data, feats.data)
 
     def test_single_zero_clears_all_channels(self, rng):
-        feats = Tensor(rng.standard_normal((3, 3, 6)))
+        maps = Tensor(rng.standard_normal((3, 3, 6)))
         mask = np.ones((3, 3))
         mask[1, 2] = 0.0
-        _, f2 = apply_mask(Tensor(mask), Tensor(rng.standard_normal((3, 3, 2))), feats)
-        npt.assert_array_equal(f2.data[1, 2], np.zeros(6))
+        m2 = apply_mask(Tensor(mask), maps)
+        npt.assert_array_equal(m2.data[1, 2], np.zeros(6))
 
     def test_reapplying_is_noop(self, rng):
         maps = Tensor(rng.standard_normal((3, 3, 4)))
-        feats = Tensor(rng.standard_normal((3, 3, 6)))
         mask = ambiguity_mask(Tensor(rng.standard_normal((3, 3))), 0.3)
-        m2, f2 = apply_mask(mask, maps, feats)
-        m3, f3 = apply_mask(mask, m2, f2)
+        m2 = apply_mask(mask, maps)
+        m3 = apply_mask(mask, m2)
         npt.assert_array_equal(m3.data, m2.data)
-        npt.assert_array_equal(f3.data, f2.data)
 
 
 class TestNoiseSelect:
@@ -228,8 +224,8 @@ class TestNoiseSelect:
         for _ in range(50):
             maps = Tensor(rng.standard_normal((3, 4, 2)))
             mask = ambiguity_mask(Tensor(rng.standard_normal((3, 4))), 0.25)
-            masked_maps, masked_feats = apply_mask(mask, maps, Tensor(rng.standard_normal((3, 4, 5))))
-            sel = noise_select(masked_maps, masked_feats, 0.4, keep_mask=mask)
+            feats = Tensor(rng.standard_normal((3, 4, 5)))
+            sel = noise_select(apply_mask(mask, maps), feats, 0.4, keep_mask=mask)
             flat = mask.data.ravel()
             assert all(flat[i] == 1.0 for i in sel.indices)
 
@@ -283,13 +279,12 @@ class TestSelectedRegionInvariance:
         feats = rng.standard_normal((4, 4, 6))
         maps = Tensor(rng.standard_normal((4, 4, 3)))
         mask = ambiguity_mask(Tensor(rng.standard_normal((4, 4))), 0.25)
-        mm, mf = apply_mask(mask, maps, Tensor(feats))
-        sel = noise_select(mm, mf, 0.25, keep_mask=mask)
+        mm = apply_mask(mask, maps)
+        sel = noise_select(mm, Tensor(feats), 0.25, keep_mask=mask)
         dropped = sorted(set(range(16)) - set(sel.indices))
         perturbed = feats.copy().reshape(16, 6)
         perturbed[dropped] += rng.standard_normal((len(dropped), 6)) * 10
-        _, mf2 = apply_mask(mask, maps, Tensor(perturbed.reshape(4, 4, 6)))
-        sel2 = noise_select(mm, mf2, 0.25, keep_mask=mask)
+        sel2 = noise_select(mm, Tensor(perturbed.reshape(4, 4, 6)), 0.25, keep_mask=mask)
         assert sel2.indices == sel.indices
         npt.assert_array_equal(sel2.selected.data, sel.selected.data)
 
@@ -339,7 +334,7 @@ class TestEndToEndDifferentiability:
             stages = bb.forward(Tensor(img))
             selected = []
             for st_, proj in zip(stages, projs):
-                _, art = filter_stage(st_.features, proj, amb, noise)
+                art = filter_stage(st_.features, proj, amb, noise)
                 selected.append(art.selected_features)
             return filter_loss(selected, clss, 1, 3)
 
@@ -352,44 +347,58 @@ class TestCheckedConstants:
     """Selection-only values are computed off the tape, with the finiteness check kept."""
 
     @staticmethod
-    def old_tape_chains(maps: Tensor, topk, weights, mask: Tensor):
-        """Coarse pool, ambiguity map, masked maps and noise scores as tape ops."""
-        w, h, n = maps.shape
+    def old_tape_chains(features: Tensor, proj: Tensor, topk, weights, mask: Tensor,
+                        indices, bypass: bool):
+        """Class maps, coarse pool, ambiguity map, masked maps, noise scores and
+        kept rows as tape ops, the kept rows gathered from the masked features."""
+        w, h, c = features.shape
+        n = proj.shape[1]
         k = len(topk)
+        maps = T.reshape(T.matmul(T.reshape(features, (w * h, c)), proj), (w, h, n))
         coarse = T.global_average_pool(maps)
         picked = T.gather_cols(T.reshape(maps, (w * h, n)), topk)
         combo = T.matmul(picked, Tensor(np.asarray(weights, dtype=np.float64).reshape(k, 1)))
         amb = T.reshape(T.scale(combo, 1.0 / k), (w, h))
         masked = T.hadamard(maps, mask)
-        return coarse, amb, masked, T.channel_average_pool(masked)
+        flat = T.reshape(T.hadamard(features, mask), (w * h, c))
+        rows = flat if bypass else T.gather_rows(flat, indices)
+        return maps, coarse, amb, masked, T.channel_average_pool(masked), rows
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("shape", [(2, 3, 5, 6), (4, 4, 7, 5), (8, 8, 4, 16)])
     def test_bitwise_equal_to_the_old_tape_chains(self, seed, shape):
         w, h, n, c = shape
         g = np.random.default_rng(seed)
-        feats = Tensor(g.standard_normal((w, h, c)) * 10.0 ** g.integers(-3, 4), requires_grad=True)
+        data = g.standard_normal((w, h, c)) * 10.0 ** g.integers(-3, 4)
         proj = Tensor(g.standard_normal((c, n)), requires_grad=True)
-        cm = class_maps(feats, proj)
-        topk, weights = topk_weights(cm.coarse, AmbiguityParams(k=2 + seed % 3))
-        amb = ambiguity_map(cm.maps, topk, weights)
-        mask = ambiguity_mask(amb, 0.2)
-        masked, masked_feats = apply_mask(mask, cm.maps, feats)
-        scores = noise_select(masked, masked_feats, 0.3, keep_mask=mask).scores
-        for new, old in zip((cm.coarse, amb, masked, scores),
-                            self.old_tape_chains(cm.maps, topk, weights, mask)):
-            assert new.shape == old.shape
-            assert new.data.tobytes() == old.data.tobytes()
+        for bypass in (False, True):
+            feats = Tensor(data, requires_grad=True)
+            old_feats = Tensor(data.copy(), requires_grad=True)
+            art = filter_stage(feats, proj, AmbiguityParams(k=2 + seed % 3, gamma1=0.2),
+                               NoiseParams(gamma2=0.3), bypass=bypass)
+            old = self.old_tape_chains(old_feats, proj, art.topk_indices, art.weights, art.mask,
+                                       art.selected_indices, bypass)
+            new = (art.maps, art.coarse, art.ambiguity_map, art.masked_maps, art.noise_scores,
+                   art.selected_features)
+            for a, b in zip(new, old):
+                assert a.shape == b.shape
+                assert a.data.tobytes() == b.data.tobytes()
+            upstream = g.standard_normal(art.selected_features.shape)
+            upstream[0] = -0.0
+            T.backward(T.sum_all(T.hadamard(art.selected_features, Tensor(upstream))))
+            T.backward(T.sum_all(T.hadamard(old[-1], Tensor(upstream))))
+            assert feats.grad.tobytes() == old_feats.grad.tobytes()
 
     @pytest.mark.parametrize("bypass", [False, True])
     def test_only_the_feature_path_requires_grad(self, rng, bypass):
         feats = Tensor(rng.standard_normal((4, 4, 6)), requires_grad=True)
         proj = Tensor(rng.standard_normal((6, 5)), requires_grad=True)
-        cm, art = filter_stage(feats, proj, AmbiguityParams(), NoiseParams(), bypass=bypass)
-        for value in (cm.coarse, art.ambiguity_map, art.masked_maps, art.noise_scores):
+        art = filter_stage(feats, proj, AmbiguityParams(), NoiseParams(), bypass=bypass)
+        for value in (art.maps, art.coarse, art.ambiguity_map, art.masked_maps, art.noise_scores):
             assert not value.requires_grad and value._parents == ()
-        assert art.masked_features.requires_grad
-        assert art.selected_features.requires_grad
+        nodes = T.CompGraph.from_output(art.selected_features).nodes
+        assert nodes[0] is feats
+        assert [t.op for t in nodes[1:]] == (["reshape"] if bypass else ["reshape", "gather_rows"])
 
     def test_overflowing_ambiguity_map_still_raises(self):
         # one class score near the float maximum: the maps and their mean are
@@ -397,8 +406,8 @@ class TestCheckedConstants:
         feats = np.zeros((2, 2, 1))
         feats[0, 0, 0] = 1.7e308
         proj = Tensor(np.array([[1.0, 0.5]]))
-        cm = class_maps(Tensor(feats), proj)
-        assert np.isfinite(cm.maps.data).all() and np.isfinite(cm.coarse.data).all()
+        maps, coarse = class_maps(Tensor(feats), proj)
+        assert np.isfinite(maps.data).all() and np.isfinite(coarse.data).all()
         with np.errstate(over="ignore"), pytest.raises(T.NonFiniteError, match="ambiguity_map"):
             filter_stage(Tensor(feats), proj, AmbiguityParams(k=2), NoiseParams())
 
@@ -413,10 +422,11 @@ class TestCheckedConstants:
         res = model.forward(ds.train_images[0], int(ds.train_labels[0]))
         loss = total_loss(res.filter_loss, res.class_loss, cfg.train.xi)
         counts = Counter(t.op for t in T.CompGraph.from_output(loss).nodes)
-        # recorded when the selection values were still tape ops
+        # recorded when the selection values were still tape ops, less the four
+        # hadamard masks the features no longer pass through
         assert counts == {
             "add": 1, "add_n": 1, "add_rowvec": 4, "attend": 1, "concat_rows": 1,
-            "cross_entropy": 5, "gather_rows": 7, "hadamard": 4, "head_mix": 1, "leaf": 26,
+            "cross_entropy": 5, "gather_rows": 7, "head_mix": 1, "leaf": 26,
             "matmul": 15, "mean_rows": 5, "merge_heads": 1, "pairwise_scores": 1,
             "project_heads": 3, "relu": 1, "reshape": 24, "scale": 2,
             "semantic_reassembly": 1, "softmax": 1, "tanh": 4,

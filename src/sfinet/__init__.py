@@ -1,6 +1,6 @@
 """Desk-scale differentiable feature filtering and semantic reconstitution."""
 
-from .backbone import Backbone, BackboneConfig, StageFeatures
+from .backbone import Backbone, BackboneConfig
 from .data import DataConfig, SyntheticDataset, make_synthetic
 from .filters import AmbiguityParams, FilterArtifacts, NoiseParams
 from .model import ForwardResult, SFINet
@@ -12,6 +12,6 @@ __all__ = [
     "AmbiguityParams", "Backbone", "BackboneConfig", "CompGraph", "ConfigError",
     "DataConfig", "FilterArtifacts", "ForwardResult", "GraphError", "NoiseParams",
     "NonFiniteError", "SFINet", "SemanticState", "ShapeError", "SirConfig",
-    "StageFeatures", "SyntheticDataset", "Tensor", "TrainConfig", "cosine_lr",
-    "make_synthetic", "sgd_momentum_step", "total_loss", "train",
+    "SyntheticDataset", "Tensor", "TrainConfig", "cosine_lr", "make_synthetic",
+    "sgd_momentum_step", "total_loss", "train",
 ]

@@ -5,6 +5,11 @@ applies a learned linear embedding plus bias, and a tanh nonlinearity.
 Spatial extent shrinks by the stage stride while channel depth grows, so
 downstream filters see maps with different receptive fields.  tanh keeps
 the whole path smooth for finite-difference checks.
+
+Features travel as ``(S_i, C_i)`` rows, one per position of the
+``(W_i, H_i)`` stage grid in row-major order (row ``x * H_i + y`` is cell
+``(x, y)``).  The image becomes rows once; each stage's patch indices are
+the only place the grid is read, so every later consumer sees rows.
 """
 
 from __future__ import annotations
@@ -51,20 +56,13 @@ class BackboneConfig:
         return len(self.strides)
 
     def stage_shapes(self) -> list[tuple[int, int, int]]:
-        """(W_i, H_i, C_i) per stage."""
+        """(W_i, H_i, C_i) per stage; stage i's features are W_i * H_i rows of C_i."""
         shapes = []
         w, h = self.input_size
         for s, c in zip(self.strides, self.channels):
             w, h = w // s, h // s
             shapes.append((w, h, c))
         return shapes
-
-
-@dataclass
-class StageFeatures:
-    """One stage's output map of shape (W_i, H_i, C_i)."""
-    stage: int
-    features: Tensor
 
 
 def _patch_indices(w: int, h: int, stride: int) -> np.ndarray:
@@ -103,23 +101,17 @@ class Backbone:
             out[f"backbone.stage{i}.bias"] = b
         return out
 
-    def forward(self, image: Tensor) -> list[StageFeatures]:
+    def forward(self, image: Tensor) -> list[Tensor]:
+        """Each stage's (W_i * H_i, C_i) feature rows, row-major over its grid."""
         cfg = self.config
-        expected = (*cfg.input_size, cfg.in_channels)
+        w, h = cfg.input_size
+        expected = (w, h, cfg.in_channels)
         if image.shape != expected:
             raise T.ShapeError(f"backbone: image shape {image.shape}, config expects {expected}")
-        x = image
-        w, h = cfg.input_size
-        c_in = cfg.in_channels
+        x = T.reshape(image, (w * h, cfg.in_channels))
         stages = []
-        for i, (stride, c_out) in enumerate(zip(cfg.strides, cfg.channels)):
-            wo, ho = w // stride, h // stride
-            flat = T.reshape(x, (w * h, c_in))
-            patches = T.gather_rows(flat, self._indices[i])
-            patches = T.reshape(patches, (wo * ho, stride * stride * c_in))
-            emb = T.add_rowvec(T.matmul(patches, self.weights[i]), self.biases[i])
-            act = T.tanh(emb)
-            x = T.reshape(act, (wo, ho, c_out))
-            stages.append(StageFeatures(i, x))
-            w, h, c_in = wo, ho, c_out
+        for idx, weight, bias in zip(self._indices, self.weights, self.biases):
+            patches = T.reshape(T.gather_rows(x, idx), (-1, weight.shape[0]))
+            x = T.tanh(T.add_rowvec(T.matmul(patches, weight), bias))
+            stages.append(x)
         return stages

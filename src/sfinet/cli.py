@@ -66,8 +66,8 @@ def cmd_export_maps(args) -> int:
     res = model.forward(image)
     image_id = os.path.splitext(os.path.basename(args.image))[0]
     written = []
-    for i, art in enumerate(res.artifacts):
-        written += export_stage_maps(args.out, image_id, i, art)
+    for i, (art, (w, h, _)) in enumerate(zip(res.artifacts, cfg.backbone.stage_shapes())):
+        written += export_stage_maps(args.out, image_id, i, art, (w, h))
     written += export_adjacency(args.out, image_id, model.adjacency.data)
     attn_path = os.path.join(args.out, f"{image_id}_attention.csv")
     save_tensor(attn_path, res.semantic.attention.data)

@@ -1,5 +1,10 @@
 """Multi-level feature filtering: ambiguity drop followed by noise drop.
 
+A stage arrives as ``(S, C)`` feature rows, one per position of its grid
+in row-major order, and every per-position value here is flat over those
+S rows: class maps ``(S, N)``, the ambiguity map, mask and noise scores
+``(S,)``.  The grid itself lives only in the backbone and the exporter.
+
 Per stage, features are projected onto per-pixel class maps; the top-k
 most likely classes vote (with an equally spaced weight schedule) for an
 ambiguity map whose highest-scoring fraction gamma1 of positions gets
@@ -17,7 +22,7 @@ scores) is computed on plain arrays and entered as a checked constant
 ``NonFiniteError`` naming the op, but backward never visits it.  The
 class-map projection therefore gets no gradient from the loss, only
 weight decay, and no ranking depends on its scale.  All tie-breaks are by
-lower row-major index so results are totally ordered and reproducible.
+lower row index so results are totally ordered and reproducible.
 """
 
 from __future__ import annotations
@@ -105,11 +110,12 @@ class NoiseSelection(NamedTuple):
 class FilterArtifacts:
     """Everything one stage's filter pass produces, kept for export.
 
-    ``maps`` are the per-pixel class scores M and ``coarse`` their pooled
-    prediction p.  Invariants: the mask has exactly floor((1 - gamma1) *
-    W * H) ones; selected_indices has floor((1 - gamma2) * W * H)
-    entries, each at a mask=1 position, in descending noise-score order.
-    Only selected_features is on the tape.
+    ``maps`` are the per-row class scores M, shape (S, N), and ``coarse``
+    their pooled prediction p; the ambiguity map, mask and noise scores
+    are (S,).  Invariants: the mask has exactly floor((1 - gamma1) * S)
+    ones; selected_indices has floor((1 - gamma2) * S) row indices, each
+    at a mask=1 row, in descending noise-score order.  Only
+    selected_features is on the tape.
     """
     maps: Tensor
     coarse: Tensor
@@ -124,16 +130,14 @@ class FilterArtifacts:
 
 
 def class_maps(features: Tensor, projection: Tensor) -> tuple[Tensor, Tensor]:
-    """Project (W, H, C) features onto class channels M and pool them to p.
+    """Project (S, C) feature rows onto class channels, M (S, N), and pool them to p (N,).
 
     Both are selection-only constants, off the tape.
     """
-    w, h, c = features.shape
-    if projection.ndim != 2 or projection.shape[0] != c:
-        raise T.ShapeError(f"class_maps: projection {projection.shape} does not match channels {c}")
-    arr = (features.data.reshape(w * h, c) @ projection.data).reshape(w, h, projection.shape[1])
-    maps = T.node(arr, (), None, "class_maps")
-    return maps, T.node(arr.mean(axis=(0, 1)), (), None, "coarse_pool")
+    if features.ndim != 2 or projection.ndim != 2 or projection.shape[0] != features.shape[1]:
+        raise T.ShapeError(f"class_maps: projection {projection.shape} does not fit feature rows {features.shape}")
+    arr = features.data @ projection.data
+    return T.node(arr, (), None, "class_maps"), T.node(arr.mean(axis=0), (), None, "coarse_pool")
 
 
 def topk_weights(coarse, params: AmbiguityParams) -> tuple[list[int], np.ndarray]:
@@ -151,29 +155,26 @@ def topk_weights(coarse, params: AmbiguityParams) -> tuple[list[int], np.ndarray
 
 
 def ambiguity_map(maps: Tensor, topk_indices: Sequence[int], weights: np.ndarray) -> Tensor:
-    """Weighted average of the selected class map slices: (1/k) sum w_i T_i."""
-    w, h, n = maps.shape
+    """Weighted average of the selected class map columns, (1/k) sum w_i T_i, shape (S,)."""
     k = len(topk_indices)
-    picked = maps.data.reshape(w * h, n)[:, np.asarray(topk_indices, dtype=np.intp)]
+    picked = maps.data[:, np.asarray(topk_indices, dtype=np.intp)]
     combo = picked @ np.asarray(weights, dtype=np.float64).reshape(k, 1)
-    return T.node(((1.0 / k) * combo).reshape(w, h), (), None, "ambiguity_map")
+    return T.node(((1.0 / k) * combo).ravel(), (), None, "ambiguity_map")
 
 
 def ambiguity_mask(scores: Tensor, gamma1: float) -> Tensor:
     """Binary keep-mask: drop the gamma1 fraction with the highest scores.
 
-    Positions are ranked by ascending score (rank 0 = least ambiguous,
-    ties by row-major position) and kept while rank < floor((1 - gamma1)
-    * W * H).  The mask is a constant: selection is not differentiable.
+    ``scores`` are (S,), one per row.  Rows are ranked by ascending score
+    (rank 0 = least ambiguous, ties by lower row) and kept while rank <
+    floor((1 - gamma1) * S).  The (S,) mask is a constant: selection is
+    not differentiable.
     """
     arr = np.asarray(scores.data if isinstance(scores, Tensor) else scores, dtype=np.float64)
-    w, h = arr.shape
-    s = w * h
-    keep = _ambiguity_keep(s, gamma1, "ambiguity_mask")
-    order = np.argsort(arr.ravel(), kind="stable")
-    mask = np.zeros(s)
-    mask[order[:keep]] = 1.0
-    return Tensor(mask.reshape(w, h))
+    keep = _ambiguity_keep(arr.size, gamma1, "ambiguity_mask")
+    mask = np.zeros(arr.size)
+    mask[np.argsort(arr, kind="stable")[:keep]] = 1.0
+    return Tensor(mask)
 
 
 def apply_mask(mask: Tensor, maps: Tensor) -> Tensor:
@@ -182,12 +183,12 @@ def apply_mask(mask: Tensor, maps: Tensor) -> Tensor:
     The features need no masking: every row the noise filter keeps has
     mask 1, so the kept rows are gathered from the features as they are.
     """
-    return T.node(maps.data * mask.data[..., None], (), None, "masked_maps")
+    return T.node(maps.data * mask.data[:, None], (), None, "masked_maps")
 
 
 def _noise_scores(masked_maps: Tensor) -> Tensor:
-    """(W, H) channel-average of the masked class maps."""
-    return T.node(masked_maps.data.mean(axis=2), (), None, "noise_scores")
+    """(S,) channel-average of the masked class maps, one score per row."""
+    return T.node(masked_maps.data.mean(axis=1), (), None, "noise_scores")
 
 
 def noise_select(masked_maps: Tensor, features: Tensor, gamma2: float,
@@ -198,36 +199,34 @@ def noise_select(masked_maps: Tensor, features: Tensor, gamma2: float,
     ambiguity-dropped positions score exactly 0 there.  When ``keep_mask``
     is given, only mask=1 positions are candidates, which guarantees every
     selected index survived the ambiguity drop even if live scores go
-    negative.  Ties resolve to the lower flat index; the selected feature
-    rows keep descending-score order.
+    negative.  Ties resolve to the lower row; the selected feature rows,
+    gathered straight from the (S, C) features, keep descending-score
+    order.
     """
-    w, h, _ = masked_maps.shape
-    s = w * h
+    s = masked_maps.shape[0]
     s_keep = kept_rows(s, gamma2)
     if s_keep < 1:
         raise ConfigError(f"noise_select: gamma2={gamma2} keeps no positions of {s}")
     scores = _noise_scores(masked_maps)
-    flat_scores = scores.data.ravel()
     if keep_mask is not None:
-        candidates = np.flatnonzero(keep_mask.data.ravel() > 0.5)
+        candidates = np.flatnonzero(keep_mask.data > 0.5)
         if candidates.size < s_keep:
             raise ConfigError(f"noise_select: only {candidates.size} unmasked positions for quota {s_keep}")
     else:
         candidates = np.arange(s)
-    order = np.argsort(-flat_scores[candidates], kind="stable")
+    order = np.argsort(-scores.data[candidates], kind="stable")
     chosen = [int(i) for i in candidates[order][:s_keep]]
-    flat_features = T.reshape(features, (s, features.shape[2]))
-    return NoiseSelection(chosen, T.gather_rows(flat_features, chosen), scores)
+    return NoiseSelection(chosen, T.gather_rows(features, chosen), scores)
 
 
 def filter_stage(features: Tensor, projection: Tensor, amb: AmbiguityParams,
                  noise: NoiseParams, bypass: bool = False) -> FilterArtifacts:
     """Run one stage through both filters.
 
-    With ``bypass`` the mask is all ones and every position is kept in
-    row-major order, so the kept rows are the features reshaped; class
-    maps, the ambiguity map and the noise scores are still computed so
-    exports stay comparable.
+    ``features`` are the stage's (S, C) rows.  With ``bypass`` the mask
+    is all ones and every row is kept in order, so the kept rows are the
+    features tensor itself; class maps, the ambiguity map and the noise
+    scores are still computed so exports stay comparable.
     """
     maps, coarse = class_maps(features, projection)
     topk, weights = topk_weights(coarse, amb)
@@ -235,9 +234,7 @@ def filter_stage(features: Tensor, projection: Tensor, amb: AmbiguityParams,
     mask = Tensor(np.ones(amb_map.shape)) if bypass else ambiguity_mask(amb_map, amb.gamma1)
     masked_maps = apply_mask(mask, maps)
     if bypass:
-        w, h, c = features.shape
-        sel = NoiseSelection(list(range(w * h)), T.reshape(features, (w * h, c)),
-                             _noise_scores(masked_maps))
+        sel = NoiseSelection(list(range(features.shape[0])), features, _noise_scores(masked_maps))
     else:
         sel = noise_select(masked_maps, features, noise.gamma2, keep_mask=mask)
     return FilterArtifacts(maps, coarse, topk, weights, amb_map, mask, masked_maps,

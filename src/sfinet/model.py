@@ -135,8 +135,8 @@ class SFINet:
 
     def forward(self, image, label: int | None = None) -> ForwardResult:
         img = image if isinstance(image, Tensor) else Tensor(image)
-        arts = [F.filter_stage(st.features, proj, self.amb, self.noise, bypass=self.bypass_filters)
-                for st, proj in zip(self.backbone.forward(img), self.class_projs)]
+        arts = [F.filter_stage(feats, proj, self.amb, self.noise, bypass=self.bypass_filters)
+                for feats, proj in zip(self.backbone.forward(img), self.class_projs)]
 
         concatenated = R.concat_stages([a.selected_features for a in arts], self.stage_projs)
         reassembled = R.semantic_reassembly(concatenated, self.sr_prev, self.sr_self, self.sr_next)
@@ -151,10 +151,8 @@ class SFINet:
             class_loss = T.cross_entropy(logits, label)
             f_loss = F.filter_loss([a.selected_features for a in arts],
                                    self.filter_cls, int(label), self.n_classes)
-        # reported only, so a checked constant off the tape; same arithmetic as T.softmax
-        z = logits.data
-        e = np.exp(z - z.max(axis=-1, keepdims=True))
-        probs = T.node(e / e.sum(axis=-1, keepdims=True), (), None, "softmax").data
+        # reported only: a parent without grad keeps it a checked constant off the tape
+        probs = T.softmax(Tensor(logits.data)).data
         return ForwardResult(probs, class_loss, f_loss, arts, semantic)
 
     def predict(self, image) -> int:

@@ -56,10 +56,10 @@ def test_criterion_02_filter_cardinalities_exact():
             if keep1 <= 0 or keep1 >= s or keep2 < 1:
                 continue
             scores = rng.standard_normal((w, h))
-            mask = ambiguity_mask(Tensor(scores), gamma1)
+            mask = ambiguity_mask(Tensor(scores.ravel()), gamma1)
             assert int(mask.data.sum()) == keep1
-            maps = Tensor(rng.standard_normal((w, h, 3)))
-            feats = Tensor(rng.standard_normal((w, h, 4)))
+            maps = Tensor(rng.standard_normal((w, h, 3)).reshape(s, 3))
+            feats = Tensor(rng.standard_normal((w, h, 4)).reshape(s, 4))
             mm = apply_mask(mask, maps)
             sel = noise_select(mm, feats, gamma2, keep_mask=mask)
             assert len(sel.indices) == keep2
@@ -81,14 +81,15 @@ def test_criterion_03_oracle_equivalence():
             scores = rng.standard_normal((w, h))
             if rng.random() < 0.3:
                 scores = np.round(scores, 1)  # force ties
-            npt.assert_array_equal(ambiguity_mask(Tensor(scores), gamma1).data,
-                                   naive_mask(scores, gamma1))
+            npt.assert_array_equal(ambiguity_mask(Tensor(scores.ravel()), gamma1).data,
+                                   naive_mask(scores, gamma1).ravel())
             maps = rng.standard_normal((w, h, 3))
-            mask = ambiguity_mask(Tensor(scores), gamma1)
-            feats = Tensor(rng.standard_normal((w, h, 4)))
-            mm = apply_mask(mask, Tensor(maps))
+            mask = ambiguity_mask(Tensor(scores.ravel()), gamma1)
+            feats = Tensor(rng.standard_normal((w, h, 4)).reshape(s, 4))
+            mm = apply_mask(mask, Tensor(maps.reshape(s, 3)))
             sel = noise_select(mm, feats, gamma2, keep_mask=mask)
-            assert sel.indices == naive_select(mm.data, gamma2, mask.data)
+            assert sel.indices == naive_select(mm.data.reshape(w, h, 3), gamma2,
+                                               mask.data.reshape(w, h))
 
 
 def _op_cases(rng):

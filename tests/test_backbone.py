@@ -22,8 +22,8 @@ class TestConfig:
         cfg = tiny_config()
         bb = Backbone(cfg, rng)
         for img in (np.zeros((16, 16, 3)), rng.standard_normal((16, 16, 3))):
-            shapes = [s.features.shape for s in bb.forward(Tensor(img))]
-            assert shapes == [(4, 4, 5), (2, 2, 8)]
+            shapes = [s.shape for s in bb.forward(Tensor(img))]
+            assert shapes == [(16, 5), (4, 8)]
 
     def test_indivisible_extent_rejected(self):
         with pytest.raises(ConfigError, match="divisible"):
@@ -51,14 +51,14 @@ class TestForward:
             b.data = np.zeros_like(b.data)
         stages = bb.forward(Tensor(rng.standard_normal((16, 16, 3))))
         for s in stages:
-            npt.assert_array_equal(s.features.data, 0.0)
+            npt.assert_array_equal(s.data, 0.0)
 
     def test_patch_weight_gradient(self, rng):
         bb = Backbone(tiny_config(), rng)
         img = rng.standard_normal((16, 16, 3))
 
         def loss():
-            return T.sum_all(T.tanh(T.reshape(bb.forward(Tensor(img))[-1].features, (4, 8))))
+            return T.sum_all(T.tanh(bb.forward(Tensor(img))[-1]))
 
         assert_grads_match(loss, bb.parameters())
 
@@ -69,15 +69,16 @@ class TestForward:
         img[4:12, 4:12] = rng.standard_normal((8, 8, 3))  # borderless: edges stay zero
         shifted = np.zeros_like(img)
         shifted[4:] = img[:-4]  # shift by the stage-1 stride
-        base = bb.forward(Tensor(img))[0].features.data
-        moved = bb.forward(Tensor(shifted))[0].features.data
+        # stage-0 rows are its 4x4 grid in row-major order
+        base = bb.forward(Tensor(img))[0].data.reshape(4, 4, 5)
+        moved = bb.forward(Tensor(shifted))[0].data.reshape(4, 4, 5)
         npt.assert_array_equal(moved[1:], base[:-1])
 
     def test_deterministic_given_weights(self, rng):
         bb = Backbone(tiny_config(), rng)
         img = rng.standard_normal((16, 16, 3))
-        a = bb.forward(Tensor(img))[-1].features.data
-        b = bb.forward(Tensor(img))[-1].features.data
+        a = bb.forward(Tensor(img))[-1].data
+        b = bb.forward(Tensor(img))[-1].data
         npt.assert_array_equal(a, b)
 
     def test_init_scale_follows_fan_in(self):

@@ -216,13 +216,22 @@ class TestExportMapsCommand:
         pixels = {int(v) for row in pgm[3:] for v in row.split()}
         assert pixels <= {0, 255}
 
-        # CSV values equal the in-process ambiguity map exactly
+        # every stage's CSVs lie on its (W, H) grid and equal the in-process
+        # flat arrays, row-major over that grid, exactly
         model2 = C.build_experiment(cfg)[1]
         from sfinet.serialization import load_checkpoint
         model2.load_state(load_checkpoint(run_dir / "checkpoint.csv"))
         res = model2.forward(load_tensor(img_path))
-        exported = load_tensor(maps_dir / "sample_stage0_ambiguity.csv")
-        npt.assert_array_equal(exported, res.artifacts[0].ambiguity_map.data)
+        shapes = cfg.backbone.stage_shapes()
+        assert len(res.artifacts) == len(shapes)
+        for stage, (art, (w, h, _)) in enumerate(zip(res.artifacts, shapes)):
+            flat = {"ambiguity": art.ambiguity_map.data, "mask": art.mask.data,
+                    "noise": art.noise_scores.data}
+            flat.update({f"class{c}": art.maps.data[:, c] for c in art.topk_indices})
+            for kind, arr in flat.items():
+                exported = load_tensor(maps_dir / f"sample_stage{stage}_{kind}.csv")
+                assert exported.shape == (w, h)
+                npt.assert_array_equal(exported, arr.reshape(w, h))
 
     def test_unreadable_image_exits_2(self, tmp_path, capsys):
         run_dir = tmp_path / "run"

@@ -57,27 +57,29 @@ class TestParams:
 
 class TestClassMaps:
     def test_zero_weights(self, rng):
-        f = Tensor(rng.standard_normal((3, 3, 4)))
+        f = Tensor(rng.standard_normal((9, 4)))
         maps, coarse = class_maps(f, Tensor(np.zeros((4, 5))))
         npt.assert_array_equal(maps.data, 0.0)
         npt.assert_array_equal(coarse.data, 0.0)
 
     def test_single_pixel_coarse_equals_that_pixel(self, rng):
-        f = Tensor(rng.standard_normal((1, 1, 4)))
+        f = Tensor(rng.standard_normal((1, 4)))
         maps, coarse = class_maps(f, Tensor(rng.standard_normal((4, 6))))
-        npt.assert_allclose(coarse.data, maps.data[0, 0], rtol=1e-15)
+        npt.assert_allclose(coarse.data, maps.data[0], rtol=1e-15)
 
     def test_coarse_matches_hand_pooling(self, rng):
-        f = rng.standard_normal((2, 2, 3))
+        f = rng.standard_normal((4, 3))
         proj = np.zeros((3, 5))
         proj[:3, :3] = np.eye(3)  # identity-extended weights
         _, coarse = class_maps(Tensor(f), Tensor(proj))
-        expected = np.concatenate([f.mean(axis=(0, 1)), [0.0, 0.0]])
+        expected = np.concatenate([f.mean(axis=0), [0.0, 0.0]])
         npt.assert_allclose(coarse.data, expected, rtol=1e-12)
 
     def test_channel_mismatch(self, rng):
         with pytest.raises(T.ShapeError):
-            class_maps(Tensor(rng.standard_normal((2, 2, 3))), Tensor(np.zeros((4, 5))))
+            class_maps(Tensor(rng.standard_normal((4, 3))), Tensor(np.zeros((4, 5))))
+        with pytest.raises(T.ShapeError, match="feature rows"):  # a (W, H, C) grid, not rows
+            class_maps(Tensor(rng.standard_normal((2, 2, 3))), Tensor(np.zeros((3, 5))))
 
 
 class TestTopkWeights:
@@ -111,41 +113,41 @@ class TestTopkWeights:
 
 class TestAmbiguityMap:
     def test_identical_slices_scale_by_mean_weight(self, rng):
-        x = rng.standard_normal((3, 3))
-        maps = np.stack([x, x, x], axis=2)
+        x = rng.standard_normal(9)
+        maps = np.stack([x, x, x], axis=1)
         out = ambiguity_map(Tensor(maps), [0, 2], np.array([1.1, 0.95]))
         npt.assert_allclose(out.data, x * (1.1 + 0.95) / 2, rtol=1e-12)
 
     def test_hand_value_ones_and_zeros(self):
-        maps = np.stack([np.ones((2, 2)), np.zeros((2, 2))], axis=2)
+        maps = np.stack([np.ones(4), np.zeros(4)], axis=1)
         out = ambiguity_map(Tensor(maps), [0, 1], np.array([1.1, 0.95]))
-        npt.assert_allclose(out.data, np.full((2, 2), 0.55), rtol=1e-12)
+        npt.assert_allclose(out.data, np.full(4, 0.55), rtol=1e-12)
 
     def test_only_selected_slices_matter(self, rng):
-        maps = rng.standard_normal((3, 3, 5))
+        maps = rng.standard_normal((9, 5))
         out1 = ambiguity_map(Tensor(maps), [0, 2], np.array([1.1, 0.95])).data
         shuffled = maps.copy()
-        shuffled[:, :, [1, 3, 4]] = maps[:, :, [4, 1, 3]]
+        shuffled[:, [1, 3, 4]] = maps[:, [4, 1, 3]]
         out2 = ambiguity_map(Tensor(shuffled), [0, 2], np.array([1.1, 0.95])).data
         npt.assert_array_equal(out1, out2)
 
 
 class TestAmbiguityMask:
     def test_hand_case_drops_highest(self):
-        scores = np.array([[0.1, 0.9], [0.5, 0.7]])
+        scores = np.array([0.1, 0.9, 0.5, 0.7])
         mask = ambiguity_mask(Tensor(scores), 0.25)
-        npt.assert_array_equal(mask.data, [[1.0, 0.0], [1.0, 1.0]])
+        npt.assert_array_equal(mask.data, [1.0, 0.0, 1.0, 1.0])
 
     def test_constant_map_drops_last_row_major_cell(self):
-        mask = ambiguity_mask(Tensor(np.ones((2, 2))), 0.25)
-        npt.assert_array_equal(mask.data, [[1.0, 1.0], [1.0, 0.0]])
+        mask = ambiguity_mask(Tensor(np.ones(4)), 0.25)
+        npt.assert_array_equal(mask.data, [1.0, 1.0, 1.0, 0.0])
 
     @given(st.integers(2, 8), st.integers(2, 8),
            st.floats(0.01, 0.6), st.integers(0, 2**31 - 1))
     @settings(max_examples=60, deadline=None)
     def test_cardinality_contract(self, w, h, gamma1, seed):
-        scores = np.random.default_rng(seed).standard_normal((w, h))
-        keep = math.floor((1.0 - gamma1) * w * h)
+        scores = np.random.default_rng(seed).standard_normal(w * h)
+        keep = math.floor((1.0 - gamma1) * (w * h))
         if keep <= 0 or keep >= w * h:
             return
         mask = ambiguity_mask(Tensor(scores), gamma1)
@@ -154,39 +156,39 @@ class TestAmbiguityMask:
     @given(st.floats(0.01, 100.0), st.integers(0, 2**31 - 1))
     @settings(max_examples=40, deadline=None)
     def test_positive_scaling_leaves_mask_unchanged(self, c, seed):
-        scores = np.random.default_rng(seed).standard_normal((4, 5))
+        scores = np.random.default_rng(seed).standard_normal(20)
         a = ambiguity_mask(Tensor(scores), 0.3).data
         b = ambiguity_mask(Tensor(scores * c), 0.3).data
         npt.assert_array_equal(a, b)
 
     def test_degenerate_requests_rejected(self):
         with pytest.raises(ConfigError, match="degenerate"):
-            ambiguity_mask(Tensor(np.ones((2, 2))), 0.9999)  # keeps 0
+            ambiguity_mask(Tensor(np.ones(4)), 0.9999)  # keeps 0
         with pytest.raises(ConfigError):
-            ambiguity_mask(Tensor(np.ones((20, 20))), 1e-17)  # rounds to keeping all
+            ambiguity_mask(Tensor(np.ones(400)), 1e-17)  # rounds to keeping all
 
     def test_mask_is_constant_not_differentiable(self, rng):
-        scores = Tensor(rng.standard_normal((3, 3)), requires_grad=True)
+        scores = Tensor(rng.standard_normal(9), requires_grad=True)
         mask = ambiguity_mask(scores, 0.3)
         assert not mask.requires_grad
 
 
 class TestApplyMask:
     def test_all_ones_identity(self, rng):
-        maps = Tensor(rng.standard_normal((3, 3, 4)))
-        m2 = apply_mask(Tensor(np.ones((3, 3))), maps)
+        maps = Tensor(rng.standard_normal((9, 4)))
+        m2 = apply_mask(Tensor(np.ones(9)), maps)
         npt.assert_array_equal(m2.data, maps.data)
 
     def test_single_zero_clears_all_channels(self, rng):
-        maps = Tensor(rng.standard_normal((3, 3, 6)))
-        mask = np.ones((3, 3))
-        mask[1, 2] = 0.0
+        maps = Tensor(rng.standard_normal((9, 6)))
+        mask = np.ones(9)
+        mask[5] = 0.0
         m2 = apply_mask(Tensor(mask), maps)
-        npt.assert_array_equal(m2.data[1, 2], np.zeros(6))
+        npt.assert_array_equal(m2.data[5], np.zeros(6))
 
     def test_reapplying_is_noop(self, rng):
-        maps = Tensor(rng.standard_normal((3, 3, 4)))
-        mask = ambiguity_mask(Tensor(rng.standard_normal((3, 3))), 0.3)
+        maps = Tensor(rng.standard_normal((9, 4)))
+        mask = ambiguity_mask(Tensor(rng.standard_normal(9)), 0.3)
         m2 = apply_mask(mask, maps)
         m3 = apply_mask(mask, m2)
         npt.assert_array_equal(m3.data, m2.data)
@@ -195,15 +197,15 @@ class TestApplyMask:
 class TestNoiseSelect:
     def test_hand_case(self):
         # scores per position: 3, 1, 4, 2 -> keep [2, 0]
-        maps = np.array([3.0, 1.0, 4.0, 2.0]).reshape(2, 2, 1)
-        feats = np.arange(8, dtype=float).reshape(2, 2, 2)
+        maps = np.array([3.0, 1.0, 4.0, 2.0]).reshape(4, 1)
+        feats = np.arange(8, dtype=float).reshape(4, 2)
         sel = noise_select(Tensor(maps), Tensor(feats), 0.5)
         assert sel.indices == [2, 0]
-        npt.assert_array_equal(sel.selected.data, feats.reshape(4, 2)[[2, 0]])
+        npt.assert_array_equal(sel.selected.data, feats[[2, 0]])
 
     def test_all_equal_scores_keep_first_flat_indices(self):
-        maps = np.ones((2, 3, 2))
-        feats = np.arange(12, dtype=float).reshape(2, 3, 2)
+        maps = np.ones((6, 2))
+        feats = np.arange(12, dtype=float).reshape(6, 2)
         sel = noise_select(Tensor(maps), Tensor(feats), 0.5)
         assert sel.indices == [0, 1, 2]
 
@@ -212,28 +214,27 @@ class TestNoiseSelect:
     @settings(max_examples=60, deadline=None)
     def test_cardinality_contract(self, w, h, gamma2, seed):
         g = np.random.default_rng(seed)
-        keep = math.floor((1.0 - gamma2) * w * h)
+        keep = math.floor((1.0 - gamma2) * (w * h))
         if keep < 1:
             return
-        sel = noise_select(Tensor(g.standard_normal((w, h, 3))),
-                           Tensor(g.standard_normal((w, h, 5))), gamma2)
+        sel = noise_select(Tensor(g.standard_normal((w * h, 3))),
+                           Tensor(g.standard_normal((w * h, 5))), gamma2)
         assert len(sel.indices) == keep
         assert sel.selected.shape == (keep, 5)
 
     def test_mask_restriction_guarantees_membership(self, rng):
         for _ in range(50):
-            maps = Tensor(rng.standard_normal((3, 4, 2)))
-            mask = ambiguity_mask(Tensor(rng.standard_normal((3, 4))), 0.25)
-            feats = Tensor(rng.standard_normal((3, 4, 5)))
+            maps = Tensor(rng.standard_normal((12, 2)))
+            mask = ambiguity_mask(Tensor(rng.standard_normal(12)), 0.25)
+            feats = Tensor(rng.standard_normal((12, 5)))
             sel = noise_select(apply_mask(mask, maps), feats, 0.4, keep_mask=mask)
-            flat = mask.data.ravel()
-            assert all(flat[i] == 1.0 for i in sel.indices)
+            assert all(mask.data[i] == 1.0 for i in sel.indices)
 
     def test_quota_infeasible_rejected(self, rng):
-        mask = Tensor(np.zeros((2, 2)))
+        mask = Tensor(np.zeros(4))
         with pytest.raises(ConfigError, match="unmasked"):
-            noise_select(Tensor(rng.standard_normal((2, 2, 2))),
-                         Tensor(rng.standard_normal((2, 2, 3))), 0.2, keep_mask=mask)
+            noise_select(Tensor(rng.standard_normal((4, 2))),
+                         Tensor(rng.standard_normal((4, 3))), 0.2, keep_mask=mask)
 
 
 class TestOracleEquivalence:
@@ -247,8 +248,8 @@ class TestOracleEquivalence:
             scores = rng.standard_normal((w, h))
             if rng.random() < 0.3:  # force ties
                 scores = np.round(scores, 1)
-            npt.assert_array_equal(ambiguity_mask(Tensor(scores), gamma1).data,
-                                   naive_mask(scores, gamma1))
+            npt.assert_array_equal(ambiguity_mask(Tensor(scores.ravel()), gamma1).data,
+                                   naive_mask(scores, gamma1).ravel())
 
     def test_select_matches_naive_reference(self, rng):
         for _ in range(100):
@@ -267,24 +268,25 @@ class TestOracleEquivalence:
                 if math.floor((1.0 - gamma1) * w * h) in (0, w * h):
                     use_mask = False
                 else:
-                    mask = ambiguity_mask(Tensor(rng.standard_normal((int(w), int(h)))), gamma1)
-            sel = noise_select(Tensor(maps), Tensor(feats), gamma2,
+                    mask = ambiguity_mask(Tensor(rng.standard_normal((int(w), int(h))).ravel()), gamma1)
+            sel = noise_select(Tensor(maps.reshape(-1, 3)), Tensor(feats.reshape(-1, 4)), gamma2,
                                keep_mask=mask if use_mask else None)
-            expected = naive_select(maps, gamma2, mask.data if use_mask else None)
+            expected = naive_select(maps, gamma2,
+                                    mask.data.reshape(int(w), int(h)) if use_mask else None)
             assert sel.indices == expected
 
 
 class TestSelectedRegionInvariance:
     def test_perturbing_dropped_positions_leaves_g_unchanged(self, rng):
-        feats = rng.standard_normal((4, 4, 6))
-        maps = Tensor(rng.standard_normal((4, 4, 3)))
-        mask = ambiguity_mask(Tensor(rng.standard_normal((4, 4))), 0.25)
+        feats = rng.standard_normal((16, 6))
+        maps = Tensor(rng.standard_normal((16, 3)))
+        mask = ambiguity_mask(Tensor(rng.standard_normal(16)), 0.25)
         mm = apply_mask(mask, maps)
         sel = noise_select(mm, Tensor(feats), 0.25, keep_mask=mask)
         dropped = sorted(set(range(16)) - set(sel.indices))
-        perturbed = feats.copy().reshape(16, 6)
+        perturbed = feats.copy()
         perturbed[dropped] += rng.standard_normal((len(dropped), 6)) * 10
-        sel2 = noise_select(mm, Tensor(perturbed.reshape(4, 4, 6)), 0.25, keep_mask=mask)
+        sel2 = noise_select(mm, Tensor(perturbed), 0.25, keep_mask=mask)
         assert sel2.indices == sel.indices
         npt.assert_array_equal(sel2.selected.data, sel.selected.data)
 
@@ -333,8 +335,8 @@ class TestEndToEndDifferentiability:
         def loss():
             stages = bb.forward(Tensor(img))
             selected = []
-            for st_, proj in zip(stages, projs):
-                art = filter_stage(st_.features, proj, amb, noise)
+            for feats, proj in zip(stages, projs):
+                art = filter_stage(feats, proj, amb, noise)
                 selected.append(art.selected_features)
             return filter_loss(selected, clss, 1, 3)
 
@@ -372,16 +374,19 @@ class TestCheckedConstants:
         data = g.standard_normal((w, h, c)) * 10.0 ** g.integers(-3, 4)
         proj = Tensor(g.standard_normal((c, n)), requires_grad=True)
         for bypass in (False, True):
-            feats = Tensor(data, requires_grad=True)
+            feats = Tensor(data.reshape(w * h, c), requires_grad=True)
             old_feats = Tensor(data.copy(), requires_grad=True)
             art = filter_stage(feats, proj, AmbiguityParams(k=2 + seed % 3, gamma1=0.2),
                                NoiseParams(gamma2=0.3), bypass=bypass)
-            old = self.old_tape_chains(old_feats, proj, art.topk_indices, art.weights, art.mask,
+            old = self.old_tape_chains(old_feats, proj, art.topk_indices, art.weights,
+                                       Tensor(art.mask.data.reshape(w, h)),
                                        art.selected_indices, bypass)
             new = (art.maps, art.coarse, art.ambiguity_map, art.masked_maps, art.noise_scores,
                    art.selected_features)
-            for a, b in zip(new, old):
-                assert a.shape == b.shape
+            # the same values, flat over the grid's rows where the old chains kept (W, H)
+            shapes = [(w * h, n), (n,), (w * h,), (w * h, n), (w * h,), old[-1].shape]
+            for a, b, shape in zip(new, old, shapes):
+                assert a.shape == shape and a.data.size == b.data.size
                 assert a.data.tobytes() == b.data.tobytes()
             upstream = g.standard_normal(art.selected_features.shape)
             upstream[0] = -0.0
@@ -391,20 +396,20 @@ class TestCheckedConstants:
 
     @pytest.mark.parametrize("bypass", [False, True])
     def test_only_the_feature_path_requires_grad(self, rng, bypass):
-        feats = Tensor(rng.standard_normal((4, 4, 6)), requires_grad=True)
+        feats = Tensor(rng.standard_normal((16, 6)), requires_grad=True)
         proj = Tensor(rng.standard_normal((6, 5)), requires_grad=True)
         art = filter_stage(feats, proj, AmbiguityParams(), NoiseParams(), bypass=bypass)
         for value in (art.maps, art.coarse, art.ambiguity_map, art.masked_maps, art.noise_scores):
             assert not value.requires_grad and value._parents == ()
         nodes = T.CompGraph.from_output(art.selected_features).nodes
         assert nodes[0] is feats
-        assert [t.op for t in nodes[1:]] == (["reshape"] if bypass else ["reshape", "gather_rows"])
+        assert [t.op for t in nodes[1:]] == ([] if bypass else ["gather_rows"])
 
     def test_overflowing_ambiguity_map_still_raises(self):
         # one class score near the float maximum: the maps and their mean are
         # finite, but the top weight 1.1 pushes the ambiguity map to Inf
-        feats = np.zeros((2, 2, 1))
-        feats[0, 0, 0] = 1.7e308
+        feats = np.zeros((4, 1))
+        feats[0, 0] = 1.7e308
         proj = Tensor(np.array([[1.0, 0.5]]))
         maps, coarse = class_maps(Tensor(feats), proj)
         assert np.isfinite(maps.data).all() and np.isfinite(coarse.data).all()
@@ -423,11 +428,12 @@ class TestCheckedConstants:
         loss = total_loss(res.filter_loss, res.class_loss, cfg.train.xi)
         counts = Counter(t.op for t in T.CompGraph.from_output(loss).nodes)
         # recorded when the selection values were still tape ops, less the four
-        # hadamard masks the features no longer pass through
+        # hadamard masks the features no longer pass through and the eleven
+        # reshapes the (W, H, C) stage maps needed before features became rows
         assert counts == {
             "add": 1, "add_n": 1, "add_rowvec": 4, "attend": 1, "concat_rows": 1,
             "cross_entropy": 5, "gather_rows": 7, "head_mix": 1, "leaf": 26,
             "matmul": 15, "mean_rows": 5, "merge_heads": 1, "pairwise_scores": 1,
-            "project_heads": 3, "relu": 1, "reshape": 24, "scale": 2,
+            "project_heads": 3, "relu": 1, "reshape": 13, "scale": 2,
             "semantic_reassembly": 1, "softmax": 1, "tanh": 4,
         }

@@ -9,7 +9,10 @@ the whole path smooth for finite-difference checks.
 Features travel as ``(S_i, C_i)`` rows, one per position of the
 ``(W_i, H_i)`` stage grid in row-major order (row ``x * H_i + y`` is cell
 ``(x, y)``).  The image becomes rows once; each stage's patch indices are
-the only place the grid is read, so every later consumer sees rows.
+the only place the grid is read, so every later consumer sees rows.  A
+stage's indices are ``(S_i, stride**2)``, one row per patch, so a single
+``gather_rows`` lays each patch's input rows side by side as the
+``(S_i, stride**2 * C_{i-1})`` matrix the stage's linear embedding takes.
 """
 
 from __future__ import annotations
@@ -66,13 +69,12 @@ class BackboneConfig:
 
 
 def _patch_indices(w: int, h: int, stride: int) -> np.ndarray:
-    """Flat source-row indices, patch-major then (di, dj) row-major."""
+    """Source-row indices (S_i, stride**2): one row per patch, (di, dj) row-major."""
     out = []
     for i in range(w // stride):
         for j in range(h // stride):
-            for di in range(stride):
-                for dj in range(stride):
-                    out.append((i * stride + di) * h + (j * stride + dj))
+            out.append([(i * stride + di) * h + (j * stride + dj)
+                        for di in range(stride) for dj in range(stride)])
     return np.asarray(out, dtype=np.intp)
 
 
@@ -111,7 +113,6 @@ class Backbone:
         x = T.reshape(image, (w * h, cfg.in_channels))
         stages = []
         for idx, weight, bias in zip(self._indices, self.weights, self.biases):
-            patches = T.reshape(T.gather_rows(x, idx), (-1, weight.shape[0]))
-            x = T.tanh(T.add_rowvec(T.matmul(patches, weight), bias))
+            x = T.tanh(T.add_rowvec(T.matmul(T.gather_rows(x, idx), weight), bias))
             stages.append(x)
         return stages

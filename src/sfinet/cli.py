@@ -14,7 +14,7 @@ from . import config as C
 from . import gradcheck as GC
 from .export import export_adjacency, export_stage_maps
 from .serialization import (SerializationError, atomic_open, load_checkpoint, load_tensor,
-                            save_tensor)
+                            make_dirs, save_tensor)
 from .tensor import ConfigError, NonFiniteError
 from .train import TrainAbort, evaluate, train
 
@@ -30,7 +30,7 @@ def _load_config(path: str | None, sets: list[str], preset: str | None) -> C.Run
 def cmd_train(args) -> int:
     cfg = _load_config(args.config, args.set, args.preset)
     out_dir = args.out or cfg.out_dir
-    os.makedirs(out_dir, exist_ok=True)
+    make_dirs(out_dir)
     with atomic_open(os.path.join(out_dir, "config_resolved.txt")) as fh:
         fh.write(C.resolved_text(cfg))
     dataset, model, rng = C.build_experiment(cfg)

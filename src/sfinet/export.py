@@ -15,7 +15,7 @@ import os
 import numpy as np
 
 from .filters import FilterArtifacts
-from .serialization import save_tensor, write_pgm
+from .serialization import make_dirs, save_tensor, write_pgm
 
 
 def _pair(out_dir: str, name: str, arr: np.ndarray) -> list[str]:
@@ -29,7 +29,7 @@ def _pair(out_dir: str, name: str, arr: np.ndarray) -> list[str]:
 def export_stage_maps(out_dir: str, image_id: str, stage: int, arts: FilterArtifacts,
                       grid: tuple[int, int]) -> list[str]:
     """Ambiguity map, mask, noise scores, and the voted class slices, as (W, H) ``grid`` maps."""
-    os.makedirs(out_dir, exist_ok=True)
+    make_dirs(out_dir)
     written = []
     prefix = f"{image_id}_stage{stage}"
     written += _pair(out_dir, f"{prefix}_ambiguity", arts.ambiguity_map.data.reshape(grid))
@@ -41,5 +41,5 @@ def export_stage_maps(out_dir: str, image_id: str, stage: int, arts: FilterArtif
 
 
 def export_adjacency(out_dir: str, image_id: str, adjacency: np.ndarray) -> list[str]:
-    os.makedirs(out_dir, exist_ok=True)
+    make_dirs(out_dir)
     return _pair(out_dir, f"{image_id}_adjacency", np.asarray(adjacency))

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -52,6 +53,13 @@ class AmbiguityParams:
             raise ConfigError(f"ambiguity: need beta_h > beta_l > 0, got {self.beta_h}, {self.beta_l}")
         if not 0.0 < self.gamma1 < 1.0:
             raise ConfigError(f"ambiguity: gamma1 must lie in (0, 1), got {self.gamma1}")
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """The top-k vote weights, beta_h down to beta_l in k equal steps (read-only)."""
+        w = np.linspace(self.beta_h, self.beta_l, self.k)
+        w.flags.writeable = False
+        return w
 
 
 @dataclass(frozen=True)
@@ -150,8 +158,7 @@ def topk_weights(coarse, params: AmbiguityParams) -> tuple[list[int], np.ndarray
     if params.k > p.size:
         raise ConfigError(f"topk_weights: k={params.k} exceeds {p.size} classes")
     order = np.argsort(-p, kind="stable")
-    weights = np.linspace(params.beta_h, params.beta_l, params.k)
-    return [int(i) for i in order[: params.k]], weights
+    return [int(i) for i in order[: params.k]], params.weights
 
 
 def ambiguity_map(maps: Tensor, topk_indices: Sequence[int], weights: np.ndarray) -> Tensor:
@@ -250,9 +257,5 @@ def filter_loss(selected_per_stage: Sequence[Tensor], classifiers: Sequence[Tens
     """
     if not 0 <= label < n_classes:
         raise ConfigError(f"filter_loss: label {label} outside 0..{n_classes - 1}")
-    terms = []
-    for g, cls in zip(selected_per_stage, classifiers):
-        z = T.mean_rows(g)
-        logits = T.reshape(T.matmul(T.reshape(z, (1, z.shape[0])), cls), (n_classes,))
-        terms.append(T.cross_entropy(logits, label))
-    return T.add_n(terms)
+    return T.add_n([T.cross_entropy(T.pooled_logits(g, cls), label)
+                    for g, cls in zip(selected_per_stage, classifiers)])

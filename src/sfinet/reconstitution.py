@@ -189,8 +189,4 @@ def gcn_forward(x: Tensor, adjacency: Tensor, layer_weights: list[Tensor]) -> Te
 
 def classify(f_rec: Tensor, classifier: Tensor) -> Tensor:
     """Mean-pool the rows and apply the linear head, giving class logits."""
-    if f_rec.shape[0] < 1:
-        raise T.ShapeError("classify: no feature rows")
-    pooled = T.mean_rows(f_rec)
-    return T.reshape(T.matmul(T.reshape(pooled, (1, pooled.shape[0])), classifier),
-                     (classifier.shape[1],))
+    return T.pooled_logits(f_rec, classifier)

@@ -11,7 +11,8 @@ temporary file next to the target, which replaces the target only once
 it is complete, so a write that fails part way leaves the previous file
 as it was.  Files are read through :func:`read_text`: a file that is
 missing, is a directory, cannot be opened or is not UTF-8 raises
-:class:`SerializationError` naming it.
+:class:`SerializationError` naming it, as does an output directory that
+:func:`make_dirs` cannot create.
 """
 
 from __future__ import annotations
@@ -60,6 +61,14 @@ def read_text(path: str | os.PathLike) -> str:
         raise SerializationError(f"{path}: not UTF-8 text ({exc})") from exc
     except OSError as exc:
         raise SerializationError(f"{path}: cannot read ({exc.strerror})") from exc
+
+
+def make_dirs(path: str | os.PathLike) -> None:
+    """Create the directory ``path`` and its parents; one that cannot exist names the path."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise SerializationError(f"{path}: cannot create directory ({exc.strerror})") from exc
 
 
 def _read_lines(path: str | os.PathLike) -> list[str]:

@@ -13,6 +13,13 @@ computed on plain arrays and entered as a checked constant,
 ``node(arr, (), None, name)``: the same check and error, but no parents
 and no backward closure, so the tape only holds differentiable work.
 
+Most of a sample's cost is the Python work per node, so a chain the
+model always builds the same way is one op with a hand-written backward:
+:func:`pooled_logits` (mean-pool rows, then a linear head),
+:func:`gather_rows` with an ``(M, K)`` index array (a patch gather),
+:func:`cross_entropy`.  Each computes the chain's numpy expressions, so
+values and gradients match the chain bit for bit.
+
 There is no implicit broadcasting.  The only documented broadcast is the
 spatial-mask case of :func:`hadamard` (a ``(W, H)`` mask applied across
 the trailing channel axis of a ``(W, H, C)`` tensor); everything else is
@@ -109,12 +116,16 @@ def node(data: np.ndarray, parents: Sequence[Tensor],
     arr = np.asarray(data, dtype=np.float64)
     if not np.isfinite(arr).all():
         raise NonFiniteError(f"op '{op}' produced non-finite values")
-    out = Tensor(arr)
+    out = Tensor.__new__(Tensor)
+    out.data = arr
+    out.grad = None
     out.op = op
-    if any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward_fn = backward_fn
+    out._seq_id = next(_seq)
+    for p in parents:
+        if p.requires_grad:
+            out.requires_grad, out._parents, out._backward_fn = True, tuple(parents), backward_fn
+            return out
+    out.requires_grad, out._parents, out._backward_fn = False, (), None
     return out
 
 
@@ -265,8 +276,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul: shapes {a.shape} and {b.shape} do not chain")
 
     def bw(g):
-        accumulate(a, g @ b.data.T)
-        accumulate(b, a.data.T @ g)
+        if a.requires_grad:
+            accumulate(a, g @ b.data.T)
+        if b.requires_grad:
+            accumulate(b, a.data.T @ g)
 
     return node(a.data @ b.data, (a, b), bw, "matmul")
 
@@ -281,19 +294,31 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     return node(a.data.reshape(shape), (a,), bw, "reshape")
 
 
-def gather_rows(a: Tensor, indices: Sequence[int]) -> Tensor:
-    """Select rows by index; backward scatter-adds into the source rows."""
+def gather_rows(a: Tensor, indices: Sequence[int] | np.ndarray) -> Tensor:
+    """Select rows by index; backward scatter-adds into the source rows.
+
+    Flat indices ``(M,)`` give the rows ``a[indices]``.  An ``(M, K)``
+    index array gathers K rows of an ``(R, C)`` matrix per output row and
+    lays them side by side, giving ``(M, K * C)``: row m is
+    ``a[indices[m]]`` flattened, which is how the backbone builds its
+    patches.  Repeated indices add their gradients.
+    """
     idx = np.asarray(indices, dtype=np.intp)
-    if idx.ndim != 1:
-        raise ShapeError("gather_rows: indices must be a flat sequence")
+    if idx.ndim == 1:
+        out = a.data[idx]
+    elif idx.ndim == 2 and a.ndim == 2:
+        out = a.data[idx].reshape(idx.shape[0], -1)
+    else:
+        raise ShapeError(f"gather_rows: indices of shape {idx.shape} do not fit rows of shape {a.shape}")
+    flat = idx.ravel()
 
     def bw(g):
         if a.requires_grad:
             ga = np.zeros_like(a.data)
-            np.add.at(ga, idx, g)
+            np.add.at(ga, flat, g.reshape(flat.shape[0], *a.shape[1:]))
             accumulate(a, ga)
 
-    return node(a.data[idx], (a,), bw, "gather_rows")
+    return node(out, (a,), bw, "gather_rows")
 
 
 def gather_cols(a: Tensor, indices: Sequence[int]) -> Tensor:
@@ -359,13 +384,15 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     """Stable softmax along ``axis``; each slice sums to 1."""
     if not -a.ndim <= axis < a.ndim:
         raise ShapeError(f"softmax: axis {axis} invalid for shape {a.shape}")
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = a.data - a.data.max(axis=axis, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=axis, keepdims=True)
 
     def bw(g):
-        inner = (g * y).sum(axis=axis, keepdims=True)
-        accumulate(a, y * (g - inner))
+        d = g * y
+        np.subtract(g, d.sum(axis=axis, keepdims=True), out=d)
+        d *= y
+        accumulate(a, d)
 
     return node(y, (a,), bw, "softmax")
 
@@ -401,6 +428,29 @@ def sum_all(a: Tensor) -> Tensor:
         accumulate(a, np.full_like(a.data, float(g)))
 
     return node(a.data.sum(), (a,), bw, "sum_all")
+
+
+def pooled_logits(rows: Tensor, w: Tensor) -> Tensor:
+    """Mean-pool (R, C) rows and apply a (C, N) linear head, giving (N,) logits.
+
+    One op for ``mean_rows -> reshape -> matmul -> reshape``, with the
+    same numpy expressions, so its values and gradients are those of the
+    chain to the bit.
+    """
+    if rows.ndim != 2 or w.ndim != 2 or rows.shape[1] != w.shape[0]:
+        raise ShapeError(f"pooled_logits: rows {rows.shape} and head {w.shape} do not chain")
+    if rows.shape[0] < 1:
+        raise ShapeError("pooled_logits: no rows to pool")
+    z = rows.data.mean(axis=0)[None]
+
+    def bw(g):
+        g = g[None]
+        if rows.requires_grad:
+            accumulate(rows, np.broadcast_to((g @ w.data.T) / rows.shape[0], rows.shape))
+        if w.requires_grad:
+            accumulate(w, z.T @ g)
+
+    return node((z @ w.data)[0], (rows, w), bw, "pooled_logits")
 
 
 def mean_rows(a: Tensor) -> Tensor:

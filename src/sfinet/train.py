@@ -16,7 +16,7 @@ import numpy as np
 from . import tensor as T
 from .data import SyntheticDataset, augment_image
 from .model import SFINet
-from .serialization import atomic_open, save_checkpoint
+from .serialization import atomic_open, make_dirs, save_checkpoint
 from .tensor import ConfigError, NonFiniteError, Tensor
 
 
@@ -149,7 +149,7 @@ def train(model: SFINet, dataset: SyntheticDataset, cfg: TrainConfig,
     except NonFiniteError as exc:
         raise TrainAbort(f"non-finite value at epoch {len(rows) // 2 + 1}, step {step}: {exc}") from exc
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
+        make_dirs(out_dir)
         with atomic_open(os.path.join(out_dir, "metrics.csv")) as fh:
             fh.write(metrics_csv(rows))
         save_checkpoint(os.path.join(out_dir, "checkpoint.csv"),

@@ -301,3 +301,22 @@ class TestGradcheckCommand:
             monkeypatch.setattr(T, "tanh", real_tanh)
         assert rc == 1
         assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("case", ["train-file", "train-under-file", "export-file"])
+def test_unusable_out_path_exits_2_naming_it(tmp_path, capsys, case):
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory\n")
+    out = blocker / "sub" if case == "train-under-file" else blocker
+    if case == "export-file":
+        cfg = C.preset("tiny")
+        ds, model, _ = C.build_experiment(cfg)
+        ckpt, img = tmp_path / "ckpt.csv", tmp_path / "img.csv"
+        save_checkpoint(ckpt, model.parameters())
+        save_tensor(img, ds.test_images[0])
+        argv = ["export-maps", *TINY, "--checkpoint", ckpt, "--image", img, "--out", out]
+    else:
+        argv = ["train", *TINY, "--out", out, "--quiet"]
+    assert run_cli(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {out}: cannot create directory (")
+    assert blocker.read_text() == "not a directory\n"

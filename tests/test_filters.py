@@ -22,7 +22,7 @@ def naive_mask(scores: np.ndarray, gamma1: float) -> np.ndarray:
     """Rank every cell by (score, row-major position); keep the lowest."""
     w, h = scores.shape
     cells = sorted(((scores[x, y], x * h + y) for x in range(w) for y in range(h)))
-    keep = math.floor((1.0 - gamma1) * w * h)
+    keep = math.floor((1.0 - gamma1) * (w * h))
     mask = np.zeros(w * h)
     for _, flat in cells[:keep]:
         mask[flat] = 1.0
@@ -35,7 +35,7 @@ def naive_select(masked_maps: np.ndarray, gamma2: float, mask: np.ndarray | None
     scores = masked_maps.mean(axis=2).ravel()
     flats = range(w * h) if mask is None else [i for i in range(w * h) if mask.ravel()[i] > 0.5]
     ranked = sorted(flats, key=lambda i: (-scores[i], i))
-    return ranked[: math.floor((1.0 - gamma2) * w * h)]
+    return ranked[: math.floor((1.0 - gamma2) * (w * h))]
 
 
 class TestParams:
@@ -242,7 +242,7 @@ class TestOracleEquivalence:
         for _ in range(100):
             w, h = rng.integers(2, 9, size=2)
             gamma1 = float(rng.uniform(0.05, 0.6))
-            keep = math.floor((1.0 - gamma1) * w * h)
+            keep = math.floor((1.0 - gamma1) * (w * h))
             if keep <= 0 or keep >= w * h:
                 continue
             scores = rng.standard_normal((w, h))
@@ -255,7 +255,7 @@ class TestOracleEquivalence:
         for _ in range(100):
             w, h = rng.integers(2, 7, size=2)
             gamma2 = float(rng.uniform(0.05, 0.7))
-            if math.floor((1.0 - gamma2) * w * h) < 1:
+            if math.floor((1.0 - gamma2) * (w * h)) < 1:
                 continue
             maps = rng.standard_normal((int(w), int(h), 3))
             if rng.random() < 0.3:
@@ -265,7 +265,7 @@ class TestOracleEquivalence:
             mask = None
             if use_mask:
                 gamma1 = min(0.3, gamma2)
-                if math.floor((1.0 - gamma1) * w * h) in (0, w * h):
+                if math.floor((1.0 - gamma1) * (w * h)) in (0, w * h):
                     use_mask = False
                 else:
                     mask = ambiguity_mask(Tensor(rng.standard_normal((int(w), int(h))).ravel()), gamma1)
@@ -274,6 +274,20 @@ class TestOracleEquivalence:
             expected = naive_select(maps, gamma2,
                                     mask.data.reshape(int(w), int(h)) if use_mask else None)
             assert sel.indices == expected
+
+    def test_keep_count_rounds_the_product_of_the_extents(self, rng):
+        # (1 - 0.3) * 6 * 5 rounds to 20.999..., (1 - 0.3) * 30 to 21.0
+        w, h, gamma = 6, 5, 0.3
+        assert math.floor((1.0 - gamma) * w * h) == 20
+        scores = rng.standard_normal((w, h))
+        mask = ambiguity_mask(Tensor(scores.ravel()), gamma)
+        oracle_mask = naive_mask(scores, gamma)
+        assert mask.data.sum() == oracle_mask.sum() == 21
+        npt.assert_array_equal(mask.data, oracle_mask.ravel())
+        maps = rng.standard_normal((w, h, 3))
+        sel = noise_select(Tensor(maps.reshape(-1, 3)), Tensor(rng.standard_normal((w * h, 4))), gamma)
+        assert len(sel.indices) == len(naive_select(maps, gamma, None)) == 21
+        assert sel.indices == naive_select(maps, gamma, None)
 
 
 class TestSelectedRegionInvariance:
@@ -428,12 +442,35 @@ class TestCheckedConstants:
         loss = total_loss(res.filter_loss, res.class_loss, cfg.train.xi)
         counts = Counter(t.op for t in T.CompGraph.from_output(loss).nodes)
         # recorded when the selection values were still tape ops, less the four
-        # hadamard masks the features no longer pass through and the eleven
-        # reshapes the (W, H, C) stage maps needed before features became rows
+        # hadamard masks the features no longer pass through, the eleven
+        # reshapes the (W, H, C) stage maps needed before features became rows,
+        # and the mean_rows/reshape/matmul/reshape chains that pooled_logits
+        # and the (S_i, stride**2) patch gathers replaced
         assert counts == {
             "add": 1, "add_n": 1, "add_rowvec": 4, "attend": 1, "concat_rows": 1,
             "cross_entropy": 5, "gather_rows": 7, "head_mix": 1, "leaf": 26,
-            "matmul": 15, "mean_rows": 5, "merge_heads": 1, "pairwise_scores": 1,
-            "project_heads": 3, "relu": 1, "reshape": 13, "scale": 2,
+            "matmul": 10, "merge_heads": 1, "pairwise_scores": 1, "pooled_logits": 5,
+            "project_heads": 3, "relu": 1, "scale": 2,
             "semantic_reassembly": 1, "softmax": 1, "tanh": 4,
         }
+
+    def test_tape_size_of_a_default_sample(self, monkeypatch):
+        from sfinet import config as C
+        from sfinet import reconstitution as R
+        from sfinet.train import total_loss
+
+        cfg = C.build_run_config({})
+        ds, model, _ = C.build_experiment(cfg)
+        ops = []
+        node = T.node
+
+        def counting_node(data, parents, backward_fn, op):
+            ops.append(op)
+            return node(data, parents, backward_fn, op)
+
+        monkeypatch.setattr(T, "node", counting_node)
+        monkeypatch.setattr(R, "node", counting_node)
+        res = model.forward(ds.train_images[0], int(ds.train_labels[0]))
+        total_loss(res.filter_loss, res.class_loss, cfg.train.xi)
+        # every node one training sample creates, checked constants included
+        assert len(ops) == 78

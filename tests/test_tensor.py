@@ -378,3 +378,114 @@ class TestTensorBasics:
     def test_parentless_node_is_a_constant(self):
         c = T.node(np.arange(3.0), (), None, "probe")
         assert c.op == "probe" and not c.requires_grad and c._parents == ()
+
+
+def _old_softmax(a: Tensor, axis: int = -1) -> Tensor:
+    """The softmax as it was written with three full-size temporaries."""
+    shifted = a.data - a.data.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    y = e / e.sum(axis=axis, keepdims=True)
+
+    def bw(g):
+        inner = (g * y).sum(axis=axis, keepdims=True)
+        T.accumulate(a, y * (g - inner))
+
+    return T.node(y, (a,), bw, "softmax")
+
+
+def _weighted_sum_backward(out: Tensor, upstream: np.ndarray) -> None:
+    T.backward(T.sum_all(T.hadamard(out, Tensor(upstream))))
+
+
+class TestFusedOps:
+    """One-op forms of chains the model used to build, checked against those chains."""
+
+    def test_pooled_logits_gradients(self, rng):
+        rows = Tensor(rng.standard_normal((5, 4)), requires_grad=True)
+        w = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+        v = Tensor(rng.standard_normal(3))
+        assert_grads_match(lambda: T.sum_all(T.hadamard(T.pooled_logits(rows, w), v)),
+                           {"rows": rows, "w": w})
+
+    def test_pooled_logits_single_row_is_a_product(self, rng):
+        row = rng.standard_normal((1, 4))
+        w = rng.standard_normal((4, 3))
+        out = T.pooled_logits(Tensor(row), Tensor(w))
+        assert out.shape == (3,)
+        assert out.data.tobytes() == (row @ w)[0].tobytes()
+
+    @pytest.mark.parametrize("rows, w", [((5,), (5, 3)), ((2, 5), (3,)), ((2, 5), (4, 3)),
+                                         ((0, 5), (5, 3)), ((2, 2, 5), (5, 3))])
+    def test_pooled_logits_shape_errors(self, rows, w):
+        with pytest.raises(ShapeError, match="pooled_logits"):
+            T.pooled_logits(Tensor(np.zeros(rows)), Tensor(np.zeros(w)))
+
+    @pytest.mark.parametrize("r, c, n", [(1, 4, 3), (69, 64, 4), (13, 16, 4)])
+    def test_pooled_logits_bitwise_equal_to_the_old_chain(self, rng, r, c, n):
+        data = rng.standard_normal((r, c))
+        head = rng.standard_normal((c, n))
+        upstream = rng.standard_normal(n)
+        rows, w = Tensor(data, requires_grad=True), Tensor(head, requires_grad=True)
+        old_rows, old_w = Tensor(data, requires_grad=True), Tensor(head, requires_grad=True)
+        new = T.pooled_logits(rows, w)
+        z = T.mean_rows(old_rows)
+        old = T.reshape(T.matmul(T.reshape(z, (1, c)), old_w), (n,))
+        assert new.data.tobytes() == old.data.tobytes()
+        _weighted_sum_backward(new, upstream)
+        _weighted_sum_backward(old, upstream)
+        assert rows.grad.tobytes() == old_rows.grad.tobytes()
+        assert w.grad.tobytes() == old_w.grad.tobytes()
+
+    def test_gather_rows_blocks_gradient_with_repeats(self, rng):
+        x = Tensor(rng.standard_normal((6, 3)), requires_grad=True)
+        w = Tensor(rng.standard_normal((3, 6)))
+        idx = np.array([[4, 0], [4, 4], [2, 5]])
+        assert T.gather_rows(x, idx).shape == (3, 6)
+        assert_grads_match(lambda: T.sum_all(T.hadamard(T.gather_rows(x, idx), w)), {"x": x})
+
+    def test_gather_rows_block_layout(self):
+        x = Tensor(np.arange(12.0).reshape(4, 3))
+        out = T.gather_rows(x, [[1, 0], [3, 3]])
+        npt.assert_array_equal(out.data, [[3, 4, 5, 0, 1, 2], [9, 10, 11, 9, 10, 11]])
+
+    @pytest.mark.parametrize("shape, idx", [((6,), [[0, 1]]), ((2, 3, 4), [[0, 1]]),
+                                            ((6, 3), [[[0]]]), ((6, 3), 0)])
+    def test_gather_rows_shape_errors(self, shape, idx):
+        with pytest.raises(ShapeError, match="gather_rows"):
+            T.gather_rows(Tensor(np.zeros(shape)), idx)
+
+    @pytest.mark.parametrize("m, k, c", [(16, 16, 3), (4, 4, 16), (3, 1, 5)])
+    def test_gather_rows_blocks_bitwise_equal_to_the_old_chain(self, rng, m, k, c):
+        data = rng.standard_normal((m * k, c))
+        idx = rng.integers(0, m * k, size=(m, k))
+        upstream = rng.standard_normal((m, k * c))
+        x, old_x = Tensor(data, requires_grad=True), Tensor(data, requires_grad=True)
+        new = T.gather_rows(x, idx)
+        old = T.reshape(T.gather_rows(old_x, idx.ravel()), (-1, k * c))
+        assert new.shape == old.shape == (m, k * c)
+        assert new.data.tobytes() == old.data.tobytes()
+        _weighted_sum_backward(new, upstream)
+        _weighted_sum_backward(old, upstream)
+        assert x.grad.tobytes() == old_x.grad.tobytes()
+
+    @pytest.mark.parametrize("shape", [(4, 69, 69), (4, 88, 88), (2, 3, 5)])
+    def test_softmax_bitwise_equal_to_the_old_three_buffer_form(self, rng, shape):
+        data = rng.standard_normal(shape) * 8.0
+        upstream = rng.standard_normal(shape)
+        x, old_x = Tensor(data, requires_grad=True), Tensor(data, requires_grad=True)
+        new, old = T.softmax(x), _old_softmax(old_x)
+        assert new.data.tobytes() == old.data.tobytes()
+        npt.assert_array_equal(x.data, data)
+        _weighted_sum_backward(new, upstream)
+        _weighted_sum_backward(old, upstream)
+        assert x.grad.tobytes() == old_x.grad.tobytes()
+
+    def test_matmul_skips_the_constant_operand(self, rng):
+        a_data, b_data = rng.standard_normal((5, 4)), rng.standard_normal((4, 3))
+        upstream = rng.standard_normal((5, 3))
+        a, b = Tensor(a_data), Tensor(b_data, requires_grad=True)
+        both_a, both_b = Tensor(a_data, requires_grad=True), Tensor(b_data, requires_grad=True)
+        _weighted_sum_backward(T.matmul(a, b), upstream)
+        _weighted_sum_backward(T.matmul(both_a, both_b), upstream)
+        assert a.grad is None
+        assert b.grad.tobytes() == both_b.grad.tobytes()

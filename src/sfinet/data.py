@@ -10,6 +10,7 @@ are disjoint by construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +40,18 @@ class DataConfig:
             raise ConfigError(f"data: overlap must lie in [0, 1], got {self.overlap}")
         if not 0.0 < self.train_fraction < 1.0:
             raise ConfigError(f"data: train_fraction must lie in (0, 1), got {self.train_fraction}")
+        n_train = self.train_per_class
+        if not 1 <= n_train < self.samples_per_class:
+            raise ConfigError(f"data: samples_per_class={self.samples_per_class} at train_fraction="
+                              f"{self.train_fraction} gives {n_train} training and "
+                              f"{self.samples_per_class - n_train} test images per class; "
+                              "each split needs at least one")
         _anchors(self)  # rejects class counts whose anchors would collide
+
+    @property
+    def train_per_class(self) -> int:
+        """Images of each class in the training split, ceil(train_fraction * samples_per_class)."""
+        return math.ceil(self.train_fraction * self.samples_per_class)
 
 
 @dataclass
@@ -105,7 +117,7 @@ def make_synthetic(cfg: DataConfig, rng: np.random.Generator | None = None) -> S
     anchors = _anchors(cfg)
     patches = _class_patches(cfg, rng)
     size, ch, p = cfg.image_size, cfg.channels, cfg.patch_size
-    n_train = int(np.ceil(cfg.train_fraction * cfg.samples_per_class))
+    n_train = cfg.train_per_class
     train_x, train_y, test_x, test_y = [], [], [], []
     for c in range(cfg.num_classes):
         ax, ay = anchors[c]

@@ -23,6 +23,11 @@ scores) is computed on plain arrays and entered as a checked constant
 class-map projection therefore gets no gradient from the loss, only
 weight decay, and no ranking depends on its scale.  All tie-breaks are by
 lower row index so results are totally ordered and reproducible.
+
+With the filters on, the forward computes those values because the
+selection reads them.  With the filters bypassed nothing in the forward
+does, so they are computed when an export first reads them, and a NaN
+or Inf among them is reported at that read.
 """
 
 from __future__ import annotations
@@ -114,7 +119,6 @@ class NoiseSelection(NamedTuple):
     scores: Tensor
 
 
-@dataclass
 class FilterArtifacts:
     """Everything one stage's filter pass produces, kept for export.
 
@@ -124,6 +128,16 @@ class FilterArtifacts:
     ones; selected_indices has floor((1 - gamma2) * S) row indices, each
     at a mask=1 row, in descending noise-score order.  Only
     selected_features is on the tape.
+
+    With the filters on, every value is computed here, in the order the
+    selection reads them.  With ``bypass`` the kept rows are the features
+    tensor itself and no other value feeds the forward, so the rest
+    (maps, coarse, topk_indices, weights, ambiguity_map, mask,
+    masked_maps, noise_scores, selected_indices) are computed together
+    when the first of them is read.  They come from the feature and
+    projection arrays of the forward, which an optimizer step leaves as
+    they were (it rebinds a parameter's ``.data``).  A NaN or Inf among
+    them raises ``NonFiniteError`` at that read, not in the forward.
     """
     maps: Tensor
     coarse: Tensor
@@ -136,15 +150,56 @@ class FilterArtifacts:
     selected_indices: list[int]
     selected_features: Tensor
 
+    def __init__(self, features: Tensor, projection: Tensor, amb: AmbiguityParams,
+                 noise: NoiseParams, bypass: bool):
+        self._inputs = (features.data, projection.data, amb, noise.gamma2)
+        if bypass:
+            self.selected_features = features
+        else:
+            self._filter(features)
 
-def class_maps(features: Tensor, projection: Tensor) -> tuple[Tensor, Tensor]:
+    def __getattr__(self, name: str):
+        # reached only for a value not set yet: a deferred bypass value
+        if name not in FilterArtifacts.__annotations__:
+            raise AttributeError(name)
+        self._filter(None)
+        return self.__dict__[name]
+
+    def _filter(self, features: Tensor | None) -> None:
+        """Compute every value; ``features`` is None when the filters are bypassed."""
+        rows, projection, amb, gamma2 = self._inputs
+        maps, coarse = class_maps(rows, projection)
+        topk, weights = topk_weights(coarse, amb)
+        amb_map = ambiguity_map(maps, topk, weights)
+        bypass = features is None
+        mask = Tensor(np.ones(amb_map.shape)) if bypass else ambiguity_mask(amb_map, amb.gamma1)
+        masked_maps = apply_mask(mask, maps)
+        if bypass:
+            sel = NoiseSelection(list(range(rows.shape[0])), self.selected_features,
+                                 _noise_scores(masked_maps))
+        else:
+            sel = noise_select(masked_maps, features, gamma2, keep_mask=mask)
+        self.__dict__.update(maps=maps, coarse=coarse, topk_indices=topk, weights=weights,
+                             ambiguity_map=amb_map, mask=mask, masked_maps=masked_maps,
+                             noise_scores=sel.scores, selected_indices=sel.indices,
+                             selected_features=sel.selected)
+
+
+def _values(x) -> np.ndarray:
+    """The float64 array of a tensor or of anything array-like."""
+    return np.asarray(x.data if isinstance(x, Tensor) else x, dtype=np.float64)
+
+
+def class_maps(features, projection) -> tuple[Tensor, Tensor]:
     """Project (S, C) feature rows onto class channels, M (S, N), and pool them to p (N,).
 
-    Both are selection-only constants, off the tape.
+    Takes tensors or arrays.  Both results are selection-only constants,
+    off the tape.
     """
+    features, projection = _values(features), _values(projection)
     if features.ndim != 2 or projection.ndim != 2 or projection.shape[0] != features.shape[1]:
         raise T.ShapeError(f"class_maps: projection {projection.shape} does not fit feature rows {features.shape}")
-    arr = features.data @ projection.data
+    arr = features @ projection
     return T.node(arr, (), None, "class_maps"), T.node(arr.mean(axis=0), (), None, "coarse_pool")
 
 
@@ -154,7 +209,7 @@ def topk_weights(coarse, params: AmbiguityParams) -> tuple[list[int], np.ndarray
     Weights run from beta_h down to beta_l in k equal steps; score ties
     resolve to the lower class index.
     """
-    p = np.asarray(coarse.data if isinstance(coarse, Tensor) else coarse, dtype=np.float64)
+    p = _values(coarse)
     if params.k > p.size:
         raise ConfigError(f"topk_weights: k={params.k} exceeds {p.size} classes")
     order = np.argsort(-p, kind="stable")
@@ -177,7 +232,7 @@ def ambiguity_mask(scores: Tensor, gamma1: float) -> Tensor:
     floor((1 - gamma1) * S).  The (S,) mask is a constant: selection is
     not differentiable.
     """
-    arr = np.asarray(scores.data if isinstance(scores, Tensor) else scores, dtype=np.float64)
+    arr = _values(scores)
     keep = _ambiguity_keep(arr.size, gamma1, "ambiguity_mask")
     mask = np.zeros(arr.size)
     mask[np.argsort(arr, kind="stable")[:keep]] = 1.0
@@ -232,20 +287,13 @@ def filter_stage(features: Tensor, projection: Tensor, amb: AmbiguityParams,
 
     ``features`` are the stage's (S, C) rows.  With ``bypass`` the mask
     is all ones and every row is kept in order, so the kept rows are the
-    features tensor itself; class maps, the ambiguity map and the noise
-    scores are still computed so exports stay comparable.
+    features tensor itself.  The class maps, the ambiguity map, the noise
+    scores and the other export-only values are then computed when first
+    read, so a forward that exports nothing pays for none of them, and a
+    non-finite one raises ``NonFiniteError`` at that read (see
+    :class:`FilterArtifacts`).
     """
-    maps, coarse = class_maps(features, projection)
-    topk, weights = topk_weights(coarse, amb)
-    amb_map = ambiguity_map(maps, topk, weights)
-    mask = Tensor(np.ones(amb_map.shape)) if bypass else ambiguity_mask(amb_map, amb.gamma1)
-    masked_maps = apply_mask(mask, maps)
-    if bypass:
-        sel = NoiseSelection(list(range(features.shape[0])), features, _noise_scores(masked_maps))
-    else:
-        sel = noise_select(masked_maps, features, noise.gamma2, keep_mask=mask)
-    return FilterArtifacts(maps, coarse, topk, weights, amb_map, mask, masked_maps,
-                           sel.scores, sel.indices, sel.selected)
+    return FilterArtifacts(features, projection, amb, noise, bypass)
 
 
 def filter_loss(selected_per_stage: Sequence[Tensor], classifiers: Sequence[Tensor],

@@ -7,7 +7,10 @@ backward passes (after a grad reset) are bit-for-bit identical.
 
 All arithmetic is float64.  Each op checks its result for NaN/Inf and
 raises :class:`NonFiniteError` naming the op, which doubles as the
-"first non-finite tensor" diagnostic during training.  A value that no
+"first non-finite tensor" diagnostic during training.  The check is one
+call on the common path: the sum of squares ``np.vdot(arr, arr)`` is
+finite only if every element is, and the element-wise ``np.isfinite``
+scan runs only when that sum is not (see :func:`node`).  A value that no
 gradient flows through (a selection score, a reported probability) is
 computed on plain arrays and entered as a checked constant,
 ``node(arr, (), None, name)``: the same check and error, but no parents
@@ -30,6 +33,7 @@ shape-strict.  Row vectors are added to matrices through the explicit
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -112,9 +116,15 @@ def node(data: np.ndarray, parents: Sequence[Tensor],
     ``backward_fn`` receives the output gradient and must accumulate into
     the parents via :func:`accumulate`.  Parents are only recorded when at
     least one of them requires grad, so constant subgraphs stay leaves.
+
+    The finiteness check is exact.  Squares are never negative, so a NaN
+    or +-Inf element makes the sum of squares NaN or +Inf, and a finite
+    sum proves every element finite.  An all-finite array can still give
+    +Inf when its squares add up past the float maximum (any element above
+    1.4e154 does); only then does ``np.isfinite`` run, and it decides.
     """
     arr = np.asarray(data, dtype=np.float64)
-    if not np.isfinite(arr).all():
+    if not math.isfinite(np.vdot(arr, arr)) and not np.isfinite(arr).all():
         raise NonFiniteError(f"op '{op}' produced non-finite values")
     out = Tensor.__new__(Tensor)
     out.data = arr

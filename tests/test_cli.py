@@ -25,6 +25,16 @@ class TestTrainCommand:
         assert rc == 2
         assert "/nonexistent/conf.txt" in capsys.readouterr().err
 
+    # ceil(0.75 * 3) = 3 leaves no test image; 0 and -2 leave no training image
+    @pytest.mark.parametrize("samples", [3, 0, -2])
+    def test_empty_data_split_exits_2(self, tmp_path, capsys, samples):
+        rc = run_cli(["train", *TINY, "--set", f"data.samples_per_class={samples}",
+                      "--out", tmp_path / "run", "--quiet"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: data: samples_per_class={samples} ")
+        assert "each split needs at least one" in err and "Traceback" not in err
+
     def test_writes_metrics_checkpoint_snapshot(self, tmp_path):
         out = tmp_path / "run"
         rc = run_cli(["train", *TINY, "--out", out, "--quiet"])
@@ -232,6 +242,26 @@ class TestExportMapsCommand:
                 exported = load_tensor(maps_dir / f"sample_stage{stage}_{kind}.csv")
                 assert exported.shape == (w, h)
                 npt.assert_array_equal(exported, arr.reshape(w, h))
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    def test_bypass_class_maps_overflow_exits_1_naming_op(self, tmp_path, capsys):
+        # under bypass nothing in the forward reads the class maps, so their
+        # overflow surfaces only when export-maps reads them
+        bypass = [*TINY, "--set", "model.bypass_filters=true"]
+        cfg = C.build_run_config(C.apply_overrides(dict(C.PRESETS["tiny"]),
+                                                   ["model.bypass_filters=true"]))
+        ds, model, _ = C.build_experiment(cfg)
+        model.backbone.biases[0].data[:] = 20.0  # tanh saturates: stage-0 features are all 1.0
+        model.class_projs[0].data[:] = np.finfo(np.float64).max  # so each class score is 4x that
+        ckpt, img = tmp_path / "ckpt.csv", tmp_path / "img.csv"
+        save_checkpoint(ckpt, model.parameters())
+        save_tensor(img, ds.test_images[0])
+        assert np.isfinite(model.forward(ds.test_images[0], int(ds.test_labels[0])).probs).all()
+        rc = run_cli(["export-maps", *bypass, "--checkpoint", ckpt, "--image", img,
+                      "--out", tmp_path / "maps"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: op 'class_maps'") and "Traceback" not in err
 
     def test_unreadable_image_exits_2(self, tmp_path, capsys):
         run_dir = tmp_path / "run"

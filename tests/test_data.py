@@ -34,6 +34,12 @@ class TestGeneration:
             assert (ds.train_labels == c).sum() == 12
             assert (ds.test_labels == c).sum() == 4
 
+    def test_smallest_split_keeps_one_image_each_side(self):
+        ds = make_synthetic(small_cfg(samples_per_class=2, train_fraction=0.5))
+        assert ds.train_images.shape[0] == ds.test_images.shape[0] == 4
+        with pytest.raises(ConfigError, match="gives 2 training and 0 test images"):
+            small_cfg(samples_per_class=2, train_fraction=0.6)
+
     def test_splits_disjoint(self):
         # noise makes every sample unique, so equality across splits means leakage
         ds = make_synthetic(small_cfg())

@@ -474,3 +474,75 @@ class TestCheckedConstants:
         total_loss(res.filter_loss, res.class_loss, cfg.train.xi)
         # every node one training sample creates, checked constants included
         assert len(ops) == 78
+
+
+class TestDeferredBypassValues:
+    """With the filters bypassed, the export-only values are computed when read."""
+
+    @staticmethod
+    def bypass_sample():
+        from sfinet import config as C
+
+        cfg = C.build_run_config({"model.bypass_filters": "true"})
+        ds, model, _ = C.build_experiment(cfg)
+        return cfg, model, ds.train_images[0], int(ds.train_labels[0])
+
+    def test_tape_size_of_a_bypass_sample(self, monkeypatch):
+        from sfinet import reconstitution as R
+        from sfinet.train import total_loss
+
+        cfg, model, image, label = self.bypass_sample()
+        ops = []
+        node = T.node
+
+        def counting_node(data, parents, backward_fn, op):
+            ops.append(op)
+            return node(data, parents, backward_fn, op)
+
+        monkeypatch.setattr(T, "node", counting_node)
+        monkeypatch.setattr(R, "node", counting_node)
+        res = model.forward(image, label)
+        total_loss(res.filter_loss, res.class_loss, cfg.train.xi)
+        deferred = {"class_maps", "coarse_pool", "ambiguity_map", "masked_maps", "noise_scores"}
+        assert deferred.isdisjoint(ops)
+        # every node one training sample creates, checked constants included
+        assert len(ops) == 54
+        for art in res.artifacts:
+            art.noise_scores
+        assert ops.count("class_maps") == ops.count("noise_scores") == len(res.artifacts)
+
+    def test_values_are_the_forward_time_ones_after_a_step(self):
+        from sfinet.train import sgd_momentum_step, total_loss
+
+        cfg, model, image, label = self.bypass_sample()
+        res = model.forward(image, label)
+        projs = [p.data for p in model.class_projs]
+        total_loss(res.filter_loss, res.class_loss, cfg.train.xi).backward()
+        params = model.parameters()
+        state = {name: np.zeros_like(p.data) for name, p in params.items()}
+        sgd_momentum_step(params, state, lr=0.5, momentum=0.9, weight_decay=0.1)
+        for art, proj, new in zip(res.artifacts, projs, model.class_projs):
+            assert not np.array_equal(new.data, proj)
+            feats = art.selected_features
+            maps, coarse = class_maps(feats, Tensor(proj))
+            topk, weights = topk_weights(coarse, model.amb)
+            amb_map = ambiguity_map(maps, topk, weights)
+            mask = Tensor(np.ones(feats.shape[0]))
+            masked = apply_mask(mask, maps)
+            assert art.topk_indices == topk and art.weights is weights
+            assert art.selected_indices == list(range(feats.shape[0]))
+            pairs = [(art.maps, maps), (art.coarse, coarse), (art.ambiguity_map, amb_map),
+                     (art.mask, mask), (art.masked_maps, masked),
+                     (art.noise_scores, Tensor(masked.data.mean(axis=1)))]
+            for got, want in pairs:
+                assert got.shape == want.shape and got.data.tobytes() == want.data.tobytes()
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    def test_overflowing_class_maps_raise_when_read(self):
+        cfg, model, image, label = self.bypass_sample()
+        model.class_projs[0].data = np.full(model.class_projs[0].shape, np.finfo(np.float64).max)
+        res = model.forward(image, label)
+        assert np.isfinite(res.class_loss.data) and np.isfinite(res.filter_loss.data)
+        with pytest.raises(T.NonFiniteError, match="^op 'class_maps'"):
+            res.artifacts[0].maps
+        res.artifacts[1].noise_scores  # later stages are unaffected

@@ -1,8 +1,9 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from sfinet import tensor as T
 from sfinet.tensor import CompGraph, GraphError, NonFiniteError, ShapeError, Tensor
@@ -305,6 +306,37 @@ class TestNonFiniteDetection:
     def test_non_finite_checked_constant_reported(self):
         with pytest.raises(NonFiniteError, match="probe"):
             T.node(np.array([0.0, np.inf]), (), None, "probe")
+
+    @staticmethod
+    @st.composite
+    def probe_arrays(draw):
+        """Finite arrays, some with squares past the float maximum, with NaN or
+        +-Inf planted at random positions and, half the time, transposed."""
+        shape = draw(hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=5))
+        big = st.sampled_from([1e200, -1e200, 1.7e308, -1.7e308])
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        arr = draw(hnp.arrays(np.float64, shape, elements=st.one_of(finite, big)))
+        if arr.size:
+            for _ in range(draw(st.integers(0, 3))):
+                pos = draw(st.integers(0, arr.size - 1))
+                arr.flat[pos] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        return arr.T if draw(st.booleans()) else arr
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(probe_arrays())
+    @example(np.array(np.nan)).via("0-d NaN")
+    @example(np.array(2.0)).via("0-d finite")
+    @example(np.zeros((0, 3))).via("empty")
+    @example(np.full((3, 2), 1e200).T).via("transposed, squares overflow")
+    @example(np.array([1.7e308, -1.7e308, 0.0])).via("squares overflow")
+    @example(np.array([[1.0, 2.0], [np.inf, 3.0]]).T).via("transposed Inf")
+    def test_raises_exactly_when_an_element_is_not_finite(self, arr):
+        finite = bool(np.isfinite(arr).all())
+        if finite:
+            assert T.node(arr, (), None, "probe").data is arr
+        else:
+            with pytest.raises(NonFiniteError, match=r"^op 'probe' produced non-finite values$"):
+                T.node(arr, (), None, "probe")
 
 
 class TestElementwiseGradients:

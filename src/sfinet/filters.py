@@ -200,7 +200,8 @@ def class_maps(features, projection) -> tuple[Tensor, Tensor]:
     if features.ndim != 2 or projection.ndim != 2 or projection.shape[0] != features.shape[1]:
         raise T.ShapeError(f"class_maps: projection {projection.shape} does not fit feature rows {features.shape}")
     arr = features @ projection
-    return T.node(arr, (), None, "class_maps"), T.node(arr.mean(axis=0), (), None, "coarse_pool")
+    coarse = np.add.reduce(arr, 0) / arr.shape[0]
+    return T.node(arr, (), None, "class_maps"), T.node(coarse, (), None, "coarse_pool")
 
 
 def topk_weights(coarse, params: AmbiguityParams) -> tuple[list[int], np.ndarray]:
@@ -250,7 +251,8 @@ def apply_mask(mask: Tensor, maps: Tensor) -> Tensor:
 
 def _noise_scores(masked_maps: Tensor) -> Tensor:
     """(S,) channel-average of the masked class maps, one score per row."""
-    return T.node(masked_maps.data.mean(axis=1), (), None, "noise_scores")
+    m = masked_maps.data
+    return T.node(np.add.reduce(m, 1) / m.shape[1], (), None, "noise_scores")
 
 
 def noise_select(masked_maps: Tensor, features: Tensor, gamma2: float,

@@ -21,7 +21,9 @@ model always builds the same way is one op with a hand-written backward:
 :func:`pooled_logits` (mean-pool rows, then a linear head),
 :func:`gather_rows` with an ``(M, K)`` index array (a patch gather),
 :func:`cross_entropy`.  Each computes the chain's numpy expressions, so
-values and gradients match the chain bit for bit.
+values and gradients match the chain bit for bit.  For the same reason a
+mean on the per-sample path is written ``np.add.reduce(x, axis) / n``:
+the arithmetic of ``x.mean(axis)`` to the bit, without its Python wrapper.
 
 There is no implicit broadcasting.  The only documented broadcast is the
 spatial-mask case of :func:`hadamard` (a ``(W, H)`` mask applied across
@@ -451,7 +453,7 @@ def pooled_logits(rows: Tensor, w: Tensor) -> Tensor:
         raise ShapeError(f"pooled_logits: rows {rows.shape} and head {w.shape} do not chain")
     if rows.shape[0] < 1:
         raise ShapeError("pooled_logits: no rows to pool")
-    z = rows.data.mean(axis=0)[None]
+    z = (np.add.reduce(rows.data, 0) / rows.shape[0])[None]
 
     def bw(g):
         g = g[None]

@@ -4,6 +4,14 @@ The total objective is xi * filter_loss + class_loss.  One optimizer step
 runs per batch; the learning rate follows a half-cosine from its initial
 value to zero over the full step budget.  Metric rows are written with
 repr floats so identical runs produce byte-identical CSV files.
+
+Each sample is backpropagated as soon as its forward ends, seeded with
+``scale(loss, 1 / batch)``, and its tape is dropped before the next
+forward starts, so a step holds one sample's tape, not a batch's.  The
+batch runs last sample first.  That is the order in which one backward
+over the summed batch loss would visit the samples (newest node first),
+so every parameter gradient receives the same terms in the same order
+and comes out bit for bit what the batch-loss backward gives.
 """
 
 from __future__ import annotations
@@ -106,6 +114,14 @@ def train(model: SFINet, dataset: SyntheticDataset, cfg: TrainConfig,
 
     With ``out_dir`` set, writes metrics.csv and checkpoint.csv there.
     Aborts with a diagnostic if any op yields a non-finite tensor.
+
+    A step draws its batch's augmented images in batch order (the RNG
+    sequence of a batch-wise loop), then runs forward and backward per
+    sample from the last to the first; only the detached loss values are
+    kept for the batch loss.  On an abort no optimizer step has run for
+    the current batch, so every parameter keeps its bytes, but the leaf
+    ``.grad`` buffers may hold the partial sum of the samples already
+    backpropagated.
     """
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
@@ -124,17 +140,21 @@ def train(model: SFINet, dataset: SyntheticDataset, cfg: TrainConfig,
             for b in range(batches_per_epoch):
                 idx = order[b * cfg.batch_size:(b + 1) * cfg.batch_size]
                 model.zero_grad()
-                sample_losses = []
-                for i in idx:
-                    img = dataset.train_images[i]
-                    if cfg.augment:
-                        img = augment_image(img, rng)
-                    res = model.forward(img, int(dataset.train_labels[i]))
-                    sample_losses.append(total_loss(res.filter_loss, res.class_loss, cfg.xi))
-                    if int(np.argmax(res.probs)) == int(dataset.train_labels[i]):
+                images = [dataset.train_images[i] for i in idx]
+                if cfg.augment:
+                    images = [augment_image(img, rng) for img in images]
+                c = 1.0 / len(idx)
+                values = [None] * len(idx)
+                for j in reversed(range(len(idx))):
+                    y = int(dataset.train_labels[idx[j]])
+                    res = model.forward(images[j], y)
+                    loss = total_loss(res.filter_loss, res.class_loss, cfg.xi)
+                    T.scale(loss, c).backward()
+                    values[j] = Tensor(loss.data)
+                    if int(np.argmax(res.probs)) == y:
                         correct += 1
-                batch_loss = T.scale(T.add_n(sample_losses), 1.0 / len(idx))
-                batch_loss.backward()
+                    del res, loss  # free this sample's tape before the next forward
+                batch_loss = T.scale(T.add_n(values), c)
                 lr_t = cosine_lr(step, total_steps, cfg.lr)
                 step += 1
                 sgd_momentum_step(params, state, lr_t, cfg.momentum, cfg.weight_decay)

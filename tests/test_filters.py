@@ -546,3 +546,23 @@ class TestDeferredBypassValues:
         with pytest.raises(T.NonFiniteError, match="^op 'class_maps'"):
             res.artifacts[0].maps
         res.artifacts[1].noise_scores  # later stages are unaffected
+
+
+class TestMeansMatchNumpyMean:
+    """The per-sample means are ``np.add.reduce(x, axis) / n``, byte for byte ``x.mean(axis)``."""
+
+    def test_pooled_head_coarse_pool_and_noise_scores(self):
+        from sfinet.filters import _noise_scores
+
+        rng = np.random.default_rng(20261018)
+        shapes = [(1, 1), (1, 9), (9, 1), (69, 64), (88, 64), (69, 4)]
+        shapes += [tuple(int(v) for v in rng.integers(1, 100, size=2)) for _ in range(60)]
+        for r, c in shapes:
+            x = rng.standard_normal((r, c)) * 10.0 ** float(rng.integers(-6, 7))
+            head = rng.standard_normal((c, 3))
+            got = T.pooled_logits(Tensor(x), Tensor(head)).data
+            assert got.tobytes() == (x.mean(axis=0)[None] @ head)[0].tobytes(), (r, c)
+            maps, coarse = class_maps(x, np.eye(c))
+            assert coarse.data.tobytes() == maps.data.mean(axis=0).tobytes(), (r, c)
+            scores = _noise_scores(Tensor(x)).data
+            assert scores.tobytes() == x.mean(axis=1).tobytes(), (r, c)

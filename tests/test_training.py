@@ -1,5 +1,7 @@
+import copy
 import importlib
 import os
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -8,16 +10,24 @@ import pytest
 from sfinet import config as C
 from sfinet import tensor as T
 from sfinet.backbone import ConfigError
+from sfinet.model import SFINet
 from sfinet.serialization import load_checkpoint, save_checkpoint
 from sfinet.tensor import Tensor
 from sfinet.train import (TrainAbort, TrainConfig, cosine_lr, evaluate, metrics_csv,
                           sgd_momentum_step, total_loss, train)
 
 
-def tiny_cfg(**overrides):
-    raw = dict(C.PRESETS["tiny"])
+TR = importlib.import_module("sfinet.train")  # the package re-exports train()
+
+
+def preset_cfg(preset, **overrides):
+    raw = dict(C.PRESETS[preset])
     raw.update({k: str(v) for k, v in overrides.items()})
     return C.build_run_config(raw)
+
+
+def tiny_cfg(**overrides):
+    return preset_cfg("tiny", **overrides)
 
 
 class TestTotalLoss:
@@ -158,7 +168,6 @@ class TestTrainingLoop:
 
 class TestOutputFiles:
     def test_failed_metrics_write_keeps_the_previous_file(self, tmp_path, monkeypatch):
-        TR = importlib.import_module("sfinet.train")  # the package re-exports train()
         (tmp_path / "metrics.csv").write_text("previous\n")
 
         def fail(rows):
@@ -234,3 +243,158 @@ class TestEvaluate:
                           for img, y in zip(ds.test_images, ds.test_labels)])
         assert acc == manual
         assert np.isfinite(loss)
+
+
+def batch_backward_train(model, dataset, cfg, rng):
+    """The reference loop: every forward of a batch first, then one backward of the batch loss."""
+    params = model.parameters()
+    state = {name: np.zeros_like(p.data) for name, p in params.items()}
+    n = dataset.train_images.shape[0]
+    batches_per_epoch = (n + cfg.batch_size - 1) // cfg.batch_size
+    total_steps = cfg.epochs * batches_per_epoch
+    rows = []
+    step = 0
+    try:
+        for epoch in range(1, cfg.epochs + 1):
+            order = rng.permutation(n)
+            ep_loss = 0.0
+            correct = 0
+            for b in range(batches_per_epoch):
+                idx = order[b * cfg.batch_size:(b + 1) * cfg.batch_size]
+                model.zero_grad()
+                sample_losses = []
+                for i in idx:
+                    img = dataset.train_images[i]
+                    if cfg.augment:
+                        img = TR.augment_image(img, rng)
+                    res = model.forward(img, int(dataset.train_labels[i]))
+                    sample_losses.append(total_loss(res.filter_loss, res.class_loss, cfg.xi))
+                    if int(np.argmax(res.probs)) == int(dataset.train_labels[i]):
+                        correct += 1
+                batch_loss = T.scale(T.add_n(sample_losses), 1.0 / len(idx))
+                batch_loss.backward()
+                lr_t = cosine_lr(step, total_steps, cfg.lr)
+                step += 1
+                TR.sgd_momentum_step(params, state, lr_t, cfg.momentum, cfg.weight_decay)
+                ep_loss += batch_loss.item() * len(idx)
+            rows.append(TR.MetricRow(epoch, "train", ep_loss / n, correct / n))
+            test_loss, test_acc = evaluate(model, dataset.test_images, dataset.test_labels,
+                                           xi=cfg.xi)
+            rows.append(TR.MetricRow(epoch, "test", test_loss, test_acc))
+    except T.NonFiniteError as exc:
+        raise TrainAbort(f"non-finite value at epoch {len(rows) // 2 + 1}, step {step}: {exc}") from exc
+    return rows
+
+
+@pytest.fixture
+def steps(monkeypatch):
+    """Per optimizer step: every parameter's gradient bytes before it, data bytes after it."""
+    record = []
+    real = TR.sgd_momentum_step
+
+    def sgd_momentum_step(params, *args):
+        grads = {k: p.grad.tobytes() for k, p in params.items()}
+        real(params, *args)
+        record.append((grads, {k: p.data.tobytes() for k, p in params.items()}))
+
+    monkeypatch.setattr(TR, "sgd_momentum_step", sgd_momentum_step)
+    return record
+
+
+def _tape_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestPerSampleBackward:
+    """Each sample is backpropagated right after its forward, last sample of a batch first."""
+
+    @pytest.mark.parametrize("preset, overrides", [
+        ("default", {"train.batch_size": 12}),
+        ("tiny", {"train.batch_size": 5}),  # 18 samples: a partial last batch
+        ("tiny", {"sir.gcn_depth": 2}),
+        ("tiny", {"train.augment": "true"}),
+    ])
+    def test_bytes_match_the_batch_loss_backward(self, steps, preset, overrides):
+        cfg = preset_cfg(preset, **{"train.epochs": 2, **overrides})
+        runs = []
+        for loop in (train, batch_backward_train):
+            ds, model, rng = C.build_experiment(cfg)
+            csv = metrics_csv(loop(model, ds, cfg.train, rng=rng))
+            runs.append((csv, list(steps)))
+            steps.clear()
+        (csv, got), (ref_csv, want) = runs
+        assert len(got) == len(want) == 2 * -(-len(ds.train_labels) // cfg.train.batch_size)
+        for step, ((grads, params), (ref_grads, ref_params)) in enumerate(zip(got, want)):
+            for name in ref_grads:
+                assert grads[name] == ref_grads[name], f"step {step}: grad of {name}"
+                assert params[name] == ref_params[name], f"step {step}: {name}"
+        assert csv == ref_csv
+
+    def test_every_backward_walks_one_samples_graph(self, monkeypatch):
+        cfg = tiny_cfg(**{"train.epochs": 2, "train.batch_size": 5})
+        ds, model, rng = C.build_experiment(cfg)
+        param_ids = {id(p) for p in model.parameters().values()}
+        forward_starts, graphs = [], []
+        real_forward, real_graph = SFINet.forward, T.CompGraph.from_output
+
+        def forward(self, *args, **kwargs):
+            forward_starts.append(Tensor(0.0)._seq_id)
+            return real_forward(self, *args, **kwargs)
+
+        def from_output(out):
+            graph = real_graph(out)
+            ops = [t for t in graph.nodes if t.op != "leaf"]
+            leaves = {id(t) for t in graph.nodes if t.op == "leaf"}
+            graphs.append((min(t._seq_id for t in ops), forward_starts[-1], leaves))
+            return graph
+
+        monkeypatch.setattr(SFINet, "forward", forward)
+        monkeypatch.setattr(T.CompGraph, "from_output", from_output)
+        train(model, ds, cfg.train, rng=rng)
+        assert len(graphs) == cfg.train.epochs * len(ds.train_labels)
+        for first_op, forward_start, leaves in graphs:
+            assert first_op > forward_start  # nothing from an earlier forward
+            assert leaves <= param_ids
+
+    @pytest.mark.parametrize("preset, overrides", [
+        ("default", {}),
+        ("default", {"model.bypass_filters": "true", "data.samples_per_class": 48,
+                     "data.overlap": 0.8, "data.noise_amplitude": 1.5,
+                     "data.signal_amplitude": 1.25}),  # ambiguous-pair data, S=88
+    ], ids=["default", "bypass"])
+    def test_epoch_peak_is_about_one_samples_tape(self, preset, overrides):
+        cfg = preset_cfg(preset, **{"train.epochs": 1, **overrides})
+        ds, model, rng = C.build_experiment(cfg)
+
+        def one_sample():
+            res = model.forward(ds.train_images[0], int(ds.train_labels[0]))
+            total_loss(res.filter_loss, res.class_loss, cfg.train.xi).backward()
+
+        one_sample()  # allocate every gradient buffer before measuring
+        model.zero_grad()
+        sample = _tape_peak(one_sample)
+        epoch = _tape_peak(lambda: train(model, ds, cfg.train, rng=rng))
+        assert epoch <= 2 * sample, (epoch, sample)
+
+    def test_abort_mid_batch_names_the_step_and_keeps_every_parameter(self, steps):
+        cfg = tiny_cfg(**{"train.epochs": 1})
+        batch = cfg.train.batch_size
+        results = []
+        for loop in (train, batch_backward_train):
+            ds, model, rng = C.build_experiment(cfg)
+            order = copy.deepcopy(rng).permutation(len(ds.train_labels))
+            ds.train_images[order[batch + 2]] = np.nan  # the 3rd sample of the 2nd batch
+            with np.errstate(invalid="ignore"), pytest.raises(TrainAbort) as info:
+                loop(model, ds, cfg.train, rng=rng)
+            assert len(steps) == 1
+            after_step = steps.pop()[1]
+            params = {k: p.data.tobytes() for k, p in model.parameters().items()}
+            assert params == after_step  # no optimizer step ran for the aborted batch
+            results.append((str(info.value), params))
+        assert results[0][0].startswith("non-finite value at epoch 1, step 1: op ")
+        assert results[0] == results[1]

@@ -11,8 +11,16 @@ Features travel as ``(S_i, C_i)`` rows, one per position of the
 ``(x, y)``).  The image becomes rows once; each stage's patch indices are
 the only place the grid is read, so every later consumer sees rows.  A
 stage's indices are ``(S_i, stride**2)``, one row per patch, so a single
-``gather_rows`` lays each patch's input rows side by side as the
+fancy index lays each patch's input rows side by side as the
 ``(S_i, stride**2 * C_{i-1})`` matrix the stage's linear embedding takes.
+
+Each stage is one tape op, :func:`backbone_stage`, in place of the chain
+``gather_rows``, ``matmul``, ``add_rowvec``, ``tanh``, with the same values
+and gradients bit for bit.  Strides divide the grid exactly, so the patches
+use every input row once and the backward's scatter is a permutation,
+inverted once per stage when the backbone is built.  The values entering
+the tanh are checked for NaN/Inf, because the tanh would map an Inf to
++-1; the stage's output is checked when its node is made.
 """
 
 from __future__ import annotations
@@ -41,8 +49,12 @@ class BackboneConfig:
     def __post_init__(self):
         if len(self.strides) != len(self.channels) or not self.strides:
             raise ConfigError("backbone: strides and channels must be equal-length, nonempty")
+        if self.in_channels < 1:
+            raise ConfigError(f"backbone.in_channels must be >= 1, got {self.in_channels}")
         if any(s < 1 for s in self.strides):
             raise ConfigError("backbone: strides must be >= 1")
+        if any(c < 1 for c in self.channels):
+            raise ConfigError(f"backbone.channels must all be >= 1, got {self.channels}")
         for a, b in zip(self.channels, self.channels[1:]):
             if b < a:
                 raise ConfigError(f"backbone: channel depth must not shrink ({a} -> {b})")
@@ -68,6 +80,36 @@ class BackboneConfig:
         return shapes
 
 
+def backbone_stage(x: Tensor, patches: np.ndarray, inverse: np.ndarray,
+                   weight: Tensor, bias: Tensor) -> Tensor:
+    """One stage, ``tanh(gather_rows(x, patches) @ weight + bias)``.
+
+    ``patches`` is an ``(S_i, K)`` index array that uses every row of ``x``
+    exactly once, and ``inverse`` is the inverse permutation of its
+    flattened entries.
+    """
+    if (x.ndim != 2 or patches.ndim != 2 or weight.ndim != 2
+            or patches.shape[1] * x.shape[1] != weight.shape[0] or bias.shape != weight.shape[1:]):
+        raise T.ShapeError(f"backbone_stage: patches {patches.shape} of rows {x.shape} "
+                           f"do not fit weight {weight.shape} and bias {bias.shape}")
+    p = x.data[patches].reshape(patches.shape[0], -1)
+    y = p @ weight.data
+    y += bias.data
+    if not T.finite(y):
+        raise T.chain_error([("matmul", p @ weight.data), ("add_rowvec", y)])
+    np.tanh(y, out=y)
+
+    def bw(g):
+        g = T.tanh_grad(g, y)
+        T.accumulate(bias, g.sum(axis=0))
+        if weight.requires_grad:
+            T.accumulate(weight, p.T @ g)
+        if x.requires_grad:
+            T.accumulate(x, (g @ weight.data.T).reshape(-1, x.shape[1])[inverse])
+
+    return T.node(y, (x, weight, bias), bw, "backbone_stage")
+
+
 def _patch_indices(w: int, h: int, stride: int) -> np.ndarray:
     """Source-row indices (S_i, stride**2): one row per patch, (di, dj) row-major."""
     out = []
@@ -86,6 +128,7 @@ class Backbone:
         self.weights: list[Tensor] = []
         self.biases: list[Tensor] = []
         self._indices: list[np.ndarray] = []
+        self._inverses: list[np.ndarray] = []
         w, h = config.input_size
         c_in = config.in_channels
         for stride, c_out in zip(config.strides, config.channels):
@@ -94,6 +137,7 @@ class Backbone:
             self.weights.append(Tensor(rng.uniform(-a, a, size=(fan_in, c_out)), requires_grad=True))
             self.biases.append(Tensor(np.zeros(c_out), requires_grad=True))
             self._indices.append(_patch_indices(w, h, stride))
+            self._inverses.append(np.argsort(self._indices[-1], axis=None))
             w, h, c_in = w // stride, h // stride, c_out
 
     def parameters(self) -> dict[str, Tensor]:
@@ -112,7 +156,7 @@ class Backbone:
             raise T.ShapeError(f"backbone: image shape {image.shape}, config expects {expected}")
         x = T.reshape(image, (w * h, cfg.in_channels))
         stages = []
-        for idx, weight, bias in zip(self._indices, self.weights, self.biases):
-            x = T.tanh(T.add_rowvec(T.matmul(T.gather_rows(x, idx), weight), bias))
+        for idx, inv, weight, bias in zip(self._indices, self._inverses, self.weights, self.biases):
+            x = backbone_stage(x, idx, inv, weight, bias)
             stages.append(x)
         return stages

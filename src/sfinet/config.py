@@ -162,7 +162,7 @@ def build_run_config(raw: dict[str, str]) -> RunConfig:
         try:
             adj = float(adj)
         except ValueError as exc:
-            raise ConfigError(f"sir.adjacency_init must be 'auto' or a number, got {adj!r}") from exc
+            raise ConfigError(f"sir.adjacency_init must be 'auto' or a finite number, got {adj!r}") from exc
     sir = SirConfig(channels=values["sir.channels"], heads=values["sir.heads"],
                     gcn_depth=values["sir.gcn_depth"],
                     adjacency_init=None if adj == "auto" else adj)

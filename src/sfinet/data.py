@@ -34,6 +34,12 @@ class DataConfig:
     def __post_init__(self):
         if self.num_classes < 2:
             raise ConfigError(f"data: need at least 2 classes, got {self.num_classes}")
+        if self.patch_size < 1:
+            raise ConfigError(f"data.patch_size must be >= 1, got {self.patch_size}")
+        for key, value in (("signal_amplitude", self.signal_amplitude),
+                           ("noise_amplitude", self.noise_amplitude)):
+            if not math.isfinite(value):
+                raise ConfigError(f"data.{key} must be a finite number, got {value}")
         if self.patch_size > self.image_size:
             raise ConfigError(f"data: patch {self.patch_size} larger than image {self.image_size}")
         if not 0.0 <= self.overlap <= 1.0:

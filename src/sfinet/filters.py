@@ -54,8 +54,9 @@ class AmbiguityParams:
     def __post_init__(self):
         if self.k < 2:
             raise ConfigError(f"ambiguity: k must be >= 2, got {self.k}")
-        if not self.beta_h > self.beta_l > 0:
-            raise ConfigError(f"ambiguity: need beta_h > beta_l > 0, got {self.beta_h}, {self.beta_l}")
+        if not math.inf > self.beta_h > self.beta_l > 0:
+            raise ConfigError("ambiguity.beta_h and ambiguity.beta_l must be finite with "
+                              f"beta_h > beta_l > 0, got {self.beta_h}, {self.beta_l}")
         if not 0.0 < self.gamma1 < 1.0:
             raise ConfigError(f"ambiguity: gamma1 must lie in (0, 1), got {self.gamma1}")
 

@@ -10,7 +10,7 @@ raises :class:`NonFiniteError` naming the op, which doubles as the
 "first non-finite tensor" diagnostic during training.  The check is one
 call on the common path: the sum of squares ``np.vdot(arr, arr)`` is
 finite only if every element is, and the element-wise ``np.isfinite``
-scan runs only when that sum is not (see :func:`node`).  A value that no
+scan runs only when that sum is not (see :func:`finite`).  A value that no
 gradient flows through (a selection score, a reported probability) is
 computed on plain arrays and entered as a checked constant,
 ``node(arr, (), None, name)``: the same check and error, but no parents
@@ -19,11 +19,21 @@ and no backward closure, so the tape only holds differentiable work.
 Most of a sample's cost is the Python work per node, so a chain the
 model always builds the same way is one op with a hand-written backward:
 :func:`pooled_logits` (mean-pool rows, then a linear head),
-:func:`gather_rows` with an ``(M, K)`` index array (a patch gather),
-:func:`cross_entropy`.  Each computes the chain's numpy expressions, so
-values and gradients match the chain bit for bit.  For the same reason a
-mean on the per-sample path is written ``np.add.reduce(x, axis) / n``:
-the arithmetic of ``x.mean(axis)`` to the bit, without its Python wrapper.
+:func:`cross_entropy`, and one op per layer elsewhere
+(``backbone.backbone_stage``; ``concat_stages``,
+``talking_head_attention`` and ``gcn_layer`` in ``reconstitution``).
+Each computes the chain's numpy expressions and adds into its parents in
+the chain's backward order, so values and gradients match the chain bit
+for bit; the primitive ops stay as the tests' reference.  An expression
+both need is an array helper both call (:func:`tanh_grad`,
+:func:`softmax_values`, :func:`softmax_grad`).  A fused op's output is
+checked by :func:`node`; where a later step of its chain would hide a NaN
+or Inf (a tanh maps +-Inf to +-1, a relu or softmax maps -Inf to 0), the
+values before that step are checked with :func:`finite` too, and a
+failed check raises :func:`chain_error`, the error the chain would have
+raised.  For the same reason a mean on the per-sample path is written
+``np.add.reduce(x, axis) / n``: the arithmetic of ``x.mean(axis)`` to the
+bit, without its Python wrapper.
 
 There is no implicit broadcasting.  The only documented broadcast is the
 spatial-mask case of :func:`hadamard` (a ``(W, H)`` mask applied across
@@ -97,11 +107,13 @@ class Tensor:
         return float(self.data)
 
     def zero_grad(self) -> None:
-        """Reset the gradient buffer to zeros (kept allocated for leaves)."""
-        if self.requires_grad:
+        """Reset the gradient buffer to zeros, in place when it already fits the data."""
+        if not self.requires_grad:
+            self.grad = None
+        elif self.grad is None or self.grad.shape != self.data.shape:
             self.grad = np.zeros_like(self.data)
         else:
-            self.grad = None
+            self.grad.fill(0.0)
 
     def backward(self) -> None:
         backward(self)
@@ -119,14 +131,10 @@ def node(data: np.ndarray, parents: Sequence[Tensor],
     the parents via :func:`accumulate`.  Parents are only recorded when at
     least one of them requires grad, so constant subgraphs stay leaves.
 
-    The finiteness check is exact.  Squares are never negative, so a NaN
-    or +-Inf element makes the sum of squares NaN or +Inf, and a finite
-    sum proves every element finite.  An all-finite array can still give
-    +Inf when its squares add up past the float maximum (any element above
-    1.4e154 does); only then does ``np.isfinite`` run, and it decides.
+    The output is checked with :func:`finite`.
     """
     arr = np.asarray(data, dtype=np.float64)
-    if not math.isfinite(np.vdot(arr, arr)) and not np.isfinite(arr).all():
+    if not finite(arr):
         raise NonFiniteError(f"op '{op}' produced non-finite values")
     out = Tensor.__new__(Tensor)
     out.data = arr
@@ -139,6 +147,31 @@ def node(data: np.ndarray, parents: Sequence[Tensor],
             return out
     out.requires_grad, out._parents, out._backward_fn = False, (), None
     return out
+
+
+def finite(arr: np.ndarray) -> bool:
+    """Whether every element of ``arr`` is finite, exactly and mostly in one call.
+
+    Squares are never negative, so a NaN or +-Inf element makes the sum of
+    squares NaN or +Inf, and a finite sum proves every element finite.  An
+    all-finite array can still give +Inf when its squares add up past the
+    float maximum (any element above 1.4e154 does); only then does
+    ``np.isfinite`` run, and it decides.
+    """
+    return math.isfinite(np.vdot(arr, arr)) or bool(np.isfinite(arr).all())
+
+
+def chain_error(steps: Sequence[tuple[str, np.ndarray]]) -> NonFiniteError:
+    """The error a chain of ops raises: it names the first step that is not all finite.
+
+    A fused op calls this once one of its checks has failed, with the
+    chain's intermediate values in creation order and the failed value
+    last, so the error is the one the primitive chain would have raised.
+    """
+    for op, arr in steps:
+        if not np.isfinite(arr).all():
+            break
+    return NonFiniteError(f"op '{op}' produced non-finite values")
 
 
 def accumulate(t: Tensor, g: np.ndarray) -> None:
@@ -373,11 +406,16 @@ def relu(a: Tensor) -> Tensor:
     return node(np.maximum(a.data, 0.0), (a,), bw, "relu")
 
 
+def tanh_grad(g: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The gradient through ``y = tanh(x)``: ``g * (1 - y**2)``."""
+    return g * (1.0 - y * y)
+
+
 def tanh(a: Tensor) -> Tensor:
     y = np.tanh(a.data)
 
     def bw(g):
-        accumulate(a, g * (1.0 - y * y))
+        accumulate(a, tanh_grad(g, y))
 
     return node(y, (a,), bw, "tanh")
 
@@ -392,19 +430,33 @@ def log(a: Tensor) -> Tensor:
     return node(y, (a,), bw, "log")
 
 
+def softmax_values(x: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Max-shifted softmax of an array along ``axis``, in one buffer: ``out`` or a fresh one.
+
+    ``out`` may be ``x`` itself.
+    """
+    y = np.subtract(x, x.max(axis=axis, keepdims=True), out=out)
+    np.exp(y, out=y)
+    y /= y.sum(axis=axis, keepdims=True)
+    return y
+
+
+def softmax_grad(g: np.ndarray, y: np.ndarray, axis: int) -> np.ndarray:
+    """The gradient through ``y = softmax(x)``: ``y * (g - sum(g * y))`` in one buffer."""
+    d = g * y
+    np.subtract(g, d.sum(axis=axis, keepdims=True), out=d)
+    d *= y
+    return d
+
+
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     """Stable softmax along ``axis``; each slice sums to 1."""
     if not -a.ndim <= axis < a.ndim:
         raise ShapeError(f"softmax: axis {axis} invalid for shape {a.shape}")
-    y = a.data - a.data.max(axis=axis, keepdims=True)
-    np.exp(y, out=y)
-    y /= y.sum(axis=axis, keepdims=True)
+    y = softmax_values(a.data, axis)
 
     def bw(g):
-        d = g * y
-        np.subtract(g, d.sum(axis=axis, keepdims=True), out=d)
-        d *= y
-        accumulate(a, d)
+        accumulate(a, softmax_grad(g, y, axis))
 
     return node(y, (a,), bw, "softmax")
 

@@ -16,6 +16,7 @@ and comes out bit for bit what the batch-loss backward gives.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -40,14 +41,17 @@ class TrainConfig:
     augment: bool = False
 
     def __post_init__(self):
-        if self.xi < 0:
-            raise ConfigError(f"train: xi must be >= 0, got {self.xi}")
-        if self.lr < 0:
-            raise ConfigError(f"train: lr must be >= 0, got {self.lr}")
+        # each bound is written so that NaN fails it
+        for key, value in (("xi", self.xi), ("lr", self.lr), ("momentum", self.momentum),
+                           ("weight_decay", self.weight_decay)):
+            if not 0.0 <= value < math.inf:
+                raise ConfigError(f"train.{key} must be a finite number >= 0, got {value}")
         if self.batch_size < 1:
             raise ConfigError(f"train: batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 1:
             raise ConfigError(f"train: epochs must be >= 1, got {self.epochs}")
+        if self.seed < 0:
+            raise ConfigError(f"train.seed must be >= 0, got {self.seed}")
 
 
 class TrainAbort(RuntimeError):

@@ -16,9 +16,11 @@ from sfinet.data import make_synthetic
 from sfinet.filters import (AmbiguityParams, NoiseParams, ambiguity_mask, apply_mask,
                             noise_select, topk_weights)
 from sfinet.gradcheck import check_grad, check_model
-from sfinet.reconstitution import (attend, gcn_forward, head_mix, merge_heads,
-                                   pairwise_scores, project_heads, semantic_reassembly,
-                                   talking_head_attention)
+from sfinet import reconstitution as R
+from sfinet.backbone import backbone_stage
+from sfinet.reconstitution import (attend, concat_stages, gcn_forward, gcn_layer, head_mix,
+                                   merge_heads, pairwise_scores, project_heads,
+                                   semantic_reassembly, talking_head_attention)
 from sfinet.tensor import Tensor
 from sfinet.train import metrics_csv, total_loss, train
 
@@ -149,6 +151,31 @@ def _op_cases(rng):
     cases.append(("semantic_reassembly",
                   lambda: T.sum_all(T.tanh(semantic_reassembly(sr_g, wp, ws, wn))),
                   {"sr_g": sr_g, "wp": wp, "ws": ws, "wn": wn}))
+    logits = a(5)
+    cases.append(("cross_entropy", lambda: T.cross_entropy(logits, 2), {"logits": logits}))
+    rows, head = a(5, 4), a(4, 3)
+    cases.append(("pooled_logits", lambda: T.sum_all(T.tanh(T.pooled_logits(rows, head))),
+                  {"rows": rows, "head": head}))
+    # the one-op layers; the patches are any permutation of the input rows
+    patches = rng.permutation(16).reshape(4, 4)
+    inverse = np.argsort(patches, axis=None)
+    grid, pw, pb = a(16, 2), a(8, 3), a(3)
+    cases.append(("backbone_stage",
+                  lambda: T.sum_all(T.tanh(backbone_stage(grid, patches, inverse, pw, pb))),
+                  {"grid": grid, "pw": pw, "pb": pb}))
+    s1, s2, p1, p2 = a(3, 2), a(2, 4), a(2, 3), a(4, 3)
+    cases.append(("concat_stages", lambda: T.sum_all(T.tanh(concat_stages([s1, s2], [p1, p2]))),
+                  {"s1": s1, "s2": s2, "p1": p1, "p2": p2}))
+    tb, twq, twk, twv, tmix = a(4, 6), a(2, 6, 3), a(2, 6, 3), a(2, 6, 3), a(2, 2)
+    cases.append(("talking_head_attention",
+                  lambda: T.sum_all(T.tanh(talking_head_attention(tb, twq, twk, twv, tmix)[0])),
+                  {"tb": tb, "twq": twq, "twk": twk, "twv": twv, "tmix": tmix}))
+    # positive operands keep every relu input away from its kink
+    gx = Tensor(rng.uniform(0.5, 1.5, (4, 3)), requires_grad=True)
+    gad = Tensor(rng.uniform(0.5, 1.5, (4, 4)), requires_grad=True)
+    gw = Tensor(rng.uniform(0.5, 1.5, (3, 2)), requires_grad=True)
+    cases.append(("gcn_layer", lambda: T.sum_all(T.tanh(gcn_layer(gx, gad, gw))),
+                  {"gx": gx, "gad": gad, "gw": gw}))
     return cases
 
 
@@ -169,6 +196,29 @@ def test_criterion_04_gradient_suite():
         print(f"\n  per-op worst rel err {worst_op:.3e}; "
               f"end-to-end worst {max(r.max_rel_err for r in rows):.3e} "
               f"over {len(rows)} parameter tensors")
+
+
+@pytest.mark.parametrize("overrides", [{}, {"model.bypass_filters": "true"}],
+                         ids=["default", "bypass"])
+def test_every_op_on_a_training_tape_has_a_gradcheck_case(monkeypatch, overrides):
+    """A new op on the model's path needs a case in criterion 04's suite."""
+    cases = {part for name, _, _ in _op_cases(np.random.default_rng(0)) for part in name.split("+")}
+    taped = set()
+    node = T.node
+
+    def recording_node(data, parents, backward_fn, op):
+        if parents:  # a checked constant has no parents and no backward to check
+            taped.add(op)
+        return node(data, parents, backward_fn, op)
+
+    monkeypatch.setattr(T, "node", recording_node)
+    monkeypatch.setattr(R, "node", recording_node)
+    cfg = C.build_run_config(overrides)
+    ds, model, _ = C.build_experiment(cfg)
+    res = model.forward(ds.train_images[0], int(ds.train_labels[0]))
+    T.scale(total_loss(res.filter_loss, res.class_loss, cfg.train.xi), 0.5).backward()
+    assert {"backbone_stage", "talking_head_attention"} <= taped
+    assert taped - cases == set()
 
 
 def test_criterion_05_algebraic_identities():

@@ -10,13 +10,28 @@ from sfinet import cli
 from sfinet import config as C
 from sfinet import tensor as T
 from sfinet.serialization import load_checkpoint, load_tensor, save_checkpoint, save_tensor
-from sfinet.tensor import Tensor, accumulate, node
+from sfinet.tensor import Tensor
 
 TINY = ["--preset", "tiny"]
 
 
 def run_cli(args):
     return cli.main([str(a) for a in args])
+
+
+@pytest.mark.parametrize("key, value", [
+    ("sir.heads", "0"), ("sir.channels", "0"), ("backbone.in_channels", "0"),
+    ("backbone.channels", "0,6"), ("data.patch_size", "-1"), ("data.patch_size", "0"),
+    ("train.lr", "nan"), ("train.momentum", "nan"), ("train.xi", "inf"),
+    ("train.weight_decay", "-inf"), ("sir.adjacency_init", "nan"), ("sir.adjacency_init", "-inf"),
+    ("data.noise_amplitude", "nan"), ("data.signal_amplitude", "inf"), ("ambiguity.beta_h", "inf"),
+    ("train.seed", "-1"),
+])
+def test_out_of_domain_value_exits_2_naming_the_key(tmp_path, capsys, key, value):
+    rc = run_cli(["train", *TINY, "--set", f"{key}={value}", "--out", tmp_path / "run", "--quiet"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err and "Traceback" not in err
 
 
 class TestTrainCommand:
@@ -314,21 +329,9 @@ class TestGradcheckCommand:
         assert "worst per module" in out
 
     def test_corrupted_backward_detected(self, monkeypatch, capsys):
-        real_tanh = T.tanh
-
-        def broken_tanh(a):
-            y = np.tanh(a.data)
-
-            def bw(g):
-                accumulate(a, g * 0.5)  # wrong rule
-
-            return node(y, (a,), bw, "tanh")
-
-        monkeypatch.setattr(T, "tanh", broken_tanh)
-        try:
-            rc = run_cli(["gradcheck"])
-        finally:
-            monkeypatch.setattr(T, "tanh", real_tanh)
+        # a wrong tanh derivative in the backbone stage's backward
+        monkeypatch.setattr(T, "tanh_grad", lambda g, y: g * 0.5)
+        rc = run_cli(["gradcheck"])
         assert rc == 1
         assert "FAIL" in capsys.readouterr().out
 

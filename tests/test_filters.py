@@ -444,14 +444,17 @@ class TestCheckedConstants:
         # recorded when the selection values were still tape ops, less the four
         # hadamard masks the features no longer pass through, the eleven
         # reshapes the (W, H, C) stage maps needed before features became rows,
-        # and the mean_rows/reshape/matmul/reshape chains that pooled_logits
-        # and the (S_i, stride**2) patch gathers replaced
+        # the mean_rows/reshape/matmul/reshape chains that pooled_logits and the
+        # (S_i, stride**2) patch gathers replaced, and the chains that became
+        # one op per layer: each backbone stage (gather_rows, matmul,
+        # add_rowvec, tanh), the stage concat (four matmuls, concat_rows),
+        # the attention (three project_heads, pairwise_scores, scale, softmax,
+        # attend, head_mix, merge_heads) and the GCN layer (two matmuls, relu)
         assert counts == {
-            "add": 1, "add_n": 1, "add_rowvec": 4, "attend": 1, "concat_rows": 1,
-            "cross_entropy": 5, "gather_rows": 7, "head_mix": 1, "leaf": 26,
-            "matmul": 10, "merge_heads": 1, "pairwise_scores": 1, "pooled_logits": 5,
-            "project_heads": 3, "relu": 1, "scale": 2,
-            "semantic_reassembly": 1, "softmax": 1, "tanh": 4,
+            "add": 1, "add_n": 1, "backbone_stage": 4, "concat_stages": 1,
+            "cross_entropy": 5, "gather_rows": 4, "gcn_layer": 1, "leaf": 26,
+            "pooled_logits": 5, "scale": 1, "semantic_reassembly": 1,
+            "talking_head_attention": 1,
         }
 
     def test_tape_size_of_a_default_sample(self, monkeypatch):
@@ -473,7 +476,7 @@ class TestCheckedConstants:
         res = model.forward(ds.train_images[0], int(ds.train_labels[0]))
         total_loss(res.filter_loss, res.class_loss, cfg.train.xi)
         # every node one training sample creates, checked constants included
-        assert len(ops) == 78
+        assert len(ops) == 52
 
 
 class TestDeferredBypassValues:
@@ -506,7 +509,7 @@ class TestDeferredBypassValues:
         deferred = {"class_maps", "coarse_pool", "ambiguity_map", "masked_maps", "noise_scores"}
         assert deferred.isdisjoint(ops)
         # every node one training sample creates, checked constants included
-        assert len(ops) == 54
+        assert len(ops) == 28
         for art in res.artifacts:
             art.noise_scores
         assert ops.count("class_maps") == ops.count("noise_scores") == len(res.artifacts)

@@ -266,6 +266,19 @@ class TestAccumulate:
         T.accumulate(t, np.ones(2))
         assert t.grad is None
 
+    def test_zero_grad_reuses_a_fitting_buffer(self):
+        p = Tensor(np.ones((2, 3)), requires_grad=True)
+        buf = p.grad
+        T.accumulate(p, np.full((2, 3), -1.5))
+        p.zero_grad()
+        assert p.grad is buf and p.grad.tobytes() == np.zeros((2, 3)).tobytes()
+        p.grad = np.ones(4)  # a buffer that does not fit is replaced
+        p.zero_grad()
+        assert p.grad.shape == (2, 3) and not p.grad.any()
+        out = T.scale(p, 2.0)  # an op output has no buffer until its backward
+        out.zero_grad()
+        assert out.grad.shape == (2, 3) and not out.grad.any()
+
 
 class TestCompGraph:
     def test_topological_order_and_single_visit(self, rng):

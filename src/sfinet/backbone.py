@@ -15,12 +15,13 @@ fancy index lays each patch's input rows side by side as the
 ``(S_i, stride**2 * C_{i-1})`` matrix the stage's linear embedding takes.
 
 Each stage is one tape op, :func:`backbone_stage`, in place of the chain
-``gather_rows``, ``matmul``, ``add_rowvec``, ``tanh``, with the same values
-and gradients bit for bit.  Strides divide the grid exactly, so the patches
-use every input row once and the backward's scatter is a permutation,
-inverted once per stage when the backbone is built.  The values entering
-the tanh are checked for NaN/Inf, because the tanh would map an Inf to
-+-1; the stage's output is checked when its node is made.
+``gather_rows``, ``reshape``, ``matmul``, ``add_rowvec``, ``tanh``, with
+the same values and gradients bit for bit.  Strides divide the grid
+exactly, so the patches use every input row once and the backward's
+scatter is a permutation, inverted once per stage when the backbone is
+built.  The values entering the tanh are checked for NaN/Inf, because the
+tanh would map an Inf to +-1; the stage's output is checked when its node
+is made.
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ class BackboneConfig:
 
 def backbone_stage(x: Tensor, patches: np.ndarray, inverse: np.ndarray,
                    weight: Tensor, bias: Tensor) -> Tensor:
-    """One stage, ``tanh(gather_rows(x, patches) @ weight + bias)``.
+    """One stage, ``tanh(x[patches].reshape(S_i, -1) @ weight + bias)``.
 
     ``patches`` is an ``(S_i, K)`` index array that uses every row of ``x``
     exactly once, and ``inverse`` is the inverse permutation of its

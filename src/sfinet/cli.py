@@ -7,6 +7,7 @@ The environment variable ``SFI_SEED`` overrides the configured seed.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -15,7 +16,7 @@ from . import gradcheck as GC
 from .export import export_adjacency, export_stage_maps
 from .serialization import (SerializationError, atomic_open, load_checkpoint, load_tensor,
                             make_dirs, save_tensor)
-from .tensor import ConfigError, NonFiniteError
+from .tensor import ConfigError, NonFiniteError, finite
 from .train import TrainAbort, evaluate, train
 
 
@@ -63,20 +64,26 @@ def cmd_export_maps(args) -> int:
     expected = (*cfg.backbone.input_size, cfg.backbone.in_channels)
     if image.shape != expected:
         raise ConfigError(f"image shape {image.shape} does not match backbone input {expected}")
+    if not finite(image):
+        raise ConfigError(f"{args.image}: image holds NaN or Inf values")
     res = model.forward(image)
     image_id = os.path.splitext(os.path.basename(args.image))[0]
     written = []
-    for i, (art, (w, h, _)) in enumerate(zip(res.artifacts, cfg.backbone.stage_shapes())):
+    arts = model.filter_stages(res.stages)
+    for i, (art, (w, h, _)) in enumerate(zip(arts, cfg.backbone.stage_shapes())):
         written += export_stage_maps(args.out, image_id, i, art, (w, h))
     written += export_adjacency(args.out, image_id, model.adjacency.data)
     attn_path = os.path.join(args.out, f"{image_id}_attention.csv")
-    save_tensor(attn_path, res.semantic.attention.data)
+    save_tensor(attn_path, res.attention.data)
     written.append(attn_path)
     print(f"wrote {len(written)} files to {args.out}")
     return 0
 
 
 def cmd_gradcheck(args) -> int:
+    for flag, value in (("--step", args.step), ("--tol", args.tol)):
+        if not 0.0 < value < math.inf:
+            raise ConfigError(f"{flag} must be finite and > 0, got {value}")
     cfg = _load_config(args.config, args.set, args.preset or "tiny")
     dataset, model, _ = C.build_experiment(cfg)
     image = dataset.train_images[0]
@@ -103,9 +110,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--config", help="path to a section.key = value config file")
-        p.add_argument("--preset", choices=sorted(C.PRESETS),
-                       help="named built-in configuration")
+        source = p.add_mutually_exclusive_group()
+        source.add_argument("--config", help="path to a section.key = value config file")
+        source.add_argument("--preset", choices=sorted(C.PRESETS),
+                            help="named built-in configuration")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override a config key (repeatable)")
 

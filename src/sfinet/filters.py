@@ -24,10 +24,10 @@ class-map projection therefore gets no gradient from the loss, only
 weight decay, and no ranking depends on its scale.  All tie-breaks are by
 lower row index so results are totally ordered and reproducible.
 
-With the filters on, the forward computes those values because the
-selection reads them.  With the filters bypassed nothing in the forward
-does, so they are computed when an export first reads them, and a NaN
-or Inf among them is reported at that read.
+With the filters bypassed the mask is all ones and every row is kept, so
+the kept rows are the features tensor itself and a forward reads nothing
+else from the filter pass: the model then runs no filter pass, and an
+export that wants a stage's maps runs :func:`filter_stage` for them.
 """
 
 from __future__ import annotations
@@ -78,15 +78,12 @@ class NoiseParams:
             raise ConfigError(f"noise: gamma2 must lie in (0, 1), got {self.gamma2}")
 
 
-def kept_rows(s: int, gamma: float, bypass: bool = False) -> int:
+def kept_rows(s: int, gamma: float) -> int:
     """Positions a filter keeps of ``s`` when it drops the fraction ``gamma``.
 
     floor((1 - gamma) * s): the ambiguity mask's ones for gamma1, the noise
-    filter's rows for gamma2.  With the filters bypassed every position is
-    kept.
+    filter's rows for gamma2.
     """
-    if bypass:
-        return s
     return math.floor((1.0 - gamma) * s)
 
 
@@ -120,25 +117,16 @@ class NoiseSelection(NamedTuple):
     scores: Tensor
 
 
-class FilterArtifacts:
+class FilterArtifacts(NamedTuple):
     """Everything one stage's filter pass produces, kept for export.
 
     ``maps`` are the per-row class scores M, shape (S, N), and ``coarse``
     their pooled prediction p; the ambiguity map, mask and noise scores
     are (S,).  Invariants: the mask has exactly floor((1 - gamma1) * S)
     ones; selected_indices has floor((1 - gamma2) * S) row indices, each
-    at a mask=1 row, in descending noise-score order.  Only
-    selected_features is on the tape.
-
-    With the filters on, every value is computed here, in the order the
-    selection reads them.  With ``bypass`` the kept rows are the features
-    tensor itself and no other value feeds the forward, so the rest
-    (maps, coarse, topk_indices, weights, ambiguity_map, mask,
-    masked_maps, noise_scores, selected_indices) are computed together
-    when the first of them is read.  They come from the feature and
-    projection arrays of the forward, which an optimizer step leaves as
-    they were (it rebinds a parameter's ``.data``).  A NaN or Inf among
-    them raises ``NonFiniteError`` at that read, not in the forward.
+    at a mask=1 row, in descending noise-score order (with the filters
+    bypassed: S ones and every row in order).  Only selected_features is
+    on the tape.
     """
     maps: Tensor
     coarse: Tensor
@@ -150,40 +138,6 @@ class FilterArtifacts:
     noise_scores: Tensor
     selected_indices: list[int]
     selected_features: Tensor
-
-    def __init__(self, features: Tensor, projection: Tensor, amb: AmbiguityParams,
-                 noise: NoiseParams, bypass: bool):
-        self._inputs = (features.data, projection.data, amb, noise.gamma2)
-        if bypass:
-            self.selected_features = features
-        else:
-            self._filter(features)
-
-    def __getattr__(self, name: str):
-        # reached only for a value not set yet: a deferred bypass value
-        if name not in FilterArtifacts.__annotations__:
-            raise AttributeError(name)
-        self._filter(None)
-        return self.__dict__[name]
-
-    def _filter(self, features: Tensor | None) -> None:
-        """Compute every value; ``features`` is None when the filters are bypassed."""
-        rows, projection, amb, gamma2 = self._inputs
-        maps, coarse = class_maps(rows, projection)
-        topk, weights = topk_weights(coarse, amb)
-        amb_map = ambiguity_map(maps, topk, weights)
-        bypass = features is None
-        mask = Tensor(np.ones(amb_map.shape)) if bypass else ambiguity_mask(amb_map, amb.gamma1)
-        masked_maps = apply_mask(mask, maps)
-        if bypass:
-            sel = NoiseSelection(list(range(rows.shape[0])), self.selected_features,
-                                 _noise_scores(masked_maps))
-        else:
-            sel = noise_select(masked_maps, features, gamma2, keep_mask=mask)
-        self.__dict__.update(maps=maps, coarse=coarse, topk_indices=topk, weights=weights,
-                             ambiguity_map=amb_map, mask=mask, masked_maps=masked_maps,
-                             noise_scores=sel.scores, selected_indices=sel.indices,
-                             selected_features=sel.selected)
 
 
 def _values(x) -> np.ndarray:
@@ -286,17 +240,24 @@ def noise_select(masked_maps: Tensor, features: Tensor, gamma2: float,
 
 def filter_stage(features: Tensor, projection: Tensor, amb: AmbiguityParams,
                  noise: NoiseParams, bypass: bool = False) -> FilterArtifacts:
-    """Run one stage through both filters.
+    """Run one stage through both filters, computing every value in selection order.
 
     ``features`` are the stage's (S, C) rows.  With ``bypass`` the mask
     is all ones and every row is kept in order, so the kept rows are the
-    features tensor itself.  The class maps, the ambiguity map, the noise
-    scores and the other export-only values are then computed when first
-    read, so a forward that exports nothing pays for none of them, and a
-    non-finite one raises ``NonFiniteError`` at that read (see
-    :class:`FilterArtifacts`).
+    features tensor itself; every other value is computed as with the
+    filters on.
     """
-    return FilterArtifacts(features, projection, amb, noise, bypass)
+    maps, coarse = class_maps(features, projection)
+    topk, weights = topk_weights(coarse, amb)
+    amb_map = ambiguity_map(maps, topk, weights)
+    mask = Tensor(np.ones(amb_map.shape)) if bypass else ambiguity_mask(amb_map, amb.gamma1)
+    masked_maps = apply_mask(mask, maps)
+    if bypass:
+        sel = NoiseSelection(list(range(features.shape[0])), features, _noise_scores(masked_maps))
+    else:
+        sel = noise_select(masked_maps, features, noise.gamma2, keep_mask=mask)
+    return FilterArtifacts(maps, coarse, topk, weights, amb_map, mask, masked_maps,
+                           sel.scores, sel.indices, sel.selected)
 
 
 def filter_loss(selected_per_stage: Sequence[Tensor], classifiers: Sequence[Tensor],

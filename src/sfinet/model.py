@@ -31,12 +31,17 @@ def _uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> n
 
 @dataclass
 class ForwardResult:
-    """Per-sample outputs: probabilities, losses, and one filter record per stage."""
+    """Per-sample outputs: probabilities, losses, stage rows and attention weights.
+
+    ``stages`` are the backbone's (S_i, C_i) rows, from which
+    :meth:`SFINet.filter_stages` gives the filter records; ``attention``
+    holds the (H, S, S) softmax weights, off the tape.
+    """
     probs: np.ndarray
     class_loss: Tensor | None
     filter_loss: Tensor | None
-    artifacts: list[F.FilterArtifacts]
-    semantic: R.SemanticState
+    stages: list[Tensor]
+    attention: Tensor
 
 
 class SFINet:
@@ -80,7 +85,8 @@ class SFINet:
         self.wv = Tensor(_uniform(rng, (sir_cfg.heads, cc, d), cc), requires_grad=True)
         self.mix = Tensor(np.eye(sir_cfg.heads), requires_grad=True)
 
-        self.seq_len = sum(F.kept_rows(w * h, noise.gamma2, bypass_filters) for w, h, _ in shapes)
+        self.seq_len = sum(w * h if bypass_filters else F.kept_rows(w * h, noise.gamma2)
+                           for w, h, _ in shapes)
         a0 = sir_cfg.adjacency_init if sir_cfg.adjacency_init is not None else 1.0 / self.seq_len
         self.adjacency = Tensor(np.full((self.seq_len, self.seq_len), a0), requires_grad=True)
         self.gcn_weights = [Tensor(_uniform(rng, (cc, cc), cc), requires_grad=True)
@@ -133,27 +139,35 @@ class SFINet:
         for name, p in params.items():
             p.data = arrays[name].copy()
 
+    def filter_stages(self, stages: list[Tensor]) -> list[F.FilterArtifacts]:
+        """One filter record per stage of ``stages``, a forward's backbone rows.
+
+        The forward reads only the kept rows, and with the filters bypassed
+        it runs no filter pass, so an export asks here for the records.
+        """
+        return [F.filter_stage(feats, proj, self.amb, self.noise, bypass=self.bypass_filters)
+                for feats, proj in zip(stages, self.class_projs)]
+
     def forward(self, image, label: int | None = None) -> ForwardResult:
         img = image if isinstance(image, Tensor) else Tensor(image)
-        arts = [F.filter_stage(feats, proj, self.amb, self.noise, bypass=self.bypass_filters)
-                for feats, proj in zip(self.backbone.forward(img), self.class_projs)]
+        stages = self.backbone.forward(img)
+        selected = (stages if self.bypass_filters
+                    else [a.selected_features for a in self.filter_stages(stages)])
 
-        concatenated = R.concat_stages([a.selected_features for a in arts], self.stage_projs)
+        concatenated = R.concat_stages(selected, self.stage_projs)
         reassembled = R.semantic_reassembly(concatenated, self.sr_prev, self.sr_self, self.sr_next)
         attended, attn = R.talking_head_attention(reassembled, self.wq, self.wk, self.wv, self.mix)
         reconstituted = R.gcn_forward(attended, self.adjacency, self.gcn_weights)
         logits = R.classify(reconstituted, self.classifier)
-        semantic = R.SemanticState(concatenated, reassembled, attended, attn, reconstituted)
 
         class_loss = None
         f_loss = None
         if label is not None:
             class_loss = T.cross_entropy(logits, label)
-            f_loss = F.filter_loss([a.selected_features for a in arts],
-                                   self.filter_cls, int(label), self.n_classes)
+            f_loss = F.filter_loss(selected, self.filter_cls, int(label), self.n_classes)
         # reported only: a parent without grad keeps it a checked constant off the tape
         probs = T.softmax(Tensor(logits.data)).data
-        return ForwardResult(probs, class_loss, f_loss, arts, semantic)
+        return ForwardResult(probs, class_loss, f_loss, stages, attn)
 
     def predict(self, image) -> int:
         return int(np.argmax(self.forward(image).probs))

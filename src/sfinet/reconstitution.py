@@ -55,16 +55,6 @@ class SirConfig:
             raise ConfigError(f"sir: gcn_depth must be >= 1, got {self.gcn_depth}")
 
 
-@dataclass
-class SemanticState:
-    """Intermediate values of one reconstitution pass."""
-    concatenated: Tensor
-    reassembled: Tensor
-    attended: Tensor
-    attention: Tensor
-    reconstituted: Tensor
-
-
 def concat_stages(selected: list[Tensor], projections: list[Tensor]) -> Tensor:
     """Project each stage's rows to the common width and stack in stage order."""
     if not selected:

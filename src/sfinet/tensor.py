@@ -340,30 +340,22 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
 
 
 def gather_rows(a: Tensor, indices: Sequence[int] | np.ndarray) -> Tensor:
-    """Select rows by index; backward scatter-adds into the source rows.
+    """Select rows ``a[indices]`` by flat ``(M,)`` indices.
 
-    Flat indices ``(M,)`` give the rows ``a[indices]``.  An ``(M, K)``
-    index array gathers K rows of an ``(R, C)`` matrix per output row and
-    lays them side by side, giving ``(M, K * C)``: row m is
-    ``a[indices[m]]`` flattened, which is how the backbone builds its
-    patches.  Repeated indices add their gradients.
+    Backward scatter-adds into the source rows, so repeated indices add
+    their gradients.
     """
     idx = np.asarray(indices, dtype=np.intp)
-    if idx.ndim == 1:
-        out = a.data[idx]
-    elif idx.ndim == 2 and a.ndim == 2:
-        out = a.data[idx].reshape(idx.shape[0], -1)
-    else:
+    if idx.ndim != 1:
         raise ShapeError(f"gather_rows: indices of shape {idx.shape} do not fit rows of shape {a.shape}")
-    flat = idx.ravel()
 
     def bw(g):
         if a.requires_grad:
             ga = np.zeros_like(a.data)
-            np.add.at(ga, flat, g.reshape(flat.shape[0], *a.shape[1:]))
+            np.add.at(ga, idx, g)
             accumulate(a, ga)
 
-    return node(out, (a,), bw, "gather_rows")
+    return node(a.data[idx], (a,), bw, "gather_rows")
 
 
 def gather_cols(a: Tensor, indices: Sequence[int]) -> Tensor:

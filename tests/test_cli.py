@@ -248,8 +248,9 @@ class TestExportMapsCommand:
         model2.load_state(load_checkpoint(run_dir / "checkpoint.csv"))
         res = model2.forward(load_tensor(img_path))
         shapes = cfg.backbone.stage_shapes()
-        assert len(res.artifacts) == len(shapes)
-        for stage, (art, (w, h, _)) in enumerate(zip(res.artifacts, shapes)):
+        arts = model2.filter_stages(res.stages)
+        assert len(arts) == len(shapes)
+        for stage, (art, (w, h, _)) in enumerate(zip(arts, shapes)):
             flat = {"ambiguity": art.ambiguity_map.data, "mask": art.mask.data,
                     "noise": art.noise_scores.data}
             flat.update({f"class{c}": art.maps.data[:, c] for c in art.topk_indices})
@@ -260,8 +261,8 @@ class TestExportMapsCommand:
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
     def test_bypass_class_maps_overflow_exits_1_naming_op(self, tmp_path, capsys):
-        # under bypass nothing in the forward reads the class maps, so their
-        # overflow surfaces only when export-maps reads them
+        # under bypass the forward runs no filter pass, so the class maps'
+        # overflow surfaces only when export-maps asks for the filter records
         bypass = [*TINY, "--set", "model.bypass_filters=true"]
         cfg = C.build_run_config(C.apply_overrides(dict(C.PRESETS["tiny"]),
                                                    ["model.bypass_filters=true"]))
@@ -286,6 +287,20 @@ class TestExportMapsCommand:
         assert rc == 2
         assert "/nope/img.csv" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_image_exits_2_naming_it(self, tmp_path, capsys, bad):
+        ckpt, img = tmp_path / "ckpt.csv", tmp_path / "img.csv"
+        save_checkpoint(ckpt, C.build_experiment(C.preset("tiny"))[1].parameters())
+        image = np.ones((8, 8, 3))
+        image[3, 4, 1] = bad
+        save_tensor(img, image)
+        rc = run_cli(["export-maps", *TINY, "--checkpoint", ckpt, "--image", img,
+                      "--out", tmp_path / "maps"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {img}: image holds NaN or Inf values") and "Traceback" not in err
+        assert not (tmp_path / "maps").exists()
+
     def test_wrong_image_shape_exits_2(self, tmp_path, capsys):
         run_dir = tmp_path / "run"
         assert run_cli(["train", *TINY, "--out", run_dir, "--quiet"]) == 0
@@ -295,6 +310,16 @@ class TestExportMapsCommand:
                       "--image", img_path, "--out", tmp_path / "maps"])
         assert rc == 2
         assert "image shape" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "export-maps", "gradcheck"])
+def test_config_and_preset_together_exit_2(tmp_path, capsys, command):
+    conf = tmp_path / "conf.txt"
+    conf.write_text("train.epochs = 1\n")
+    with pytest.raises(SystemExit) as exc:
+        run_cli([command, "--config", conf, "--preset", "tiny"])
+    assert exc.value.code == 2
+    assert "argument --preset: not allowed with argument --config" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("case", ["config-not-utf8", "config-dir", "checkpoint-dir", "image-dir"])
@@ -327,6 +352,17 @@ class TestGradcheckCommand:
                      "sir.attn.mix", "sir.gcn.adjacency", "sir.classifier"):
             assert name in out
         assert "worst per module" in out
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--step", "0"), ("--step", "-1e-6"), ("--step", "nan"), ("--step", "inf"),
+        ("--tol", "0"), ("--tol", "-1"), ("--tol", "nan"), ("--tol", "inf"),
+    ])
+    def test_unusable_step_or_tol_exits_2_naming_the_flag(self, capsys, flag, value):
+        rc = run_cli(["gradcheck", f"{flag}={value}"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {flag} must be finite and > 0, got ")
+        assert captured.out == ""
 
     def test_corrupted_backward_detected(self, monkeypatch, capsys):
         # a wrong tanh derivative in the backbone stage's backward

@@ -480,7 +480,7 @@ class TestCheckedConstants:
 
 
 class TestDeferredBypassValues:
-    """With the filters bypassed, the export-only values are computed when read."""
+    """With the filters bypassed, the forward runs no filter pass; export asks for one."""
 
     @staticmethod
     def bypass_sample():
@@ -506,39 +506,12 @@ class TestDeferredBypassValues:
         monkeypatch.setattr(R, "node", counting_node)
         res = model.forward(image, label)
         total_loss(res.filter_loss, res.class_loss, cfg.train.xi)
-        deferred = {"class_maps", "coarse_pool", "ambiguity_map", "masked_maps", "noise_scores"}
-        assert deferred.isdisjoint(ops)
+        filter_values = {"class_maps", "coarse_pool", "ambiguity_map", "masked_maps", "noise_scores"}
+        assert filter_values.isdisjoint(ops)
         # every node one training sample creates, checked constants included
         assert len(ops) == 28
-        for art in res.artifacts:
-            art.noise_scores
-        assert ops.count("class_maps") == ops.count("noise_scores") == len(res.artifacts)
-
-    def test_values_are_the_forward_time_ones_after_a_step(self):
-        from sfinet.train import sgd_momentum_step, total_loss
-
-        cfg, model, image, label = self.bypass_sample()
-        res = model.forward(image, label)
-        projs = [p.data for p in model.class_projs]
-        total_loss(res.filter_loss, res.class_loss, cfg.train.xi).backward()
-        params = model.parameters()
-        state = {name: np.zeros_like(p.data) for name, p in params.items()}
-        sgd_momentum_step(params, state, lr=0.5, momentum=0.9, weight_decay=0.1)
-        for art, proj, new in zip(res.artifacts, projs, model.class_projs):
-            assert not np.array_equal(new.data, proj)
-            feats = art.selected_features
-            maps, coarse = class_maps(feats, Tensor(proj))
-            topk, weights = topk_weights(coarse, model.amb)
-            amb_map = ambiguity_map(maps, topk, weights)
-            mask = Tensor(np.ones(feats.shape[0]))
-            masked = apply_mask(mask, maps)
-            assert art.topk_indices == topk and art.weights is weights
-            assert art.selected_indices == list(range(feats.shape[0]))
-            pairs = [(art.maps, maps), (art.coarse, coarse), (art.ambiguity_map, amb_map),
-                     (art.mask, mask), (art.masked_maps, masked),
-                     (art.noise_scores, Tensor(masked.data.mean(axis=1)))]
-            for got, want in pairs:
-                assert got.shape == want.shape and got.data.tobytes() == want.data.tobytes()
+        arts = model.filter_stages(res.stages)
+        assert ops.count("class_maps") == ops.count("noise_scores") == len(arts) == len(res.stages)
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
     def test_overflowing_class_maps_raise_when_read(self):
@@ -547,8 +520,7 @@ class TestDeferredBypassValues:
         res = model.forward(image, label)
         assert np.isfinite(res.class_loss.data) and np.isfinite(res.filter_loss.data)
         with pytest.raises(T.NonFiniteError, match="^op 'class_maps'"):
-            res.artifacts[0].maps
-        res.artifacts[1].noise_scores  # later stages are unaffected
+            model.filter_stages(res.stages)
 
 
 class TestMeansMatchNumpyMean:

@@ -32,7 +32,8 @@ CONFIGS = {
 
 
 def chain_stage(x, patches, weight, bias):
-    return T.tanh(T.add_rowvec(T.matmul(T.gather_rows(x, patches), weight), bias))
+    rows = T.reshape(T.gather_rows(x, patches.ravel()), (len(patches), -1))
+    return T.tanh(T.add_rowvec(T.matmul(rows, weight), bias))
 
 
 def chain_concat(selected, projections):
@@ -97,7 +98,7 @@ def model_for(name):
 
 def stage_rows(cfg, model):
     """(kept rows, channels) per stage, as the filters hand them to the concat."""
-    return [(F.kept_rows(w * h, cfg.noise.gamma2, model.bypass_filters), c)
+    return [(w * h if model.bypass_filters else F.kept_rows(w * h, cfg.noise.gamma2), c)
             for w, h, c in cfg.backbone.stage_shapes()]
 
 

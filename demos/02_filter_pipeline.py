@@ -27,14 +27,14 @@ noise = NoiseParams(gamma2=0.3)
 
 arts = filter_stage(Tensor(features.reshape(36, 8)), projection, amb, noise)
 
-print("coarse prediction p:", np.round(arts.coarse.data, 3))
-print("top-k classes:", arts.topk_indices, "with weights", np.round(arts.weights, 3))
+print("coarse prediction p:", np.round(arts.coarse, 3))
+print("top-k classes:", arts.topk_indices.tolist(), "with weights", np.round(arts.weights, 3))
 print("\nambiguity map (higher = more confusable):")
-print(np.round(arts.ambiguity_map.data.reshape(grid), 2))
-print(f"\nkeep-mask ({int(arts.mask.data.sum())} of 36 kept; 0 = dropped):")
-print(arts.mask.data.reshape(grid).astype(int))
+print(np.round(arts.ambiguity_map.reshape(grid), 2))
+print(f"\nkeep-mask ({int(arts.mask.sum())} of 36 kept; 0 = dropped):")
+print(arts.mask.reshape(grid).astype(int))
 print("\nnoise scores (channel-average of surviving class maps):")
-print(np.round(arts.noise_scores.data.reshape(grid), 2))
+print(np.round(arts.noise_scores.reshape(grid), 2))
 kept = np.zeros(36, dtype=int)
 kept[arts.selected_indices] = 1
 print(f"\nnoise filter keeps {len(arts.selected_indices)} positions:")

@@ -32,11 +32,11 @@ def export_stage_maps(out_dir: str, image_id: str, stage: int, arts: FilterArtif
     make_dirs(out_dir)
     written = []
     prefix = f"{image_id}_stage{stage}"
-    written += _pair(out_dir, f"{prefix}_ambiguity", arts.ambiguity_map.data.reshape(grid))
-    written += _pair(out_dir, f"{prefix}_mask", arts.mask.data.reshape(grid))
-    written += _pair(out_dir, f"{prefix}_noise", arts.noise_scores.data.reshape(grid))
+    written += _pair(out_dir, f"{prefix}_ambiguity", arts.ambiguity_map.reshape(grid))
+    written += _pair(out_dir, f"{prefix}_mask", arts.mask.reshape(grid))
+    written += _pair(out_dir, f"{prefix}_noise", arts.noise_scores.reshape(grid))
     for c in arts.topk_indices:
-        written += _pair(out_dir, f"{prefix}_class{c}", arts.maps.data[:, c].reshape(grid))
+        written += _pair(out_dir, f"{prefix}_class{c}", arts.maps[:, c].reshape(grid))
     return written
 
 

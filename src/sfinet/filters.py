@@ -14,15 +14,18 @@ rows feed the rest of the network together with an auxiliary
 cross-entropy on their per-stage mean.
 
 Rank selections are frozen at forward time: gradients flow only through
-the kept feature rows, gathered straight from the stage's features.
-Everything that only feeds a ranking or an export (the class maps, the
-coarse prediction, the ambiguity map, the masked class maps and the noise
-scores) is computed on plain arrays and entered as a checked constant
-(``T.node(arr, (), None, op)``): a NaN or Inf still raises
-``NonFiniteError`` naming the op, but backward never visits it.  The
-class-map projection therefore gets no gradient from the loss, only
-weight decay, and no ranking depends on its scale.  All tie-breaks are by
-lower row index so results are totally ordered and reproducible.
+the kept feature rows, gathered straight from the stage's features by
+one tape op, :func:`gather_kept_rows`.  Everything that only feeds a
+ranking or an export (the class maps, the coarse prediction, the
+ambiguity map, the mask, the masked class maps and the noise scores) is
+a plain float64 array, and the indices are ``intp`` arrays.  Each value
+but the 0/1 mask is checked where it is made (``T.checked``): a NaN or
+Inf still raises ``NonFiniteError`` naming the value, but it makes no
+tape node.  The class-map projection therefore gets no gradient from the
+loss, only weight decay, and no ranking depends on its scale.  All
+tie-breaks are by lower row index so results are totally ordered and
+reproducible; the kept indices come from one stable argsort, so they
+never repeat.
 
 With the filters bypassed the mask is all ones and every row is kept, so
 the kept rows are the features tensor itself and a forward reads nothing
@@ -112,9 +115,9 @@ def validate_filter_ratios(amb: AmbiguityParams, noise: NoiseParams,
 
 
 class NoiseSelection(NamedTuple):
-    indices: list[int]
+    indices: np.ndarray
     selected: Tensor
-    scores: Tensor
+    scores: np.ndarray
 
 
 class FilterArtifacts(NamedTuple):
@@ -125,93 +128,92 @@ class FilterArtifacts(NamedTuple):
     are (S,).  Invariants: the mask has exactly floor((1 - gamma1) * S)
     ones; selected_indices has floor((1 - gamma2) * S) row indices, each
     at a mask=1 row, in descending noise-score order (with the filters
-    bypassed: S ones and every row in order).  Only selected_features is
+    bypassed: S ones and every row in order).  Every value is a float64
+    array, the indices ``intp``, except selected_features, the one tensor
     on the tape.
     """
-    maps: Tensor
-    coarse: Tensor
-    topk_indices: list[int]
+    maps: np.ndarray
+    coarse: np.ndarray
+    topk_indices: np.ndarray
     weights: np.ndarray
-    ambiguity_map: Tensor
-    mask: Tensor
-    masked_maps: Tensor
-    noise_scores: Tensor
-    selected_indices: list[int]
+    ambiguity_map: np.ndarray
+    mask: np.ndarray
+    masked_maps: np.ndarray
+    noise_scores: np.ndarray
+    selected_indices: np.ndarray
     selected_features: Tensor
 
 
-def _values(x) -> np.ndarray:
-    """The float64 array of a tensor or of anything array-like."""
-    return np.asarray(x.data if isinstance(x, Tensor) else x, dtype=np.float64)
-
-
-def class_maps(features, projection) -> tuple[Tensor, Tensor]:
-    """Project (S, C) feature rows onto class channels, M (S, N), and pool them to p (N,).
-
-    Takes tensors or arrays.  Both results are selection-only constants,
-    off the tape.
-    """
-    features, projection = _values(features), _values(projection)
+def class_maps(features: np.ndarray, projection: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Project (S, C) feature rows onto class channels, M (S, N), and pool them to p (N,)."""
     if features.ndim != 2 or projection.ndim != 2 or projection.shape[0] != features.shape[1]:
         raise T.ShapeError(f"class_maps: projection {projection.shape} does not fit feature rows {features.shape}")
-    arr = features @ projection
-    coarse = np.add.reduce(arr, 0) / arr.shape[0]
-    return T.node(arr, (), None, "class_maps"), T.node(coarse, (), None, "coarse_pool")
+    maps = T.checked(features @ projection, "class_maps")
+    return maps, T.checked(np.add.reduce(maps, 0) / maps.shape[0], "coarse_pool")
 
 
-def topk_weights(coarse, params: AmbiguityParams) -> tuple[list[int], np.ndarray]:
+def topk_weights(coarse: np.ndarray, params: AmbiguityParams) -> tuple[np.ndarray, np.ndarray]:
     """Indices of the k highest coarse scores and their weight schedule.
 
     Weights run from beta_h down to beta_l in k equal steps; score ties
     resolve to the lower class index.
     """
-    p = _values(coarse)
-    if params.k > p.size:
-        raise ConfigError(f"topk_weights: k={params.k} exceeds {p.size} classes")
-    order = np.argsort(-p, kind="stable")
-    return [int(i) for i in order[: params.k]], params.weights
+    if params.k > coarse.size:
+        raise ConfigError(f"topk_weights: k={params.k} exceeds {coarse.size} classes")
+    return (-coarse).argsort(kind="stable")[: params.k], params.weights
 
 
-def ambiguity_map(maps: Tensor, topk_indices: Sequence[int], weights: np.ndarray) -> Tensor:
+def ambiguity_map(maps: np.ndarray, topk_indices: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Weighted average of the selected class map columns, (1/k) sum w_i T_i, shape (S,)."""
     k = len(topk_indices)
-    picked = maps.data[:, np.asarray(topk_indices, dtype=np.intp)]
-    combo = picked @ np.asarray(weights, dtype=np.float64).reshape(k, 1)
-    return T.node(((1.0 / k) * combo).ravel(), (), None, "ambiguity_map")
+    combo = maps[:, topk_indices] @ weights.reshape(k, 1)
+    return T.checked(((1.0 / k) * combo).ravel(), "ambiguity_map")
 
 
-def ambiguity_mask(scores: Tensor, gamma1: float) -> Tensor:
+def ambiguity_mask(scores: np.ndarray, gamma1: float) -> np.ndarray:
     """Binary keep-mask: drop the gamma1 fraction with the highest scores.
 
     ``scores`` are (S,), one per row.  Rows are ranked by ascending score
     (rank 0 = least ambiguous, ties by lower row) and kept while rank <
-    floor((1 - gamma1) * S).  The (S,) mask is a constant: selection is
-    not differentiable.
+    floor((1 - gamma1) * S).
     """
-    arr = _values(scores)
-    keep = _ambiguity_keep(arr.size, gamma1, "ambiguity_mask")
-    mask = np.zeros(arr.size)
-    mask[np.argsort(arr, kind="stable")[:keep]] = 1.0
-    return Tensor(mask)
+    keep = _ambiguity_keep(scores.size, gamma1, "ambiguity_mask")
+    mask = np.zeros(scores.size)
+    mask[scores.argsort(kind="stable")[:keep]] = 1.0
+    return mask
 
 
-def apply_mask(mask: Tensor, maps: Tensor) -> Tensor:
+def apply_mask(mask: np.ndarray, maps: np.ndarray) -> np.ndarray:
     """Zero dropped positions in the class maps, which feed the noise scores alone.
 
     The features need no masking: every row the noise filter keeps has
     mask 1, so the kept rows are gathered from the features as they are.
     """
-    return T.node(maps.data * mask.data[:, None], (), None, "masked_maps")
+    return T.checked(maps * mask[:, None], "masked_maps")
 
 
-def _noise_scores(masked_maps: Tensor) -> Tensor:
+def _noise_scores(masked_maps: np.ndarray) -> np.ndarray:
     """(S,) channel-average of the masked class maps, one score per row."""
-    m = masked_maps.data
-    return T.node(np.add.reduce(m, 1) / m.shape[1], (), None, "noise_scores")
+    return T.checked(np.add.reduce(masked_maps, 1) / masked_maps.shape[1], "noise_scores")
 
 
-def noise_select(masked_maps: Tensor, features: Tensor, gamma2: float,
-                 keep_mask: Tensor | None = None) -> NoiseSelection:
+def gather_kept_rows(features: Tensor, indices: np.ndarray) -> Tensor:
+    """The rows ``features[indices]``, for ``(M,)`` indices that never repeat.
+
+    The filters' indices come from one stable argsort, so each source row
+    takes at most one gradient row: the backward assigns it into a zero
+    buffer, the bits :func:`tensor.gather_rows`' scatter-add gives.
+    """
+    def bw(g):
+        ga = np.zeros_like(features.data)
+        ga[indices] = g
+        T.accumulate(features, ga)
+
+    return T.node(features.data[indices], (features,), bw, "gather_kept_rows")
+
+
+def noise_select(masked_maps: np.ndarray, features: Tensor, gamma2: float,
+                 keep_mask: np.ndarray | None = None) -> NoiseSelection:
     """Keep the floor((1 - gamma2) * S) highest channel-average scores.
 
     Scores come from channel-average pooling the masked class maps;
@@ -227,15 +229,14 @@ def noise_select(masked_maps: Tensor, features: Tensor, gamma2: float,
     if s_keep < 1:
         raise ConfigError(f"noise_select: gamma2={gamma2} keeps no positions of {s}")
     scores = _noise_scores(masked_maps)
-    if keep_mask is not None:
-        candidates = np.flatnonzero(keep_mask.data > 0.5)
+    if keep_mask is None:
+        chosen = (-scores).argsort(kind="stable")[:s_keep]
+    else:
+        candidates = (keep_mask > 0.5).nonzero()[0]
         if candidates.size < s_keep:
             raise ConfigError(f"noise_select: only {candidates.size} unmasked positions for quota {s_keep}")
-    else:
-        candidates = np.arange(s)
-    order = np.argsort(-scores.data[candidates], kind="stable")
-    chosen = [int(i) for i in candidates[order][:s_keep]]
-    return NoiseSelection(chosen, T.gather_rows(features, chosen), scores)
+        chosen = candidates[(-scores[candidates]).argsort(kind="stable")[:s_keep]]
+    return NoiseSelection(chosen, gather_kept_rows(features, chosen), scores)
 
 
 def filter_stage(features: Tensor, projection: Tensor, amb: AmbiguityParams,
@@ -247,13 +248,13 @@ def filter_stage(features: Tensor, projection: Tensor, amb: AmbiguityParams,
     features tensor itself; every other value is computed as with the
     filters on.
     """
-    maps, coarse = class_maps(features, projection)
+    maps, coarse = class_maps(features.data, projection.data)
     topk, weights = topk_weights(coarse, amb)
     amb_map = ambiguity_map(maps, topk, weights)
-    mask = Tensor(np.ones(amb_map.shape)) if bypass else ambiguity_mask(amb_map, amb.gamma1)
+    mask = np.ones(amb_map.size) if bypass else ambiguity_mask(amb_map, amb.gamma1)
     masked_maps = apply_mask(mask, maps)
     if bypass:
-        sel = NoiseSelection(list(range(features.shape[0])), features, _noise_scores(masked_maps))
+        sel = NoiseSelection(np.arange(amb_map.size), features, _noise_scores(masked_maps))
     else:
         sel = noise_select(masked_maps, features, noise.gamma2, keep_mask=mask)
     return FilterArtifacts(maps, coarse, topk, weights, amb_map, mask, masked_maps,

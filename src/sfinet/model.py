@@ -7,8 +7,10 @@ the reconstitution stage is fixed by the drop ratios and stage extents
 alone, which lets the adjacency matrix be allocated up front.
 
 The class-map projections ``mff.stage{i}.class_proj`` only drive the
-filters' selections, which are constants off the tape, so the loss gives
-them no gradient: training changes them through weight decay alone.
+filters' selections, which are plain checked arrays off the tape, so the
+loss gives them no gradient: training changes them through weight decay
+alone.  A stage's filter pass adds one node to the tape, the gather of
+its kept rows.
 """
 
 from __future__ import annotations

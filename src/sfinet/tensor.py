@@ -10,11 +10,13 @@ raises :class:`NonFiniteError` naming the op, which doubles as the
 "first non-finite tensor" diagnostic during training.  The check is one
 call on the common path: the sum of squares ``np.vdot(arr, arr)`` is
 finite only if every element is, and the element-wise ``np.isfinite``
-scan runs only when that sum is not (see :func:`finite`).  A value that no
-gradient flows through (a selection score, a reported probability) is
-computed on plain arrays and entered as a checked constant,
-``node(arr, (), None, name)``: the same check and error, but no parents
-and no backward closure, so the tape only holds differentiable work.
+scan runs only when that sum is not (see :func:`finite`).  Values that no
+gradient flows through stay off the tape: a filter's selection values
+are plain arrays, each checked where it is made by :func:`checked` (the
+check ``node`` runs, with the same error naming the value), and an op
+whose parents need no gradient (the reported probabilities) records no
+parents and no backward closure.  So the tape only holds differentiable
+work.
 
 Most of a sample's cost is the Python work per node, so a chain the
 model always builds the same way is one op with a hand-written backward:
@@ -24,7 +26,10 @@ model always builds the same way is one op with a hand-written backward:
 ``talking_head_attention`` and ``gcn_layer`` in ``reconstitution``).
 Each computes the chain's numpy expressions and adds into its parents in
 the chain's backward order, so values and gradients match the chain bit
-for bit; the primitive ops stay as the tests' reference.  An expression
+for bit; the primitive ops stay as the tests' reference.  The filters'
+kept rows are distinct by construction, so their gather
+(``filters.gather_kept_rows``) assigns its gradient where
+:func:`gather_rows` scatter-adds, to the same bits.  An expression
 both need is an array helper both call (:func:`tanh_grad`,
 :func:`softmax_values`, :func:`softmax_grad`).  A fused op's output is
 checked by :func:`node`; where a later step of its chain would hide a NaN
@@ -34,12 +39,6 @@ failed check raises :func:`chain_error`, the error the chain would have
 raised.  For the same reason a mean on the per-sample path is written
 ``np.add.reduce(x, axis) / n``: the arithmetic of ``x.mean(axis)`` to the
 bit, without its Python wrapper.
-
-There is no implicit broadcasting.  The only documented broadcast is the
-spatial-mask case of :func:`hadamard` (a ``(W, H)`` mask applied across
-the trailing channel axis of a ``(W, H, C)`` tensor); everything else is
-shape-strict.  Row vectors are added to matrices through the explicit
-:func:`add_rowvec` op.
 """
 
 from __future__ import annotations
@@ -131,11 +130,9 @@ def node(data: np.ndarray, parents: Sequence[Tensor],
     the parents via :func:`accumulate`.  Parents are only recorded when at
     least one of them requires grad, so constant subgraphs stay leaves.
 
-    The output is checked with :func:`finite`.
+    The output is checked with :func:`checked`.
     """
-    arr = np.asarray(data, dtype=np.float64)
-    if not finite(arr):
-        raise NonFiniteError(f"op '{op}' produced non-finite values")
+    arr = checked(np.asarray(data, dtype=np.float64), op)
     out = Tensor.__new__(Tensor)
     out.data = arr
     out.grad = None
@@ -159,6 +156,13 @@ def finite(arr: np.ndarray) -> bool:
     ``np.isfinite`` run, and it decides.
     """
     return math.isfinite(np.vdot(arr, arr)) or bool(np.isfinite(arr).all())
+
+
+def checked(arr: np.ndarray, op: str) -> np.ndarray:
+    """``arr`` itself once :func:`finite` holds, else the error naming the op that made it."""
+    if not finite(arr):
+        raise NonFiniteError(f"op '{op}' produced non-finite values")
+    return arr
 
 
 def chain_error(steps: Sequence[tuple[str, np.ndarray]]) -> NonFiniteError:
@@ -502,7 +506,7 @@ def pooled_logits(rows: Tensor, w: Tensor) -> Tensor:
     def bw(g):
         g = g[None]
         if rows.requires_grad:
-            accumulate(rows, np.broadcast_to((g @ w.data.T) / rows.shape[0], rows.shape))
+            accumulate(rows, np.repeat((g @ w.data.T) / rows.shape[0], rows.shape[0], axis=0))
         if w.requires_grad:
             accumulate(w, z.T @ g)
 

@@ -14,7 +14,7 @@ from sfinet import config as C
 from sfinet import tensor as T
 from sfinet.data import make_synthetic
 from sfinet.filters import (AmbiguityParams, NoiseParams, ambiguity_mask, apply_mask,
-                            noise_select, topk_weights)
+                            gather_kept_rows, noise_select, topk_weights)
 from sfinet.gradcheck import check_grad, check_model
 from sfinet import reconstitution as R
 from sfinet.backbone import backbone_stage
@@ -58,9 +58,9 @@ def test_criterion_02_filter_cardinalities_exact():
             if keep1 <= 0 or keep1 >= s or keep2 < 1:
                 continue
             scores = rng.standard_normal((w, h))
-            mask = ambiguity_mask(Tensor(scores.ravel()), gamma1)
-            assert int(mask.data.sum()) == keep1
-            maps = Tensor(rng.standard_normal((w, h, 3)).reshape(s, 3))
+            mask = ambiguity_mask(scores.ravel(), gamma1)
+            assert int(mask.sum()) == keep1
+            maps = rng.standard_normal((w, h, 3)).reshape(s, 3)
             feats = Tensor(rng.standard_normal((w, h, 4)).reshape(s, 4))
             mm = apply_mask(mask, maps)
             sel = noise_select(mm, feats, gamma2, keep_mask=mask)
@@ -83,15 +83,15 @@ def test_criterion_03_oracle_equivalence():
             scores = rng.standard_normal((w, h))
             if rng.random() < 0.3:
                 scores = np.round(scores, 1)  # force ties
-            npt.assert_array_equal(ambiguity_mask(Tensor(scores.ravel()), gamma1).data,
+            npt.assert_array_equal(ambiguity_mask(scores.ravel(), gamma1),
                                    naive_mask(scores, gamma1).ravel())
             maps = rng.standard_normal((w, h, 3))
-            mask = ambiguity_mask(Tensor(scores.ravel()), gamma1)
+            mask = ambiguity_mask(scores.ravel(), gamma1)
             feats = Tensor(rng.standard_normal((w, h, 4)).reshape(s, 4))
-            mm = apply_mask(mask, Tensor(maps.reshape(s, 3)))
+            mm = apply_mask(mask, maps.reshape(s, 3))
             sel = noise_select(mm, feats, gamma2, keep_mask=mask)
-            assert sel.indices == naive_select(mm.data.reshape(w, h, 3), gamma2,
-                                               mask.data.reshape(w, h))
+            assert sel.indices.tolist() == naive_select(mm.reshape(w, h, 3), gamma2,
+                                                        mask.reshape(w, h))
 
 
 def _op_cases(rng):
@@ -115,6 +115,9 @@ def _op_cases(rng):
     g6 = a(6, 3)
     cases.append(("gather_rows", lambda: T.sum_all(T.tanh(T.gather_rows(g6, [5, 0, 5, 2]))),
                   {"g6": g6}))
+    kept = np.array([5, 0, 2])  # distinct, as the filters' kept rows are
+    cases.append(("gather_kept_rows",
+                  lambda: T.sum_all(T.tanh(gather_kept_rows(g6, kept))), {"g6": g6}))
     cases.append(("gather_cols", lambda: T.sum_all(T.tanh(T.gather_cols(g6, [2, 0, 2]))),
                   {"g6": g6}))
     c2 = a(2, 3)

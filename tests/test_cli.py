@@ -251,9 +251,8 @@ class TestExportMapsCommand:
         arts = model2.filter_stages(res.stages)
         assert len(arts) == len(shapes)
         for stage, (art, (w, h, _)) in enumerate(zip(arts, shapes)):
-            flat = {"ambiguity": art.ambiguity_map.data, "mask": art.mask.data,
-                    "noise": art.noise_scores.data}
-            flat.update({f"class{c}": art.maps.data[:, c] for c in art.topk_indices})
+            flat = {"ambiguity": art.ambiguity_map, "mask": art.mask, "noise": art.noise_scores}
+            flat.update({f"class{c}": art.maps[:, c] for c in art.topk_indices})
             for kind, arr in flat.items():
                 exported = load_tensor(maps_dir / f"sample_stage{stage}_{kind}.csv")
                 assert exported.shape == (w, h)

@@ -10,7 +10,8 @@ from sfinet import tensor as T
 from sfinet.backbone import ConfigError
 from sfinet.filters import (AmbiguityParams, NoiseParams, ambiguity_map, ambiguity_mask,
                             apply_mask, class_maps, filter_loss, filter_stage,
-                            noise_select, topk_weights, validate_filter_ratios)
+                            gather_kept_rows, noise_select, topk_weights,
+                            validate_filter_ratios)
 from sfinet.tensor import Tensor
 
 from conftest import assert_grads_match
@@ -57,29 +58,27 @@ class TestParams:
 
 class TestClassMaps:
     def test_zero_weights(self, rng):
-        f = Tensor(rng.standard_normal((9, 4)))
-        maps, coarse = class_maps(f, Tensor(np.zeros((4, 5))))
-        npt.assert_array_equal(maps.data, 0.0)
-        npt.assert_array_equal(coarse.data, 0.0)
+        maps, coarse = class_maps(rng.standard_normal((9, 4)), np.zeros((4, 5)))
+        npt.assert_array_equal(maps, 0.0)
+        npt.assert_array_equal(coarse, 0.0)
 
     def test_single_pixel_coarse_equals_that_pixel(self, rng):
-        f = Tensor(rng.standard_normal((1, 4)))
-        maps, coarse = class_maps(f, Tensor(rng.standard_normal((4, 6))))
-        npt.assert_allclose(coarse.data, maps.data[0], rtol=1e-15)
+        maps, coarse = class_maps(rng.standard_normal((1, 4)), rng.standard_normal((4, 6)))
+        npt.assert_allclose(coarse, maps[0], rtol=1e-15)
 
     def test_coarse_matches_hand_pooling(self, rng):
         f = rng.standard_normal((4, 3))
         proj = np.zeros((3, 5))
         proj[:3, :3] = np.eye(3)  # identity-extended weights
-        _, coarse = class_maps(Tensor(f), Tensor(proj))
+        _, coarse = class_maps(f, proj)
         expected = np.concatenate([f.mean(axis=0), [0.0, 0.0]])
-        npt.assert_allclose(coarse.data, expected, rtol=1e-12)
+        npt.assert_allclose(coarse, expected, rtol=1e-12)
 
     def test_channel_mismatch(self, rng):
         with pytest.raises(T.ShapeError):
-            class_maps(Tensor(rng.standard_normal((4, 3))), Tensor(np.zeros((4, 5))))
+            class_maps(rng.standard_normal((4, 3)), np.zeros((4, 5)))
         with pytest.raises(T.ShapeError, match="feature rows"):  # a (W, H, C) grid, not rows
-            class_maps(Tensor(rng.standard_normal((2, 2, 3))), Tensor(np.zeros((3, 5))))
+            class_maps(rng.standard_normal((2, 2, 3)), np.zeros((3, 5)))
 
 
 class TestTopkWeights:
@@ -93,11 +92,11 @@ class TestTopkWeights:
 
     def test_hand_sorted_indices(self):
         idx, _ = topk_weights(np.array([0.1, 0.9, 0.5]), AmbiguityParams(k=2))
-        assert idx == [1, 2]
+        assert idx.tolist() == [1, 2]
 
     def test_ties_prefer_lower_class_index(self):
         idx, _ = topk_weights(np.array([0.5, 0.7, 0.5, 0.7]), AmbiguityParams(k=3))
-        assert idx == [1, 3, 0]
+        assert idx.tolist() == [1, 3, 0]
 
     def test_spacing_constant_for_k_2_to_8(self):
         for k in range(2, 9):
@@ -115,32 +114,32 @@ class TestAmbiguityMap:
     def test_identical_slices_scale_by_mean_weight(self, rng):
         x = rng.standard_normal(9)
         maps = np.stack([x, x, x], axis=1)
-        out = ambiguity_map(Tensor(maps), [0, 2], np.array([1.1, 0.95]))
-        npt.assert_allclose(out.data, x * (1.1 + 0.95) / 2, rtol=1e-12)
+        out = ambiguity_map(maps, [0, 2], np.array([1.1, 0.95]))
+        npt.assert_allclose(out, x * (1.1 + 0.95) / 2, rtol=1e-12)
 
     def test_hand_value_ones_and_zeros(self):
         maps = np.stack([np.ones(4), np.zeros(4)], axis=1)
-        out = ambiguity_map(Tensor(maps), [0, 1], np.array([1.1, 0.95]))
-        npt.assert_allclose(out.data, np.full(4, 0.55), rtol=1e-12)
+        out = ambiguity_map(maps, [0, 1], np.array([1.1, 0.95]))
+        npt.assert_allclose(out, np.full(4, 0.55), rtol=1e-12)
 
     def test_only_selected_slices_matter(self, rng):
         maps = rng.standard_normal((9, 5))
-        out1 = ambiguity_map(Tensor(maps), [0, 2], np.array([1.1, 0.95])).data
+        out1 = ambiguity_map(maps, [0, 2], np.array([1.1, 0.95]))
         shuffled = maps.copy()
         shuffled[:, [1, 3, 4]] = maps[:, [4, 1, 3]]
-        out2 = ambiguity_map(Tensor(shuffled), [0, 2], np.array([1.1, 0.95])).data
+        out2 = ambiguity_map(shuffled, [0, 2], np.array([1.1, 0.95]))
         npt.assert_array_equal(out1, out2)
 
 
 class TestAmbiguityMask:
     def test_hand_case_drops_highest(self):
         scores = np.array([0.1, 0.9, 0.5, 0.7])
-        mask = ambiguity_mask(Tensor(scores), 0.25)
-        npt.assert_array_equal(mask.data, [1.0, 0.0, 1.0, 1.0])
+        mask = ambiguity_mask(scores, 0.25)
+        npt.assert_array_equal(mask, [1.0, 0.0, 1.0, 1.0])
 
     def test_constant_map_drops_last_row_major_cell(self):
-        mask = ambiguity_mask(Tensor(np.ones(4)), 0.25)
-        npt.assert_array_equal(mask.data, [1.0, 1.0, 1.0, 0.0])
+        mask = ambiguity_mask(np.ones(4), 0.25)
+        npt.assert_array_equal(mask, [1.0, 1.0, 1.0, 0.0])
 
     @given(st.integers(2, 8), st.integers(2, 8),
            st.floats(0.01, 0.6), st.integers(0, 2**31 - 1))
@@ -150,48 +149,47 @@ class TestAmbiguityMask:
         keep = math.floor((1.0 - gamma1) * (w * h))
         if keep <= 0 or keep >= w * h:
             return
-        mask = ambiguity_mask(Tensor(scores), gamma1)
-        assert int(mask.data.sum()) == keep
+        mask = ambiguity_mask(scores, gamma1)
+        assert int(mask.sum()) == keep
 
     @given(st.floats(0.01, 100.0), st.integers(0, 2**31 - 1))
     @settings(max_examples=40, deadline=None)
     def test_positive_scaling_leaves_mask_unchanged(self, c, seed):
         scores = np.random.default_rng(seed).standard_normal(20)
-        a = ambiguity_mask(Tensor(scores), 0.3).data
-        b = ambiguity_mask(Tensor(scores * c), 0.3).data
+        a = ambiguity_mask(scores, 0.3)
+        b = ambiguity_mask(scores * c, 0.3)
         npt.assert_array_equal(a, b)
 
     def test_degenerate_requests_rejected(self):
         with pytest.raises(ConfigError, match="degenerate"):
-            ambiguity_mask(Tensor(np.ones(4)), 0.9999)  # keeps 0
+            ambiguity_mask(np.ones(4), 0.9999)  # keeps 0
         with pytest.raises(ConfigError):
-            ambiguity_mask(Tensor(np.ones(400)), 1e-17)  # rounds to keeping all
+            ambiguity_mask(np.ones(400), 1e-17)  # rounds to keeping all
 
     def test_mask_is_constant_not_differentiable(self, rng):
-        scores = Tensor(rng.standard_normal(9), requires_grad=True)
-        mask = ambiguity_mask(scores, 0.3)
-        assert not mask.requires_grad
+        mask = ambiguity_mask(rng.standard_normal(9), 0.3)
+        assert type(mask) is np.ndarray and mask.dtype == np.float64
 
 
 class TestApplyMask:
     def test_all_ones_identity(self, rng):
-        maps = Tensor(rng.standard_normal((9, 4)))
-        m2 = apply_mask(Tensor(np.ones(9)), maps)
-        npt.assert_array_equal(m2.data, maps.data)
+        maps = rng.standard_normal((9, 4))
+        m2 = apply_mask(np.ones(9), maps)
+        npt.assert_array_equal(m2, maps)
 
     def test_single_zero_clears_all_channels(self, rng):
-        maps = Tensor(rng.standard_normal((9, 6)))
+        maps = rng.standard_normal((9, 6))
         mask = np.ones(9)
         mask[5] = 0.0
-        m2 = apply_mask(Tensor(mask), maps)
-        npt.assert_array_equal(m2.data[5], np.zeros(6))
+        m2 = apply_mask(mask, maps)
+        npt.assert_array_equal(m2[5], np.zeros(6))
 
     def test_reapplying_is_noop(self, rng):
-        maps = Tensor(rng.standard_normal((9, 4)))
-        mask = ambiguity_mask(Tensor(rng.standard_normal(9)), 0.3)
+        maps = rng.standard_normal((9, 4))
+        mask = ambiguity_mask(rng.standard_normal(9), 0.3)
         m2 = apply_mask(mask, maps)
         m3 = apply_mask(mask, m2)
-        npt.assert_array_equal(m3.data, m2.data)
+        npt.assert_array_equal(m3, m2)
 
 
 class TestNoiseSelect:
@@ -199,15 +197,15 @@ class TestNoiseSelect:
         # scores per position: 3, 1, 4, 2 -> keep [2, 0]
         maps = np.array([3.0, 1.0, 4.0, 2.0]).reshape(4, 1)
         feats = np.arange(8, dtype=float).reshape(4, 2)
-        sel = noise_select(Tensor(maps), Tensor(feats), 0.5)
-        assert sel.indices == [2, 0]
+        sel = noise_select(maps, Tensor(feats), 0.5)
+        assert sel.indices.tolist() == [2, 0]
         npt.assert_array_equal(sel.selected.data, feats[[2, 0]])
 
     def test_all_equal_scores_keep_first_flat_indices(self):
         maps = np.ones((6, 2))
         feats = np.arange(12, dtype=float).reshape(6, 2)
-        sel = noise_select(Tensor(maps), Tensor(feats), 0.5)
-        assert sel.indices == [0, 1, 2]
+        sel = noise_select(maps, Tensor(feats), 0.5)
+        assert sel.indices.tolist() == [0, 1, 2]
 
     @given(st.integers(2, 6), st.integers(2, 6),
            st.floats(0.05, 0.8), st.integers(0, 2**31 - 1))
@@ -217,23 +215,23 @@ class TestNoiseSelect:
         keep = math.floor((1.0 - gamma2) * (w * h))
         if keep < 1:
             return
-        sel = noise_select(Tensor(g.standard_normal((w * h, 3))),
+        sel = noise_select(g.standard_normal((w * h, 3)),
                            Tensor(g.standard_normal((w * h, 5))), gamma2)
         assert len(sel.indices) == keep
         assert sel.selected.shape == (keep, 5)
 
     def test_mask_restriction_guarantees_membership(self, rng):
         for _ in range(50):
-            maps = Tensor(rng.standard_normal((12, 2)))
-            mask = ambiguity_mask(Tensor(rng.standard_normal(12)), 0.25)
+            maps = rng.standard_normal((12, 2))
+            mask = ambiguity_mask(rng.standard_normal(12), 0.25)
             feats = Tensor(rng.standard_normal((12, 5)))
             sel = noise_select(apply_mask(mask, maps), feats, 0.4, keep_mask=mask)
-            assert all(mask.data[i] == 1.0 for i in sel.indices)
+            assert all(mask[i] == 1.0 for i in sel.indices)
 
     def test_quota_infeasible_rejected(self, rng):
-        mask = Tensor(np.zeros(4))
+        mask = np.zeros(4)
         with pytest.raises(ConfigError, match="unmasked"):
-            noise_select(Tensor(rng.standard_normal((4, 2))),
+            noise_select(rng.standard_normal((4, 2)),
                          Tensor(rng.standard_normal((4, 3))), 0.2, keep_mask=mask)
 
 
@@ -248,7 +246,7 @@ class TestOracleEquivalence:
             scores = rng.standard_normal((w, h))
             if rng.random() < 0.3:  # force ties
                 scores = np.round(scores, 1)
-            npt.assert_array_equal(ambiguity_mask(Tensor(scores.ravel()), gamma1).data,
+            npt.assert_array_equal(ambiguity_mask(scores.ravel(), gamma1),
                                    naive_mask(scores, gamma1).ravel())
 
     def test_select_matches_naive_reference(self, rng):
@@ -268,40 +266,40 @@ class TestOracleEquivalence:
                 if math.floor((1.0 - gamma1) * (w * h)) in (0, w * h):
                     use_mask = False
                 else:
-                    mask = ambiguity_mask(Tensor(rng.standard_normal((int(w), int(h))).ravel()), gamma1)
-            sel = noise_select(Tensor(maps.reshape(-1, 3)), Tensor(feats.reshape(-1, 4)), gamma2,
+                    mask = ambiguity_mask(rng.standard_normal((int(w), int(h))).ravel(), gamma1)
+            sel = noise_select(maps.reshape(-1, 3), Tensor(feats.reshape(-1, 4)), gamma2,
                                keep_mask=mask if use_mask else None)
             expected = naive_select(maps, gamma2,
-                                    mask.data.reshape(int(w), int(h)) if use_mask else None)
-            assert sel.indices == expected
+                                    mask.reshape(int(w), int(h)) if use_mask else None)
+            assert sel.indices.tolist() == expected
 
     def test_keep_count_rounds_the_product_of_the_extents(self, rng):
         # (1 - 0.3) * 6 * 5 rounds to 20.999..., (1 - 0.3) * 30 to 21.0
         w, h, gamma = 6, 5, 0.3
         assert math.floor((1.0 - gamma) * w * h) == 20
         scores = rng.standard_normal((w, h))
-        mask = ambiguity_mask(Tensor(scores.ravel()), gamma)
+        mask = ambiguity_mask(scores.ravel(), gamma)
         oracle_mask = naive_mask(scores, gamma)
-        assert mask.data.sum() == oracle_mask.sum() == 21
-        npt.assert_array_equal(mask.data, oracle_mask.ravel())
+        assert mask.sum() == oracle_mask.sum() == 21
+        npt.assert_array_equal(mask, oracle_mask.ravel())
         maps = rng.standard_normal((w, h, 3))
-        sel = noise_select(Tensor(maps.reshape(-1, 3)), Tensor(rng.standard_normal((w * h, 4))), gamma)
+        sel = noise_select(maps.reshape(-1, 3), Tensor(rng.standard_normal((w * h, 4))), gamma)
         assert len(sel.indices) == len(naive_select(maps, gamma, None)) == 21
-        assert sel.indices == naive_select(maps, gamma, None)
+        assert sel.indices.tolist() == naive_select(maps, gamma, None)
 
 
 class TestSelectedRegionInvariance:
     def test_perturbing_dropped_positions_leaves_g_unchanged(self, rng):
         feats = rng.standard_normal((16, 6))
-        maps = Tensor(rng.standard_normal((16, 3)))
-        mask = ambiguity_mask(Tensor(rng.standard_normal(16)), 0.25)
+        maps = rng.standard_normal((16, 3))
+        mask = ambiguity_mask(rng.standard_normal(16), 0.25)
         mm = apply_mask(mask, maps)
         sel = noise_select(mm, Tensor(feats), 0.25, keep_mask=mask)
-        dropped = sorted(set(range(16)) - set(sel.indices))
+        dropped = sorted(set(range(16)) - set(sel.indices.tolist()))
         perturbed = feats.copy()
         perturbed[dropped] += rng.standard_normal((len(dropped), 6)) * 10
         sel2 = noise_select(mm, Tensor(perturbed), 0.25, keep_mask=mask)
-        assert sel2.indices == sel.indices
+        assert sel2.indices.tolist() == sel.indices.tolist()
         npt.assert_array_equal(sel2.selected.data, sel.selected.data)
 
 
@@ -393,15 +391,15 @@ class TestCheckedConstants:
             art = filter_stage(feats, proj, AmbiguityParams(k=2 + seed % 3, gamma1=0.2),
                                NoiseParams(gamma2=0.3), bypass=bypass)
             old = self.old_tape_chains(old_feats, proj, art.topk_indices, art.weights,
-                                       Tensor(art.mask.data.reshape(w, h)),
+                                       Tensor(art.mask.reshape(w, h)),
                                        art.selected_indices, bypass)
             new = (art.maps, art.coarse, art.ambiguity_map, art.masked_maps, art.noise_scores,
-                   art.selected_features)
+                   art.selected_features.data)
             # the same values, flat over the grid's rows where the old chains kept (W, H)
             shapes = [(w * h, n), (n,), (w * h,), (w * h, n), (w * h,), old[-1].shape]
             for a, b, shape in zip(new, old, shapes):
-                assert a.shape == shape and a.data.size == b.data.size
-                assert a.data.tobytes() == b.data.tobytes()
+                assert a.shape == shape and a.size == b.data.size
+                assert a.tobytes() == b.data.tobytes()
             upstream = g.standard_normal(art.selected_features.shape)
             upstream[0] = -0.0
             T.backward(T.sum_all(T.hadamard(art.selected_features, Tensor(upstream))))
@@ -413,11 +411,14 @@ class TestCheckedConstants:
         feats = Tensor(rng.standard_normal((16, 6)), requires_grad=True)
         proj = Tensor(rng.standard_normal((6, 5)), requires_grad=True)
         art = filter_stage(feats, proj, AmbiguityParams(), NoiseParams(), bypass=bypass)
-        for value in (art.maps, art.coarse, art.ambiguity_map, art.masked_maps, art.noise_scores):
-            assert not value.requires_grad and value._parents == ()
+        for value in (art.maps, art.coarse, art.ambiguity_map, art.mask, art.masked_maps,
+                      art.noise_scores):
+            assert type(value) is np.ndarray and value.dtype == np.float64
+        for indices in (art.topk_indices, art.selected_indices):
+            assert type(indices) is np.ndarray and indices.dtype == np.intp
         nodes = T.CompGraph.from_output(art.selected_features).nodes
         assert nodes[0] is feats
-        assert [t.op for t in nodes[1:]] == ([] if bypass else ["gather_rows"])
+        assert [t.op for t in nodes[1:]] == ([] if bypass else ["gather_kept_rows"])
 
     def test_overflowing_ambiguity_map_still_raises(self):
         # one class score near the float maximum: the maps and their mean are
@@ -425,10 +426,62 @@ class TestCheckedConstants:
         feats = np.zeros((4, 1))
         feats[0, 0] = 1.7e308
         proj = Tensor(np.array([[1.0, 0.5]]))
-        maps, coarse = class_maps(Tensor(feats), proj)
-        assert np.isfinite(maps.data).all() and np.isfinite(coarse.data).all()
+        maps, coarse = class_maps(feats, proj.data)
+        assert np.isfinite(maps).all() and np.isfinite(coarse).all()
         with np.errstate(over="ignore"), pytest.raises(T.NonFiniteError, match="ambiguity_map"):
             filter_stage(Tensor(feats), proj, AmbiguityParams(k=2), NoiseParams())
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    @pytest.mark.parametrize("op", ["class_maps", "coarse_pool", "ambiguity_map", "noise_scores"])
+    def test_planted_overflow_raises_naming_the_value(self, monkeypatch, op):
+        """Finite stage-0 rows whose filter value overflows, in the forward and in filter_stages."""
+        from sfinet import config as C
+
+        cfg = C.build_run_config({"data.classes": "6"})
+        ds, model, _ = C.build_experiment(cfg)
+        big = np.finfo(np.float64).max
+        stages = [Tensor(np.zeros((w * h, c))) for w, h, c in cfg.backbone.stage_shapes()]
+        rows, proj = stages[0].data, np.zeros(model.class_projs[0].shape)
+        if op == "class_maps":  # each score sums 16 products equal to the float maximum
+            rows[:] = 1.0
+            proj[:] = big
+        elif op == "coarse_pool":  # every score is half the maximum, so every column sum overflows
+            rows[:, 0] = 1.0
+            proj[0] = 0.5 * big
+        elif op == "ambiguity_map":  # one row's top two scores, weighted 1.1 and 1.05
+            rows[0, 0] = 1.0
+            proj[0, :2] = 0.9 * big
+        else:
+            # rows 0 and 1 score +-0.6 max in classes 4 and 5, which cancel in
+            # the column sums, rank below classes 0-3 (row 2) and so stay out of
+            # the ambiguity map; both rows keep mask 1, and their row sums overflow
+            rows[0, 0], rows[1, 0], rows[2, 1] = 1.0, -1.0, 1.0
+            proj[0, 4:] = 0.6 * big
+            proj[1, :4] = [4.0, 3.0, 2.0, 1.0]
+        model.class_projs[0].data = proj
+        monkeypatch.setattr(model.backbone, "forward", lambda image: stages)
+        with pytest.raises(T.NonFiniteError, match=f"^op '{op}'"):
+            model.forward(ds.train_images[0], int(ds.train_labels[0]))
+        with pytest.raises(T.NonFiniteError, match=f"^op '{op}'"):
+            model.filter_stages(stages)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_kept_row_gather_matches_the_scatter_add_gather(self, seed):
+        g = np.random.default_rng(seed)
+        data = g.standard_normal((16, 5))
+        idx = g.permutation(16)[:11]
+        upstream = g.standard_normal((11, 5))
+        upstream[0] = -0.0  # assigned, it stays -0.0 until the features' gradient adds it
+        for prior in (None, np.zeros((16, 5)), g.standard_normal((16, 5))):
+            new, old = Tensor(data, requires_grad=True), Tensor(data, requires_grad=True)
+            new.grad = old.grad = None
+            if prior is not None:
+                new.grad, old.grad = prior.copy(), prior.copy()
+            out_new, out_old = gather_kept_rows(new, idx), T.gather_rows(old, idx)
+            assert out_new.data.tobytes() == out_old.data.tobytes()
+            out_new._backward_fn(upstream.copy())
+            out_old._backward_fn(upstream.copy())
+            assert new.grad.tobytes() == old.grad.tobytes()
 
     def test_backward_graph_of_a_default_sample_is_unchanged(self):
         from collections import Counter
@@ -452,7 +505,7 @@ class TestCheckedConstants:
         # attend, head_mix, merge_heads) and the GCN layer (two matmuls, relu)
         assert counts == {
             "add": 1, "add_n": 1, "backbone_stage": 4, "concat_stages": 1,
-            "cross_entropy": 5, "gather_rows": 4, "gcn_layer": 1, "leaf": 26,
+            "cross_entropy": 5, "gather_kept_rows": 4, "gcn_layer": 1, "leaf": 26,
             "pooled_logits": 5, "scale": 1, "semantic_reassembly": 1,
             "talking_head_attention": 1,
         }
@@ -475,8 +528,9 @@ class TestCheckedConstants:
         monkeypatch.setattr(R, "node", counting_node)
         res = model.forward(ds.train_images[0], int(ds.train_labels[0]))
         total_loss(res.filter_loss, res.class_loss, cfg.train.xi)
-        # every node one training sample creates, checked constants included
-        assert len(ops) == 52
+        # every node one training sample creates; the filters' selection
+        # values are checked arrays, so each stage adds its kept-row gather alone
+        assert len(ops) == 32
 
 
 class TestDeferredBypassValues:
@@ -495,23 +549,29 @@ class TestDeferredBypassValues:
         from sfinet.train import total_loss
 
         cfg, model, image, label = self.bypass_sample()
-        ops = []
-        node = T.node
+        ops, checks = [], []
+        node, checked = T.node, T.checked
 
         def counting_node(data, parents, backward_fn, op):
             ops.append(op)
             return node(data, parents, backward_fn, op)
 
+        def counting_checked(arr, op):  # every node's check and every filter value's
+            checks.append(op)
+            return checked(arr, op)
+
         monkeypatch.setattr(T, "node", counting_node)
         monkeypatch.setattr(R, "node", counting_node)
+        monkeypatch.setattr(T, "checked", counting_checked)
         res = model.forward(image, label)
         total_loss(res.filter_loss, res.class_loss, cfg.train.xi)
         filter_values = {"class_maps", "coarse_pool", "ambiguity_map", "masked_maps", "noise_scores"}
-        assert filter_values.isdisjoint(ops)
-        # every node one training sample creates, checked constants included
+        assert filter_values.isdisjoint(checks)
+        # every node one training sample creates
         assert len(ops) == 28
         arts = model.filter_stages(res.stages)
-        assert ops.count("class_maps") == ops.count("noise_scores") == len(arts) == len(res.stages)
+        assert (checks.count("class_maps") == checks.count("noise_scores") == len(arts)
+                == len(res.stages))
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
     def test_overflowing_class_maps_raise_when_read(self):
@@ -538,6 +598,6 @@ class TestMeansMatchNumpyMean:
             got = T.pooled_logits(Tensor(x), Tensor(head)).data
             assert got.tobytes() == (x.mean(axis=0)[None] @ head)[0].tobytes(), (r, c)
             maps, coarse = class_maps(x, np.eye(c))
-            assert coarse.data.tobytes() == maps.data.mean(axis=0).tobytes(), (r, c)
-            scores = _noise_scores(Tensor(x)).data
+            assert coarse.tobytes() == maps.mean(axis=0).tobytes(), (r, c)
+            scores = _noise_scores(x)
             assert scores.tobytes() == x.mean(axis=1).tobytes(), (r, c)

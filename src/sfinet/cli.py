@@ -139,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gc = sub.add_parser("gradcheck", help="finite-difference check of every parameter")
     common(p_gc)
     p_gc.add_argument("--step", type=float, default=GC.DEFAULT_STEP)
-    p_gc.add_argument("--tol", type=float, default=1e-3)
+    p_gc.add_argument("--tol", type=float, default=GC.DEFAULT_TOL)
     p_gc.set_defaults(func=cmd_gradcheck)
     return parser
 

@@ -111,8 +111,9 @@ def _parse_value(key: str, text: str):
 
 
 def parse_config_text(text: str, origin: str = "<config>") -> dict[str, str]:
-    """Raw key -> value strings; rejects unknown keys and bad lines."""
+    """Raw key -> value strings; rejects unknown keys, repeated keys and bad lines."""
     out: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -123,6 +124,9 @@ def parse_config_text(text: str, origin: str = "<config>") -> dict[str, str]:
         key = key.strip()
         if key not in _SCHEMA:
             raise ConfigError(f"{origin}:{lineno}: unknown config key {key!r}")
+        if key in first_line:
+            raise ConfigError(f"{origin}:{lineno}: config key {key!r} repeats line {first_line[key]}")
+        first_line[key] = lineno
         out[key] = value.strip()
     return out
 
@@ -132,7 +136,7 @@ def parse_config_file(path: str) -> dict[str, str]:
 
 
 def apply_overrides(raw: dict[str, str], overrides: list[str]) -> dict[str, str]:
-    """Apply repeated `--set section.key=value` strings."""
+    """Apply repeated `--set section.key=value` strings; a repeated key keeps its last value."""
     out = dict(raw)
     for item in overrides:
         if "=" not in item:
@@ -179,8 +183,7 @@ def build_run_config(raw: dict[str, str]) -> RunConfig:
                       signal_amplitude=values["data.signal_amplitude"],
                       noise_amplitude=values["data.noise_amplitude"],
                       overlap=values["data.overlap"],
-                      train_fraction=values["data.train_fraction"],
-                      seed=values["train.seed"])
+                      train_fraction=values["data.train_fraction"])
     bypass = values["model.bypass_filters"]
     if amb.k > data.num_classes:
         raise ConfigError(f"ambiguity.k ({amb.k}) exceeds data.classes ({data.num_classes})")

@@ -29,7 +29,6 @@ class DataConfig:
     noise_amplitude: float = 0.3
     overlap: float = 0.0
     train_fraction: float = 0.75
-    seed: int = 42
 
     def __post_init__(self):
         if self.num_classes < 2:
@@ -116,10 +115,8 @@ def _class_patches(cfg: DataConfig, rng: np.random.Generator) -> np.ndarray:
     return patches
 
 
-def make_synthetic(cfg: DataConfig, rng: np.random.Generator | None = None) -> SyntheticDataset:
-    """Generate the dataset; with no generator given, seeds from the config."""
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
+def make_synthetic(cfg: DataConfig, rng: np.random.Generator) -> SyntheticDataset:
+    """Generate the dataset, drawing every random value from ``rng``."""
     anchors = _anchors(cfg)
     patches = _class_patches(cfg, rng)
     size, ch, p = cfg.image_size, cfg.channels, cfg.patch_size

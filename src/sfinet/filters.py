@@ -213,12 +213,12 @@ def gather_kept_rows(features: Tensor, indices: np.ndarray) -> Tensor:
 
 
 def noise_select(masked_maps: np.ndarray, features: Tensor, gamma2: float,
-                 keep_mask: np.ndarray | None = None) -> NoiseSelection:
+                 keep_mask: np.ndarray) -> NoiseSelection:
     """Keep the floor((1 - gamma2) * S) highest channel-average scores.
 
     Scores come from channel-average pooling the masked class maps;
-    ambiguity-dropped positions score exactly 0 there.  When ``keep_mask``
-    is given, only mask=1 positions are candidates, which guarantees every
+    ambiguity-dropped positions score exactly 0 there.  Only mask=1
+    positions of ``keep_mask`` are candidates, which guarantees every
     selected index survived the ambiguity drop even if live scores go
     negative.  Ties resolve to the lower row; the selected feature rows,
     gathered straight from the (S, C) features, keep descending-score
@@ -229,13 +229,10 @@ def noise_select(masked_maps: np.ndarray, features: Tensor, gamma2: float,
     if s_keep < 1:
         raise ConfigError(f"noise_select: gamma2={gamma2} keeps no positions of {s}")
     scores = _noise_scores(masked_maps)
-    if keep_mask is None:
-        chosen = (-scores).argsort(kind="stable")[:s_keep]
-    else:
-        candidates = (keep_mask > 0.5).nonzero()[0]
-        if candidates.size < s_keep:
-            raise ConfigError(f"noise_select: only {candidates.size} unmasked positions for quota {s_keep}")
-        chosen = candidates[(-scores[candidates]).argsort(kind="stable")[:s_keep]]
+    candidates = (keep_mask > 0.5).nonzero()[0]
+    if candidates.size < s_keep:
+        raise ConfigError(f"noise_select: only {candidates.size} unmasked positions for quota {s_keep}")
+    chosen = candidates[(-scores[candidates]).argsort(kind="stable")[:s_keep]]
     return NoiseSelection(chosen, gather_kept_rows(features, chosen), scores)
 
 

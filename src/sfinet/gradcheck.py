@@ -15,7 +15,7 @@ import numpy as np
 from .tensor import Tensor
 
 DEFAULT_STEP = 1e-5
-DEFAULT_TOL = 1e-4
+DEFAULT_TOL = 1e-3
 
 
 def finite_diff_grad(f: Callable[[], float], arr: np.ndarray, step: float = DEFAULT_STEP) -> np.ndarray:
@@ -78,7 +78,7 @@ class CheckRow:
 
 
 def check_model(model, image: np.ndarray, label: int, xi: float,
-                step: float = DEFAULT_STEP, tol: float = 1e-3) -> list[CheckRow]:
+                step: float = DEFAULT_STEP, tol: float = DEFAULT_TOL) -> list[CheckRow]:
     """Check every trainable tensor of a full model against the total loss."""
     from .train import total_loss
 

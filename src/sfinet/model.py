@@ -59,10 +59,8 @@ class SFINet:
         shapes = backbone_cfg.stage_shapes()
         if not bypass_filters:
             F.validate_filter_ratios(amb, noise, shapes)
-        self.backbone_cfg = backbone_cfg
         self.amb = amb
         self.noise = noise
-        self.sir_cfg = sir_cfg
         self.n_classes = n_classes
         self.bypass_filters = bypass_filters
 
@@ -150,9 +148,8 @@ class SFINet:
         return [F.filter_stage(feats, proj, self.amb, self.noise, bypass=self.bypass_filters)
                 for feats, proj in zip(stages, self.class_projs)]
 
-    def forward(self, image, label: int | None = None) -> ForwardResult:
-        img = image if isinstance(image, Tensor) else Tensor(image)
-        stages = self.backbone.forward(img)
+    def forward(self, image: np.ndarray, label: int | None = None) -> ForwardResult:
+        stages = self.backbone.forward(Tensor(image))
         selected = (stages if self.bypass_filters
                     else [a.selected_features for a in self.filter_stages(stages)])
 
@@ -167,9 +164,9 @@ class SFINet:
         if label is not None:
             class_loss = T.cross_entropy(logits, label)
             f_loss = F.filter_loss(selected, self.filter_cls, int(label), self.n_classes)
-        # reported only: a parent without grad keeps it a checked constant off the tape
-        probs = T.softmax(Tensor(logits.data)).data
+        # reported only, so a checked array off the tape
+        probs = T.checked(T.softmax_values(logits.data, -1), "softmax")
         return ForwardResult(probs, class_loss, f_loss, stages, attn)
 
-    def predict(self, image) -> int:
+    def predict(self, image: np.ndarray) -> int:
         return int(np.argmax(self.forward(image).probs))

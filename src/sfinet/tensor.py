@@ -12,9 +12,9 @@ call on the common path: the sum of squares ``np.vdot(arr, arr)`` is
 finite only if every element is, and the element-wise ``np.isfinite``
 scan runs only when that sum is not (see :func:`finite`).  Values that no
 gradient flows through stay off the tape: a filter's selection values
-are plain arrays, each checked where it is made by :func:`checked` (the
-check ``node`` runs, with the same error naming the value), and an op
-whose parents need no gradient (the reported probabilities) records no
+and the reported probabilities are plain arrays, each checked where it
+is made by :func:`checked` (the check ``node`` runs, with the same error
+naming the value), and an op whose parents need no gradient records no
 parents and no backward closure.  So the tape only holds differentiable
 work.
 

@@ -99,7 +99,7 @@ def metrics_csv(rows: list[MetricRow]) -> str:
 
 
 def evaluate(model: SFINet, images: np.ndarray, labels: np.ndarray,
-             xi: float = 3.0) -> tuple[float, float]:
+             xi: float) -> tuple[float, float]:
     """Mean total loss and top-1 accuracy over a split."""
     losses = []
     correct = 0
@@ -112,7 +112,7 @@ def evaluate(model: SFINet, images: np.ndarray, labels: np.ndarray,
 
 
 def train(model: SFINet, dataset: SyntheticDataset, cfg: TrainConfig,
-          rng: np.random.Generator | None = None, out_dir: str | None = None,
+          rng: np.random.Generator, out_dir: str | None = None,
           log=None) -> list[MetricRow]:
     """Train in place; returns one train row and one test row per epoch.
 
@@ -127,8 +127,6 @@ def train(model: SFINet, dataset: SyntheticDataset, cfg: TrainConfig,
     ``.grad`` buffers may hold the partial sum of the samples already
     backpropagated.
     """
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
     params = model.parameters()
     state = {name: np.zeros_like(p.data) for name, p in params.items()}
     n = dataset.train_images.shape[0]

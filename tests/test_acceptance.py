@@ -12,9 +12,8 @@ import pytest
 
 from sfinet import config as C
 from sfinet import tensor as T
-from sfinet.data import make_synthetic
-from sfinet.filters import (AmbiguityParams, NoiseParams, ambiguity_mask, apply_mask,
-                            gather_kept_rows, noise_select, topk_weights)
+from sfinet.filters import (AmbiguityParams, ambiguity_mask, apply_mask, gather_kept_rows,
+                            noise_select, topk_weights)
 from sfinet.gradcheck import check_grad, check_model
 from sfinet import reconstitution as R
 from sfinet.backbone import backbone_stage

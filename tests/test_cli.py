@@ -10,7 +10,6 @@ from sfinet import cli
 from sfinet import config as C
 from sfinet import tensor as T
 from sfinet.serialization import load_checkpoint, load_tensor, save_checkpoint, save_tensor
-from sfinet.tensor import Tensor
 
 TINY = ["--preset", "tiny"]
 
@@ -39,6 +38,15 @@ class TestTrainCommand:
         rc = run_cli(["train", "--config", "/nonexistent/conf.txt"])
         assert rc == 2
         assert "/nonexistent/conf.txt" in capsys.readouterr().err
+
+    def test_repeated_config_key_exits_2_naming_it(self, tmp_path, capsys):
+        conf = tmp_path / "run.txt"
+        conf.write_text("train.lr = 0.05\ntrain.lr = 0.5\n")
+        rc = run_cli(["train", "--config", conf, "--out", tmp_path / "run", "--quiet"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {conf}:2: config key 'train.lr' repeats line 1\n"
+        assert not (tmp_path / "run").exists()
 
     # ceil(0.75 * 3) = 3 leaves no test image; 0 and -2 leave no training image
     @pytest.mark.parametrize("samples", [3, 0, -2])

@@ -28,6 +28,11 @@ class TestParsing:
         raw = C.parse_config_text("# comment\n\ntrain.seed = 7\n")
         assert raw == {"train.seed": "7"}
 
+    def test_repeated_key_rejected_naming_both_lines(self):
+        with pytest.raises(ConfigError, match=r"run.txt:4: config key 'train.lr' repeats line 2"):
+            C.parse_config_text("# lr\ntrain.lr = 0.05\ntrain.epochs = 3\ntrain.lr = 0.5\n",
+                                origin="run.txt")
+
     def test_unknown_key_rejected_by_name(self):
         with pytest.raises(ConfigError, match="train.learning_rate"):
             C.parse_config_text("train.learning_rate = 0.1")
@@ -78,6 +83,10 @@ class TestOverrides:
         raw = C.apply_overrides({"train.seed": "1"}, ["train.seed=9", "train.epochs=3"])
         assert raw["train.seed"] == "9"
         assert raw["train.epochs"] == "3"
+
+    def test_repeated_set_keeps_the_last_value(self):
+        raw = C.apply_overrides({"train.lr": "0.05"}, ["train.lr=0.5", "train.lr=0.25"])
+        assert raw == {"train.lr": "0.25"}
 
     def test_unknown_set_key_rejected(self):
         with pytest.raises(ConfigError, match="nope.key"):

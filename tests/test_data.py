@@ -15,19 +15,19 @@ def small_cfg(**kw):
 
 class TestGeneration:
     def test_same_seed_bitwise_identical(self):
-        a = make_synthetic(small_cfg(seed=7))
-        b = make_synthetic(small_cfg(seed=7))
+        a = make_synthetic(small_cfg(), np.random.default_rng(7))
+        b = make_synthetic(small_cfg(), np.random.default_rng(7))
         npt.assert_array_equal(a.train_images, b.train_images)
         npt.assert_array_equal(a.test_images, b.test_images)
         npt.assert_array_equal(a.train_labels, b.train_labels)
 
     def test_different_seed_differs(self):
-        a = make_synthetic(small_cfg(seed=1))
-        b = make_synthetic(small_cfg(seed=2))
+        a = make_synthetic(small_cfg(), np.random.default_rng(1))
+        b = make_synthetic(small_cfg(), np.random.default_rng(2))
         assert not np.array_equal(a.train_images, b.train_images)
 
     def test_split_sizes_and_balance(self):
-        ds = make_synthetic(small_cfg(train_fraction=0.75))
+        ds = make_synthetic(small_cfg(train_fraction=0.75), np.random.default_rng(42))
         assert ds.train_images.shape[0] == 4 * 12
         assert ds.test_images.shape[0] == 4 * 4
         for c in range(4):
@@ -35,19 +35,20 @@ class TestGeneration:
             assert (ds.test_labels == c).sum() == 4
 
     def test_smallest_split_keeps_one_image_each_side(self):
-        ds = make_synthetic(small_cfg(samples_per_class=2, train_fraction=0.5))
+        ds = make_synthetic(small_cfg(samples_per_class=2, train_fraction=0.5),
+                            np.random.default_rng(42))
         assert ds.train_images.shape[0] == ds.test_images.shape[0] == 4
         with pytest.raises(ConfigError, match="gives 2 training and 0 test images"):
             small_cfg(samples_per_class=2, train_fraction=0.6)
 
     def test_splits_disjoint(self):
         # noise makes every sample unique, so equality across splits means leakage
-        ds = make_synthetic(small_cfg())
+        ds = make_synthetic(small_cfg(), np.random.default_rng(42))
         train_flat = {img.tobytes() for img in ds.train_images}
         assert all(img.tobytes() not in train_flat for img in ds.test_images)
 
     def test_zero_noise_images_constant_per_class(self):
-        ds = make_synthetic(small_cfg(noise_amplitude=0.0, overlap=0.0))
+        ds = make_synthetic(small_cfg(noise_amplitude=0.0, overlap=0.0), np.random.default_rng(42))
         for c in range(4):
             imgs = ds.train_images[ds.train_labels == c]
             npt.assert_array_equal(imgs.min(axis=0), imgs.max(axis=0))
@@ -77,13 +78,13 @@ class TestAnchors:
 
 class TestLinearProbe:
     def test_clean_data_linearly_separable(self):
-        ds = make_synthetic(small_cfg(noise_amplitude=0.0, overlap=0.0))
+        ds = make_synthetic(small_cfg(noise_amplitude=0.0, overlap=0.0), np.random.default_rng(42))
         acc = probe_accuracies(ds)
         assert acc["overall"] == 1.0
 
     def test_ambiguous_pair_harder_than_overall(self):
-        cfg = DataConfig(overlap=0.8, noise_amplitude=2.0, signal_amplitude=1.0, seed=42)
-        acc = probe_accuracies(make_synthetic(cfg))
+        cfg = DataConfig(overlap=0.8, noise_amplitude=2.0, signal_amplitude=1.0)
+        acc = probe_accuracies(make_synthetic(cfg, np.random.default_rng(42)))
         assert acc["pair"] < acc["overall"]
 
     def test_probe_predictions_shape(self, rng):

@@ -197,14 +197,14 @@ class TestNoiseSelect:
         # scores per position: 3, 1, 4, 2 -> keep [2, 0]
         maps = np.array([3.0, 1.0, 4.0, 2.0]).reshape(4, 1)
         feats = np.arange(8, dtype=float).reshape(4, 2)
-        sel = noise_select(maps, Tensor(feats), 0.5)
+        sel = noise_select(maps, Tensor(feats), 0.5, np.ones(4))
         assert sel.indices.tolist() == [2, 0]
         npt.assert_array_equal(sel.selected.data, feats[[2, 0]])
 
     def test_all_equal_scores_keep_first_flat_indices(self):
         maps = np.ones((6, 2))
         feats = np.arange(12, dtype=float).reshape(6, 2)
-        sel = noise_select(maps, Tensor(feats), 0.5)
+        sel = noise_select(maps, Tensor(feats), 0.5, np.ones(6))
         assert sel.indices.tolist() == [0, 1, 2]
 
     @given(st.integers(2, 6), st.integers(2, 6),
@@ -216,7 +216,7 @@ class TestNoiseSelect:
         if keep < 1:
             return
         sel = noise_select(g.standard_normal((w * h, 3)),
-                           Tensor(g.standard_normal((w * h, 5))), gamma2)
+                           Tensor(g.standard_normal((w * h, 5))), gamma2, np.ones(w * h))
         assert len(sel.indices) == keep
         assert sel.selected.shape == (keep, 5)
 
@@ -268,7 +268,7 @@ class TestOracleEquivalence:
                 else:
                     mask = ambiguity_mask(rng.standard_normal((int(w), int(h))).ravel(), gamma1)
             sel = noise_select(maps.reshape(-1, 3), Tensor(feats.reshape(-1, 4)), gamma2,
-                               keep_mask=mask if use_mask else None)
+                               keep_mask=mask if use_mask else np.ones(w * h))
             expected = naive_select(maps, gamma2,
                                     mask.reshape(int(w), int(h)) if use_mask else None)
             assert sel.indices.tolist() == expected
@@ -283,7 +283,8 @@ class TestOracleEquivalence:
         assert mask.sum() == oracle_mask.sum() == 21
         npt.assert_array_equal(mask, oracle_mask.ravel())
         maps = rng.standard_normal((w, h, 3))
-        sel = noise_select(maps.reshape(-1, 3), Tensor(rng.standard_normal((w * h, 4))), gamma)
+        sel = noise_select(maps.reshape(-1, 3), Tensor(rng.standard_normal((w * h, 4))), gamma,
+                           np.ones(w * h))
         assert len(sel.indices) == len(naive_select(maps, gamma, None)) == 21
         assert sel.indices.tolist() == naive_select(maps, gamma, None)
 
@@ -529,8 +530,9 @@ class TestCheckedConstants:
         res = model.forward(ds.train_images[0], int(ds.train_labels[0]))
         total_loss(res.filter_loss, res.class_loss, cfg.train.xi)
         # every node one training sample creates; the filters' selection
-        # values are checked arrays, so each stage adds its kept-row gather alone
-        assert len(ops) == 32
+        # values are checked arrays, so each stage adds its kept-row gather
+        # alone, and the reported probabilities are a checked array too
+        assert len(ops) == 31
 
 
 class TestDeferredBypassValues:
@@ -568,7 +570,7 @@ class TestDeferredBypassValues:
         filter_values = {"class_maps", "coarse_pool", "ambiguity_map", "masked_maps", "noise_scores"}
         assert filter_values.isdisjoint(checks)
         # every node one training sample creates
-        assert len(ops) == 28
+        assert len(ops) == 27
         arts = model.filter_stages(res.stages)
         assert (checks.count("class_maps") == checks.count("noise_scores") == len(arts)
                 == len(res.stages))

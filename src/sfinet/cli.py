@@ -11,12 +11,14 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from . import config as C
 from . import gradcheck as GC
 from .export import export_adjacency, export_stage_maps
 from .serialization import (SerializationError, atomic_open, load_checkpoint, load_tensor,
                             make_dirs, save_tensor)
-from .tensor import ConfigError, NonFiniteError, finite
+from .tensor import ConfigError, NonFiniteError, finite, no_tape
 from .train import TrainAbort, evaluate, train
 
 
@@ -58,7 +60,8 @@ def cmd_eval(args) -> int:
 
 def cmd_export_maps(args) -> int:
     cfg = _load_config(args.config, args.set, args.preset)
-    _, model, _ = C.build_experiment(cfg)
+    # every parameter comes from the checkpoint, so no dataset and any generator
+    model = C.build_model(cfg, np.random.default_rng(cfg.train.seed))
     model.load_state(load_checkpoint(args.checkpoint))
     image = load_tensor(args.image)
     expected = (*cfg.backbone.input_size, cfg.backbone.in_channels)
@@ -66,10 +69,11 @@ def cmd_export_maps(args) -> int:
         raise ConfigError(f"image shape {image.shape} does not match backbone input {expected}")
     if not finite(image):
         raise ConfigError(f"{args.image}: image holds NaN or Inf values")
-    res = model.forward(image)
+    with no_tape():
+        res = model.forward(image)
+        arts = model.filter_stages(res.stages)
     image_id = os.path.splitext(os.path.basename(args.image))[0]
     written = []
-    arts = model.filter_stages(res.stages)
     for i, (art, (w, h, _)) in enumerate(zip(arts, cfg.backbone.stage_shapes())):
         written += export_stage_maps(args.out, image_id, i, art, (w, h))
     written += export_adjacency(args.out, image_id, model.adjacency.data)

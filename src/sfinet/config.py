@@ -216,6 +216,12 @@ def resolved_text(cfg: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
+def build_model(cfg: RunConfig, rng: np.random.Generator) -> SFINet:
+    """The configured model, its initial weights drawn from ``rng``."""
+    return SFINet(cfg.backbone, cfg.ambiguity, cfg.noise, cfg.sir,
+                  cfg.data.num_classes, rng, bypass_filters=cfg.bypass_filters)
+
+
 def build_experiment(cfg: RunConfig) -> tuple[SyntheticDataset, SFINet, np.random.Generator]:
     """Dataset, model, and the shared generator, in the canonical order.
 
@@ -225,6 +231,4 @@ def build_experiment(cfg: RunConfig) -> tuple[SyntheticDataset, SFINet, np.rando
     """
     rng = np.random.default_rng(cfg.train.seed)
     dataset = make_synthetic(cfg.data, rng)
-    model = SFINet(cfg.backbone, cfg.ambiguity, cfg.noise, cfg.sir,
-                   cfg.data.num_classes, rng, bypass_filters=cfg.bypass_filters)
-    return dataset, model, rng
+    return dataset, build_model(cfg, rng), rng

@@ -5,7 +5,8 @@ anchor.  Classes 0 and 1 always share their anchor and, when ``overlap``
 is positive, also share that fraction of their patch area, which makes
 them a deliberately confusable pair.  All randomness comes from one
 generator, so a seed pins the dataset bit for bit; train and test splits
-are disjoint by construction.
+are disjoint by construction.  Each split is one array filled in place
+from the generator, with no per-image arrays or stacking copy.
 """
 
 from __future__ import annotations
@@ -116,26 +117,26 @@ def _class_patches(cfg: DataConfig, rng: np.random.Generator) -> np.ndarray:
 
 
 def make_synthetic(cfg: DataConfig, rng: np.random.Generator) -> SyntheticDataset:
-    """Generate the dataset, drawing every random value from ``rng``."""
+    """Generate the dataset, drawing every random value from ``rng``.
+
+    Each split is a ``(classes, n_split, W, H, C)`` array seen as
+    ``(n, W, H, C)`` images.  Per class the train slab's normals come
+    before the test slab's: the draw order of one image at a time.
+    """
     anchors = _anchors(cfg)
     patches = _class_patches(cfg, rng)
     size, ch, p = cfg.image_size, cfg.channels, cfg.patch_size
-    n_train = cfg.train_per_class
-    train_x, train_y, test_x, test_y = [], [], [], []
-    for c in range(cfg.num_classes):
-        ax, ay = anchors[c]
-        for s in range(cfg.samples_per_class):
-            img = cfg.noise_amplitude * rng.standard_normal((size, size, ch))
-            img[ax:ax + p, ay:ay + p] += patches[c]
-            if s < n_train:
-                train_x.append(img)
-                train_y.append(c)
-            else:
-                test_x.append(img)
-                test_y.append(c)
-    return SyntheticDataset(cfg,
-                            np.asarray(train_x), np.asarray(train_y, dtype=np.intp),
-                            np.asarray(test_x), np.asarray(test_y, dtype=np.intp))
+    counts = (cfg.train_per_class, cfg.samples_per_class - cfg.train_per_class)
+    splits = [np.empty((cfg.num_classes, n, size, size, ch)) for n in counts]
+    for c, (ax, ay) in enumerate(anchors):
+        for split in splits:
+            slab = split[c]
+            rng.standard_normal(out=slab)
+            slab *= cfg.noise_amplitude
+            slab[:, ax:ax + p, ay:ay + p] += patches[c]
+    train_x, test_x = (split.reshape(-1, size, size, ch) for split in splits)
+    train_y, test_y = (np.repeat(np.arange(cfg.num_classes, dtype=np.intp), n) for n in counts)
+    return SyntheticDataset(cfg, train_x, train_y, test_x, test_y)
 
 
 def augment_image(img: np.ndarray, rng: np.random.Generator, pad: int = 2) -> np.ndarray:

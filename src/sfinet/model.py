@@ -169,4 +169,5 @@ class SFINet:
         return ForwardResult(probs, class_loss, f_loss, stages, attn)
 
     def predict(self, image: np.ndarray) -> int:
-        return int(np.argmax(self.forward(image).probs))
+        with T.no_tape():
+            return int(np.argmax(self.forward(image).probs))

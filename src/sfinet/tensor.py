@@ -3,7 +3,9 @@
 Every operation allocates a fresh output tensor that records its parent
 tensors and a backward closure.  Calling :func:`backward` on a scalar loss
 replays the closures in exact reverse execution order, so repeated
-backward passes (after a grad reset) are bit-for-bit identical.
+backward passes (after a grad reset) are bit-for-bit identical.  Inside a
+:func:`no_tape` block the same ops run and nothing is recorded; inference
+(evaluation, prediction, map export) runs there.
 
 All arithmetic is float64.  Each op checks its result for NaN/Inf and
 raises :class:`NonFiniteError` naming the op, which doubles as the
@@ -45,6 +47,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from contextlib import contextmanager
 from typing import Callable, Sequence
 
 import numpy as np
@@ -67,6 +70,7 @@ class ConfigError(ValueError):
 
 
 _seq = itertools.count()
+_taping = True
 
 
 class Tensor:
@@ -128,7 +132,8 @@ def node(data: np.ndarray, parents: Sequence[Tensor],
 
     ``backward_fn`` receives the output gradient and must accumulate into
     the parents via :func:`accumulate`.  Parents are only recorded when at
-    least one of them requires grad, so constant subgraphs stay leaves.
+    least one of them requires grad and no :func:`no_tape` block is open,
+    so constant subgraphs and inference forwards stay leaves.
 
     The output is checked with :func:`checked`.
     """
@@ -138,12 +143,29 @@ def node(data: np.ndarray, parents: Sequence[Tensor],
     out.grad = None
     out.op = op
     out._seq_id = next(_seq)
-    for p in parents:
-        if p.requires_grad:
-            out.requires_grad, out._parents, out._backward_fn = True, tuple(parents), backward_fn
-            return out
+    if _taping:
+        for p in parents:
+            if p.requires_grad:
+                out.requires_grad, out._parents, out._backward_fn = True, tuple(parents), backward_fn
+                return out
     out.requires_grad, out._parents, out._backward_fn = False, (), None
     return out
+
+
+@contextmanager
+def no_tape():
+    """Run ops without recording them: every node made inside is a leaf.
+
+    For forwards whose result is only read, never differentiated.  The
+    ops compute the same values; the previous state comes back on exit,
+    also when the block raises.
+    """
+    global _taping
+    previous, _taping = _taping, False
+    try:
+        yield
+    finally:
+        _taping = previous
 
 
 def finite(arr: np.ndarray) -> bool:
@@ -153,8 +175,12 @@ def finite(arr: np.ndarray) -> bool:
     squares NaN or +Inf, and a finite sum proves every element finite.  An
     all-finite array can still give +Inf when its squares add up past the
     float maximum (any element above 1.4e154 does); only then does
-    ``np.isfinite`` run, and it decides.
+    ``np.isfinite`` run, and it decides.  A 0-d array, such as a loss, is
+    one number, which ``math.isfinite`` checks exactly without the dot
+    product's call overhead.
     """
+    if not arr.ndim:
+        return math.isfinite(arr)
     return math.isfinite(np.vdot(arr, arr)) or bool(np.isfinite(arr).all())
 
 
@@ -473,10 +499,9 @@ def cross_entropy(logits: Tensor, label: int) -> Tensor:
     shifted = logits.data - logits.data.max()
     e = np.exp(shifted)
     total = e.sum()
-    probs = e / total
 
     def bw(g):
-        d = probs.copy()
+        d = e / total
         d[label] -= 1.0
         accumulate(logits, g * d)
 

@@ -100,14 +100,15 @@ def metrics_csv(rows: list[MetricRow]) -> str:
 
 def evaluate(model: SFINet, images: np.ndarray, labels: np.ndarray,
              xi: float) -> tuple[float, float]:
-    """Mean total loss and top-1 accuracy over a split."""
+    """Mean total loss and top-1 accuracy over a split, with nothing taped."""
     losses = []
     correct = 0
-    for img, y in zip(images, labels):
-        res = model.forward(img, int(y))
-        losses.append(xi * res.filter_loss.item() + res.class_loss.item())
-        if int(np.argmax(res.probs)) == int(y):
-            correct += 1
+    with T.no_tape():
+        for img, y in zip(images, labels):
+            res = model.forward(img, int(y))
+            losses.append(xi * res.filter_loss.item() + res.class_loss.item())
+            if int(np.argmax(res.probs)) == int(y):
+                correct += 1
     return float(np.mean(losses)), correct / len(labels)
 
 

@@ -8,7 +8,9 @@ import pytest
 
 from sfinet import cli
 from sfinet import config as C
+from sfinet import data as D
 from sfinet import tensor as T
+from sfinet.export import export_adjacency, export_stage_maps
 from sfinet.serialization import load_checkpoint, load_tensor, save_checkpoint, save_tensor
 
 TINY = ["--preset", "tiny"]
@@ -265,6 +267,35 @@ class TestExportMapsCommand:
                 exported = load_tensor(maps_dir / f"sample_stage{stage}_{kind}.csv")
                 assert exported.shape == (w, h)
                 npt.assert_array_equal(exported, arr.reshape(w, h))
+
+    def test_builds_no_dataset_and_writes_a_taped_forwards_bytes(self, tmp_path, monkeypatch):
+        cfg = C.preset("tiny")
+        ds, model, _ = C.build_experiment(cfg)
+        for p in model.parameters().values():  # differ from the initial draws
+            p.data = p.data * 1.5 + 0.25
+        ckpt, img = tmp_path / "ckpt.csv", tmp_path / "img.csv"
+        save_checkpoint(ckpt, model.parameters())
+        save_tensor(img, ds.test_images[0])
+        ref = tmp_path / "ref"
+        res = model.forward(ds.test_images[0])
+        arts = model.filter_stages(res.stages)
+        for stage, (art, (w, h, _)) in enumerate(zip(arts, cfg.backbone.stage_shapes())):
+            export_stage_maps(ref, "img", stage, art, (w, h))
+        export_adjacency(ref, "img", model.adjacency.data)
+        save_tensor(ref / "img_attention.csv", res.attention.data)
+
+        def make_synthetic(*args):
+            raise AssertionError("export-maps built a dataset")
+
+        monkeypatch.setattr(C, "make_synthetic", make_synthetic)
+        monkeypatch.setattr(D, "make_synthetic", make_synthetic)
+        out = tmp_path / "maps"
+        assert run_cli(["export-maps", *TINY, "--checkpoint", ckpt, "--image", img,
+                        "--out", out]) == 0
+        names = sorted(os.listdir(out))
+        assert len(names) == 23 and names == sorted(os.listdir(ref))
+        for name in names:
+            assert (out / name).read_bytes() == (ref / name).read_bytes(), name
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
     def test_bypass_class_maps_overflow_exits_1_naming_op(self, tmp_path, capsys):

@@ -1,16 +1,45 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from sfinet.backbone import ConfigError
-from sfinet.data import (DataConfig, _anchors, augment_image, linear_probe, make_synthetic,
-                         probe_accuracies)
+from sfinet.data import (DataConfig, SyntheticDataset, _anchors, _class_patches, augment_image,
+                         linear_probe, make_synthetic, probe_accuracies)
 
 
 def small_cfg(**kw):
     base = dict(num_classes=4, samples_per_class=16, image_size=16, patch_size=6)
     base.update(kw)
     return DataConfig(**base)
+
+
+def per_image_synthetic(cfg, rng):
+    """One image at a time, then stacked: the generator whose bytes the split fill keeps."""
+    anchors = _anchors(cfg)
+    patches = _class_patches(cfg, rng)
+    size, ch, p = cfg.image_size, cfg.channels, cfg.patch_size
+    n_train = cfg.train_per_class
+    train_x, train_y, test_x, test_y = [], [], [], []
+    for c in range(cfg.num_classes):
+        ax, ay = anchors[c]
+        for s in range(cfg.samples_per_class):
+            img = cfg.noise_amplitude * rng.standard_normal((size, size, ch))
+            img[ax:ax + p, ay:ay + p] += patches[c]
+            if s < n_train:
+                train_x.append(img)
+                train_y.append(c)
+            else:
+                test_x.append(img)
+                test_y.append(c)
+    return SyntheticDataset(cfg,
+                            np.asarray(train_x), np.asarray(train_y, dtype=np.intp),
+                            np.asarray(test_x), np.asarray(test_y, dtype=np.intp))
+
+
+AMBIGUOUS_PAIR = DataConfig(samples_per_class=48, overlap=0.8, noise_amplitude=1.5,
+                            signal_amplitude=1.25)
 
 
 class TestGeneration:
@@ -60,6 +89,38 @@ class TestGeneration:
     def test_overlap_bounds_checked(self):
         with pytest.raises(ConfigError):
             DataConfig(overlap=1.5)
+
+
+class TestSplitFill:
+    @pytest.mark.parametrize("cfg", [
+        DataConfig(),
+        AMBIGUOUS_PAIR,
+        DataConfig(num_classes=3, samples_per_class=8, image_size=8, patch_size=4),  # tiny
+        small_cfg(noise_amplitude=0.0),
+        small_cfg(samples_per_class=2, train_fraction=0.5),
+    ], ids=["default", "ambiguous-pair", "tiny", "zero-noise", "smallest-split"])
+    @pytest.mark.parametrize("seed", [3, 42])
+    def test_bytes_match_the_per_image_generator(self, cfg, seed):
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got, want = make_synthetic(cfg, got_rng), per_image_synthetic(cfg, want_rng)
+        for name in ("train_images", "train_labels", "test_images", "test_labels"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a.shape, a.dtype, a.flags.c_contiguous) == (b.shape, b.dtype, True), name
+            assert a.tobytes() == b.tobytes(), name
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state  # later draws agree
+
+    @pytest.mark.parametrize("cfg", [DataConfig(), AMBIGUOUS_PAIR], ids=["default", "ambiguous-pair"])
+    def test_peak_memory_is_about_the_dataset(self, cfg):
+        # the per-image generator peaked at 2.0-2.13x: every image twice, then the stacked copy
+        rng = np.random.default_rng(7)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            ds = make_synthetic(cfg, rng)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * (ds.train_images.nbytes + ds.test_images.nbytes)
 
 
 class TestAnchors:

@@ -320,6 +320,14 @@ class TestNonFiniteDetection:
         with pytest.raises(NonFiniteError, match="probe"):
             T.node(np.array([0.0, np.inf]), (), None, "probe")
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scalar_reported_by_op(self, value):
+        assert not T.finite(np.array(value))
+        with pytest.raises(NonFiniteError, match=r"^op 'probe' produced non-finite values$"):
+            T.node(np.array(value), (), None, "probe")
+        with pytest.raises(NonFiniteError, match=r"^op 'scale' produced non-finite values$"):
+            T.scale(Tensor(value, requires_grad=True), 2.0)
+
     @staticmethod
     @st.composite
     def probe_arrays(draw):
@@ -403,6 +411,33 @@ class TestElementwiseGradients:
         assert_grads_match(lambda: T.sum_all(T.hadamard(T.mean_rows(x), w)), {"x": x})
         assert_grads_match(lambda: T.sum_all(T.tanh(T.global_average_pool(m))), {"m": m})
         assert_grads_match(lambda: T.sum_all(T.tanh(T.channel_average_pool(m))), {"m": m})
+
+
+class TestNoTape:
+    def test_ops_inside_record_nothing_with_the_same_values(self, rng):
+        a = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        taped = T.tanh(T.scale(a, 2.0))
+        with T.no_tape():
+            untaped = T.tanh(T.scale(a, 2.0))
+        assert untaped.data.tobytes() == taped.data.tobytes()
+        assert not untaped.requires_grad and untaped._parents == () and untaped._backward_fn is None
+        assert taped.requires_grad and taped._parents
+
+    def test_taping_resumes_after_the_block(self):
+        a = Tensor(np.ones(2), requires_grad=True)
+        with T.no_tape():
+            with T.no_tape():
+                pass
+            assert not T.scale(a, 1.0).requires_grad  # the inner exit keeps the outer block
+        out = T.sum_all(T.scale(a, 3.0))
+        out.backward()
+        npt.assert_array_equal(a.grad, [3.0, 3.0])
+
+    def test_state_restored_after_an_exception(self):
+        a = Tensor(np.ones(2), requires_grad=True)
+        with pytest.raises(NonFiniteError), T.no_tape():
+            T.log(Tensor([0.0, 1.0]))
+        assert T.scale(a, 1.0)._parents == (a,)
 
 
 class TestTensorBasics:

@@ -8,6 +8,7 @@ import numpy.testing as npt
 import pytest
 
 from sfinet import config as C
+from sfinet import reconstitution as R
 from sfinet import tensor as T
 from sfinet.backbone import ConfigError
 from sfinet.data import make_synthetic
@@ -262,6 +263,29 @@ class TestEvaluate:
                           for img, y in zip(ds.test_images, ds.test_labels)])
         assert acc == manual
         assert np.isfinite(loss)
+
+    def test_evaluate_tapes_nothing_and_training_still_does(self, monkeypatch):
+        made = []
+        real = T.node
+
+        def node(*args):
+            made.append(real(*args))
+            return made[-1]
+
+        monkeypatch.setattr(T, "node", node)
+        monkeypatch.setattr(R, "node", node)
+        cfg = preset_cfg("default")
+        ds, model, _ = C.build_experiment(cfg)
+        evaluate(model, ds.test_images[:3], ds.test_labels[:3], xi=cfg.train.xi)
+        model.predict(ds.test_images[0])
+        assert made and not any(t._parents or t.requires_grad for t in made)
+        made.clear()
+        res = model.forward(ds.train_images[0], int(ds.train_labels[0]))
+        loss = total_loss(res.filter_loss, res.class_loss, cfg.train.xi)
+        assert len(made) == 31
+        assert sum(1 for t in made if t._parents) == 25  # not the image reshape or the five logs
+        loss.backward()
+        assert model.classifier.grad.any()
 
 
 def batch_backward_train(model, dataset, cfg, rng):

@@ -111,14 +111,22 @@ def backbone_stage(x: Tensor, patches: np.ndarray, inverse: np.ndarray,
     return T.node(y, (x, weight, bias), bw, "backbone_stage")
 
 
-def _patch_indices(w: int, h: int, stride: int) -> np.ndarray:
-    """Source-row indices (S_i, stride**2): one row per patch, (di, dj) row-major."""
-    out = []
-    for i in range(w // stride):
-        for j in range(h // stride):
-            out.append([(i * stride + di) * h + (j * stride + dj)
-                        for di in range(stride) for dj in range(stride)])
-    return np.asarray(out, dtype=np.intp)
+def _patch_indices(w: int, h: int, s: int) -> np.ndarray:
+    """Stride-``s`` source-row indices (S_i, s**2): one row per patch, (di, dj) row-major."""
+    return (np.arange(w * h, dtype=np.intp).reshape(w // s, s, h // s, s)
+            .transpose(0, 2, 1, 3).reshape(-1, s * s))
+
+
+def uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
+    """Initial weights drawn from U(-a, a), a = sqrt(1 / fan_in)."""
+    a = np.sqrt(1.0 / fan_in)
+    return rng.uniform(-a, a, size=shape)
+
+
+def register(params: dict[str, Tensor], name: str, data: np.ndarray) -> Tensor:
+    """A trainable tensor holding ``data``, added to ``params`` under ``name``."""
+    params[name] = Tensor(data, requires_grad=True)
+    return params[name]
 
 
 class Backbone:
@@ -130,23 +138,20 @@ class Backbone:
         self.biases: list[Tensor] = []
         self._indices: list[np.ndarray] = []
         self._inverses: list[np.ndarray] = []
+        self._params: dict[str, Tensor] = {}
         w, h = config.input_size
         c_in = config.in_channels
-        for stride, c_out in zip(config.strides, config.channels):
+        for i, (stride, c_out) in enumerate(zip(config.strides, config.channels)):
             fan_in = stride * stride * c_in
-            a = np.sqrt(1.0 / fan_in)
-            self.weights.append(Tensor(rng.uniform(-a, a, size=(fan_in, c_out)), requires_grad=True))
-            self.biases.append(Tensor(np.zeros(c_out), requires_grad=True))
+            self.weights.append(register(self._params, f"backbone.stage{i}.weight",
+                                         uniform(rng, (fan_in, c_out), fan_in)))
+            self.biases.append(register(self._params, f"backbone.stage{i}.bias", np.zeros(c_out)))
             self._indices.append(_patch_indices(w, h, stride))
             self._inverses.append(np.argsort(self._indices[-1], axis=None))
             w, h, c_in = w // stride, h // stride, c_out
 
     def parameters(self) -> dict[str, Tensor]:
-        out = {}
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            out[f"backbone.stage{i}.weight"] = w
-            out[f"backbone.stage{i}.bias"] = b
-        return out
+        return dict(self._params)
 
     def forward(self, image: Tensor) -> list[Tensor]:
         """Each stage's (W_i * H_i, C_i) feature rows, row-major over its grid."""

@@ -1,7 +1,8 @@
 """Command-line entry point: train, eval, export-maps, gradcheck.
 
 Exit codes: 0 = ok, 1 = a check or run failed, 2 = usage/config error.
-The environment variable ``SFI_SEED`` overrides the configured seed.
+The environment variable ``SFI_SEED`` overrides the seed of the config
+file or preset; an explicit ``--set train.seed=N`` overrides both.
 """
 
 from __future__ import annotations
@@ -24,10 +25,9 @@ from .train import TrainAbort, evaluate, train
 
 def _load_config(path: str | None, sets: list[str], preset: str | None) -> C.RunConfig:
     raw = C.parse_config_file(path) if path is not None else dict(C.PRESETS[preset or "default"])
-    raw = C.apply_overrides(raw, sets)
     if "SFI_SEED" in os.environ:
         raw["train.seed"] = os.environ["SFI_SEED"].strip()
-    return C.build_run_config(raw)
+    return C.build_run_config(C.apply_overrides(raw, sets))
 
 
 def cmd_train(args) -> int:

@@ -72,6 +72,7 @@ PRESETS: dict[str, dict[str, str]] = {
         "data.patch_size": "4",
         "train.epochs": "2",
         "train.batch_size": "4",
+        "output.dir": "runs/tiny",
     },
 }
 
@@ -150,6 +151,9 @@ def apply_overrides(raw: dict[str, str], overrides: list[str]) -> dict[str, str]
 
 
 def build_run_config(raw: dict[str, str]) -> RunConfig:
+    for key in raw:
+        if key not in _SCHEMA:
+            raise ConfigError(f"unknown config key {key!r}")
     values = {key: (tag_default[1] if key not in raw else _parse_value(key, raw[key]))
               for key, tag_default in _SCHEMA.items()}
     backbone = BackboneConfig(

@@ -2,9 +2,12 @@
 
 Parameter creation consumes the injected RNG in a fixed order (backbone,
 then per-stage filter weights, then reconstitution weights), so the same
-seed always yields the same initial weights.  The sequence length seen by
-the reconstitution stage is fixed by the drop ratios and stage extents
-alone, which lets the adjacency matrix be allocated up front.
+seed always yields the same initial weights.  Each parameter is named in
+one ordered registry on the line that creates it, so creation order is
+also checkpoint order: :meth:`SFINet.parameters` returns that registry.
+The sequence length seen by the reconstitution stage is fixed by the drop
+ratios and stage extents alone, which lets the adjacency matrix be
+allocated up front.
 
 The class-map projections ``mff.stage{i}.class_proj`` only drive the
 filters' selections, which are plain checked arrays off the tape, so the
@@ -16,19 +19,15 @@ its kept rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import filters as F
 from . import reconstitution as R
 from . import tensor as T
-from .backbone import Backbone, BackboneConfig
+from .backbone import Backbone, BackboneConfig, register, uniform
 from .tensor import ConfigError, Tensor
-
-
-def _uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
-    a = np.sqrt(1.0 / fan_in)
-    return rng.uniform(-a, a, size=shape)
 
 
 @dataclass
@@ -65,56 +64,42 @@ class SFINet:
         self.bypass_filters = bypass_filters
 
         self.backbone = Backbone(backbone_cfg, rng)
+        self._params = self.backbone.parameters()
+        add = partial(register, self._params)
 
         self.class_projs: list[Tensor] = []
         self.filter_cls: list[Tensor] = []
-        for _, _, c in shapes:
-            self.class_projs.append(Tensor(_uniform(rng, (c, n_classes), c), requires_grad=True))
-            self.filter_cls.append(Tensor(_uniform(rng, (c, n_classes), c), requires_grad=True))
+        for i, (_, _, c) in enumerate(shapes):
+            self.class_projs.append(add(f"mff.stage{i}.class_proj", uniform(rng, (c, n_classes), c)))
+            self.filter_cls.append(add(f"mff.stage{i}.filter_cls", uniform(rng, (c, n_classes), c)))
 
         cc = sir_cfg.channels
-        self.stage_projs = [Tensor(_uniform(rng, (c, cc), c), requires_grad=True)
-                            for _, _, c in shapes]
+        self.stage_projs = [add(f"sir.stage{i}.proj", uniform(rng, (c, cc), c))
+                            for i, (_, _, c) in enumerate(shapes)]
         # identity-start reassembly: center tap ones, neighbor taps zero
-        self.sr_prev = Tensor(np.zeros(cc), requires_grad=True)
-        self.sr_self = Tensor(np.ones(cc), requires_grad=True)
-        self.sr_next = Tensor(np.zeros(cc), requires_grad=True)
+        self.sr_prev = add("sir.sr.w_prev", np.zeros(cc))
+        self.sr_self = add("sir.sr.w_self", np.ones(cc))
+        self.sr_next = add("sir.sr.w_next", np.zeros(cc))
         d = cc // sir_cfg.heads
-        self.wq = Tensor(_uniform(rng, (sir_cfg.heads, cc, d), cc), requires_grad=True)
-        self.wk = Tensor(_uniform(rng, (sir_cfg.heads, cc, d), cc), requires_grad=True)
-        self.wv = Tensor(_uniform(rng, (sir_cfg.heads, cc, d), cc), requires_grad=True)
-        self.mix = Tensor(np.eye(sir_cfg.heads), requires_grad=True)
+        self.wq = add("sir.attn.wq", uniform(rng, (sir_cfg.heads, cc, d), cc))
+        self.wk = add("sir.attn.wk", uniform(rng, (sir_cfg.heads, cc, d), cc))
+        self.wv = add("sir.attn.wv", uniform(rng, (sir_cfg.heads, cc, d), cc))
+        self.mix = add("sir.attn.mix", np.eye(sir_cfg.heads))
 
+        self.gcn_weights = [add(f"sir.gcn.layer{l}.weight", uniform(rng, (cc, cc), cc))
+                            for l in range(sir_cfg.gcn_depth)]
         self.seq_len = sum(w * h if bypass_filters else F.kept_rows(w * h, noise.gamma2)
                            for w, h, _ in shapes)
         a0 = sir_cfg.adjacency_init if sir_cfg.adjacency_init is not None else 1.0 / self.seq_len
-        self.adjacency = Tensor(np.full((self.seq_len, self.seq_len), a0), requires_grad=True)
-        self.gcn_weights = [Tensor(_uniform(rng, (cc, cc), cc), requires_grad=True)
-                            for _ in range(sir_cfg.gcn_depth)]
-        self.classifier = Tensor(_uniform(rng, (cc, n_classes), cc), requires_grad=True)
+        self.adjacency = add("sir.gcn.adjacency", np.full((self.seq_len, self.seq_len), a0))
+        self.classifier = add("sir.classifier", uniform(rng, (cc, n_classes), cc))
 
     def parameters(self) -> dict[str, Tensor]:
-        out = self.backbone.parameters()
-        for i, (proj, cls) in enumerate(zip(self.class_projs, self.filter_cls)):
-            out[f"mff.stage{i}.class_proj"] = proj
-            out[f"mff.stage{i}.filter_cls"] = cls
-        for i, proj in enumerate(self.stage_projs):
-            out[f"sir.stage{i}.proj"] = proj
-        out["sir.sr.w_prev"] = self.sr_prev
-        out["sir.sr.w_self"] = self.sr_self
-        out["sir.sr.w_next"] = self.sr_next
-        out["sir.attn.wq"] = self.wq
-        out["sir.attn.wk"] = self.wk
-        out["sir.attn.wv"] = self.wv
-        out["sir.attn.mix"] = self.mix
-        for l, w in enumerate(self.gcn_weights):
-            out[f"sir.gcn.layer{l}.weight"] = w
-        out["sir.gcn.adjacency"] = self.adjacency
-        out["sir.classifier"] = self.classifier
-        return out
+        """A fresh dict of every trainable tensor by name, in creation (= checkpoint) order."""
+        return dict(self._params)
 
     def zero_grad(self) -> None:
-        for p in self.parameters().values():
+        for p in self._params.values():
             p.zero_grad()
 
     def load_state(self, state: dict[str, np.ndarray]) -> None:

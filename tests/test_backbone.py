@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from sfinet.backbone import Backbone, BackboneConfig, ConfigError
+from sfinet.backbone import Backbone, BackboneConfig, ConfigError, _patch_indices
 from sfinet.tensor import ShapeError, Tensor
 from sfinet import tensor as T
 
@@ -86,3 +86,23 @@ class TestForward:
         bb = Backbone(cfg, np.random.default_rng(0))
         bound0 = np.sqrt(1.0 / (4 * 4 * 3))
         assert np.abs(bb.weights[0].data).max() <= bound0
+
+
+def loop_patch_indices(w, h, stride):
+    """One row per patch in row-major patch order, its (di, dj) taps row-major."""
+    out = []
+    for i in range(w // stride):
+        for j in range(h // stride):
+            out.append([(i * stride + di) * h + (j * stride + dj)
+                        for di in range(stride) for dj in range(stride)])
+    return np.asarray(out, dtype=np.intp)
+
+
+@pytest.mark.parametrize("w, h, stride", [(32, 32, 4), (8, 8, 2), (4, 4, 2), (4, 4, 1),
+                                          (8, 4, 2), (6, 12, 3)])
+def test_patch_indices_match_the_loop(w, h, stride):
+    got = _patch_indices(w, h, stride)
+    want = loop_patch_indices(w, h, stride)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    npt.assert_array_equal(got, want)
+    assert sorted(got.ravel()) == list(range(w * h))

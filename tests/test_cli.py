@@ -142,6 +142,19 @@ class TestTrainCommand:
         assert run_cli(["train", *TINY, "--out", out, "--quiet"]) == 0
         assert "train.seed = 777" in (out / "config_resolved.txt").read_text()
 
+    def test_set_seed_overrides_sfi_seed(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("SFI_SEED", "5")
+        out = tmp_path / "seeded"
+        assert run_cli(["train", *TINY, "--set", "train.seed=9", "--set", "train.epochs=1",
+                        "--out", out, "--quiet"]) == 0
+        assert "train.seed = 9" in (out / "config_resolved.txt").read_text()
+
+    def test_tiny_preset_without_out_writes_runs_tiny(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(["train", *TINY, "--set", "train.epochs=1", "--quiet"]) == 0
+        assert (tmp_path / "runs" / "tiny" / "checkpoint.csv").is_file()
+        assert not (tmp_path / "runs" / "default").exists()
+
 
 class TestEvalCommand:
     @pytest.fixture

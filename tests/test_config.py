@@ -37,6 +37,10 @@ class TestParsing:
         with pytest.raises(ConfigError, match="train.learning_rate"):
             C.parse_config_text("train.learning_rate = 0.1")
 
+    def test_unknown_key_rejected_when_building(self):
+        with pytest.raises(ConfigError, match="unknown config key 'train.epoch'"):
+            C.build_run_config({"train.epoch": "5"})
+
     def test_malformed_line_rejected(self):
         with pytest.raises(ConfigError, match="section.key"):
             C.parse_config_text("just some text")
@@ -118,6 +122,9 @@ class TestPresets:
     def test_tiny_preset_valid(self):
         cfg = C.preset("tiny")
         assert max(w * h for w, h, _ in cfg.backbone.stage_shapes()) <= 16
+
+    def test_tiny_preset_writes_where_its_file_says(self):
+        assert C.preset("tiny").out_dir == shipped("tiny.txt").out_dir == "runs/tiny"
 
     def test_paper_protocol_preset_valid(self):
         # documentation only, as a config file: 384 px does not fit at desk scale

@@ -202,6 +202,45 @@ class TestOutputFiles:
         assert os.listdir(tmp_path) == ["metrics.csv"]
 
 
+def checkpoint_order(stages, gcn_depth):
+    return ([n for i in range(stages) for n in (f"backbone.stage{i}.weight", f"backbone.stage{i}.bias")]
+            + [n for i in range(stages) for n in (f"mff.stage{i}.class_proj", f"mff.stage{i}.filter_cls")]
+            + [f"sir.stage{i}.proj" for i in range(stages)]
+            + ["sir.sr.w_prev", "sir.sr.w_self", "sir.sr.w_next",
+               "sir.attn.wq", "sir.attn.wk", "sir.attn.wv", "sir.attn.mix"]
+            + [f"sir.gcn.layer{l}.weight" for l in range(gcn_depth)]
+            + ["sir.gcn.adjacency", "sir.classifier"])
+
+
+class TestParameterRegistry:
+    @pytest.mark.parametrize("preset, overrides, stages, gcn_depth", [
+        ("tiny", {}, 2, 1), ("tiny", {"sir.gcn_depth": 2}, 2, 2), ("default", {}, 4, 1),
+    ], ids=["tiny", "tiny-gcn2", "default"])
+    def test_checkpoint_order_is_pinned(self, preset, overrides, stages, gcn_depth):
+        model = C.build_model(preset_cfg(preset, **overrides), np.random.default_rng(0))
+        assert list(model.parameters()) == checkpoint_order(stages, gcn_depth)
+
+    def test_names_the_tensors_the_forward_reads(self):
+        model = C.build_model(tiny_cfg(**{"sir.gcn_depth": 2}), np.random.default_rng(0))
+        bb = model.backbone
+        params = model.parameters()
+        assert params is not model.parameters()
+        assert bb.parameters() == {k: v for k, v in params.items() if k.startswith("backbone.")}
+        named = {"sir.sr.w_prev": model.sr_prev, "sir.sr.w_self": model.sr_self,
+                 "sir.sr.w_next": model.sr_next, "sir.attn.wq": model.wq,
+                 "sir.attn.wk": model.wk, "sir.attn.wv": model.wv, "sir.attn.mix": model.mix,
+                 "sir.gcn.adjacency": model.adjacency, "sir.classifier": model.classifier}
+        for i in range(2):
+            named[f"backbone.stage{i}.weight"] = bb.weights[i]
+            named[f"backbone.stage{i}.bias"] = bb.biases[i]
+            named[f"mff.stage{i}.class_proj"] = model.class_projs[i]
+            named[f"mff.stage{i}.filter_cls"] = model.filter_cls[i]
+            named[f"sir.stage{i}.proj"] = model.stage_projs[i]
+            named[f"sir.gcn.layer{i}.weight"] = model.gcn_weights[i]
+        assert params.keys() == named.keys()
+        assert all(params[k] is t and t.requires_grad for k, t in named.items())
+
+
 class TestCheckpointRoundTrip:
     def test_forward_outputs_bitwise_identical(self, tmp_path):
         cfg = tiny_cfg(**{"train.epochs": 1})

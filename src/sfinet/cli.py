@@ -25,8 +25,11 @@ from .train import TrainAbort, evaluate, train
 
 def _load_config(path: str | None, sets: list[str], preset: str | None) -> C.RunConfig:
     raw = C.parse_config_file(path) if path is not None else dict(C.PRESETS[preset or "default"])
-    if "SFI_SEED" in os.environ:
-        raw["train.seed"] = os.environ["SFI_SEED"].strip()
+    seed = os.environ.get("SFI_SEED")
+    if seed is not None:
+        if not seed.strip().isdecimal():
+            raise ConfigError(f"SFI_SEED must be a non-negative integer, got {seed!r}")
+        raw["train.seed"] = seed.strip()
     return C.build_run_config(C.apply_overrides(raw, sets))
 
 

@@ -9,6 +9,7 @@ reproduced from its own artifacts.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,39 +23,64 @@ from .serialization import read_text
 from .tensor import ConfigError
 from .train import TrainConfig
 
-# key -> (type tag, default); type tags: int, float, bool, str, ints.  A default
-# is read from the dataclass field that owns the key; the rest are literals.
-_SCHEMA: dict[str, tuple[str, object]] = {
-    "backbone.input": ("int", BackboneConfig.input_size[0]),
-    "backbone.in_channels": ("int", BackboneConfig.in_channels),
-    "backbone.strides": ("ints", BackboneConfig.strides),
-    "backbone.channels": ("ints", BackboneConfig.channels),
-    "ambiguity.k": ("int", AmbiguityParams.k),
-    "ambiguity.beta_h": ("float", AmbiguityParams.beta_h),
-    "ambiguity.beta_l": ("float", AmbiguityParams.beta_l),
-    "ambiguity.gamma1": ("float", AmbiguityParams.gamma1),
-    "noise.gamma2": ("float", NoiseParams.gamma2),
-    "sir.channels": ("int", SirConfig.channels),
-    "sir.heads": ("int", SirConfig.heads),
-    "sir.gcn_depth": ("int", SirConfig.gcn_depth),
-    "sir.adjacency_init": ("str", "auto"),
-    "model.bypass_filters": ("bool", False),
-    "train.xi": ("float", TrainConfig.xi),
-    "train.lr": ("float", TrainConfig.lr),
-    "train.momentum": ("float", TrainConfig.momentum),
-    "train.weight_decay": ("float", TrainConfig.weight_decay),
-    "train.epochs": ("int", TrainConfig.epochs),
-    "train.batch_size": ("int", TrainConfig.batch_size),
-    "train.seed": ("int", TrainConfig.seed),
-    "train.augment": ("bool", TrainConfig.augment),
-    "data.classes": ("int", DataConfig.num_classes),
-    "data.samples_per_class": ("int", DataConfig.samples_per_class),
-    "data.patch_size": ("int", DataConfig.patch_size),
-    "data.signal_amplitude": ("float", DataConfig.signal_amplitude),
-    "data.noise_amplitude": ("float", DataConfig.noise_amplitude),
-    "data.overlap": ("float", DataConfig.overlap),
-    "data.train_fraction": ("float", DataConfig.train_fraction),
-    "output.dir": ("str", "runs/default"),
+# key -> (dataclass, field) for each key that sets exactly one field.  The
+# key's default is that field's default, and its parser follows the
+# default's type (_TYPES).
+_FIELDS: dict[str, tuple[type, str]] = {
+    "backbone.strides": (BackboneConfig, "strides"),
+    "backbone.channels": (BackboneConfig, "channels"),
+    "ambiguity.k": (AmbiguityParams, "k"),
+    "ambiguity.beta_h": (AmbiguityParams, "beta_h"),
+    "ambiguity.beta_l": (AmbiguityParams, "beta_l"),
+    "ambiguity.gamma1": (AmbiguityParams, "gamma1"),
+    "noise.gamma2": (NoiseParams, "gamma2"),
+    "sir.channels": (SirConfig, "channels"),
+    "sir.heads": (SirConfig, "heads"),
+    "sir.gcn_depth": (SirConfig, "gcn_depth"),
+    "train.xi": (TrainConfig, "xi"),
+    "train.lr": (TrainConfig, "lr"),
+    "train.momentum": (TrainConfig, "momentum"),
+    "train.weight_decay": (TrainConfig, "weight_decay"),
+    "train.epochs": (TrainConfig, "epochs"),
+    "train.batch_size": (TrainConfig, "batch_size"),
+    "train.seed": (TrainConfig, "seed"),
+    "train.augment": (TrainConfig, "augment"),
+    "data.classes": (DataConfig, "num_classes"),
+    "data.samples_per_class": (DataConfig, "samples_per_class"),
+    "data.patch_size": (DataConfig, "patch_size"),
+    "data.signal_amplitude": (DataConfig, "signal_amplitude"),
+    "data.noise_amplitude": (DataConfig, "noise_amplitude"),
+    "data.overlap": (DataConfig, "overlap"),
+    "data.train_fraction": (DataConfig, "train_fraction"),
+}
+
+# every key -> its default; build_run_config applies the last five by hand
+_SCHEMA: dict[str, object] = {
+    **{key: getattr(cls, name) for key, (cls, name) in _FIELDS.items()},
+    "backbone.input": BackboneConfig.input_size[0],  # input_size and DataConfig.image_size
+    "backbone.in_channels": BackboneConfig.in_channels,  # also DataConfig.channels
+    "sir.adjacency_init": "auto",  # or a float
+    "model.bypass_filters": False,
+    "output.dir": "runs/default",
+}
+
+
+def _bool(text: str) -> bool:
+    if text.lower() in ("true", "1", "yes"):
+        return True
+    if text.lower() in ("false", "0", "no"):
+        return False
+    raise ValueError(text)
+
+
+# type of a key's default -> (name in parse errors, parser, resolved-text formatter)
+_TYPES = {
+    bool: ("bool", _bool, lambda v: "true" if v else "false"),
+    int: ("int", int, str),
+    float: ("float", float, repr),
+    tuple: ("ints", lambda text: tuple(int(v) for v in text.split(",")),
+            lambda v: ",".join(str(i) for i in v)),
+    str: ("str", str, str),
 }
 
 PRESETS: dict[str, dict[str, str]] = {
@@ -91,24 +117,22 @@ class RunConfig:
 
 
 def _parse_value(key: str, text: str):
-    tag = _SCHEMA[key][0]
+    tag, parse, _ = _TYPES[type(_SCHEMA[key])]
     text = text.strip()
     try:
-        if tag == "int":
-            return int(text)
-        if tag == "float":
-            return float(text)
-        if tag == "bool":
-            if text.lower() in ("true", "1", "yes"):
-                return True
-            if text.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(text)
-        if tag == "ints":
-            return tuple(int(v) for v in text.split(","))
-        return text
+        return parse(text)
     except ValueError as exc:
         raise ConfigError(f"config key {key}: cannot parse {text!r} as {tag}") from exc
+
+
+def _entry(text: str, where: str) -> tuple[str, str]:
+    """One `section.key = value` entry as a stripped (key, value); rejects bad forms and keys."""
+    if "=" not in text:
+        raise ConfigError(f"{where}: expected 'section.key = value', got {text!r}")
+    key, value = (part.strip() for part in text.split("=", 1))
+    if key not in _SCHEMA:
+        raise ConfigError(f"{where}: unknown config key {key!r}")
+    return key, value
 
 
 def parse_config_text(text: str, origin: str = "<config>") -> dict[str, str]:
@@ -119,16 +143,11 @@ def parse_config_text(text: str, origin: str = "<config>") -> dict[str, str]:
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        if "=" not in stripped:
-            raise ConfigError(f"{origin}:{lineno}: expected 'section.key = value', got {stripped!r}")
-        key, value = stripped.split("=", 1)
-        key = key.strip()
-        if key not in _SCHEMA:
-            raise ConfigError(f"{origin}:{lineno}: unknown config key {key!r}")
+        key, value = _entry(stripped, f"{origin}:{lineno}")
         if key in first_line:
             raise ConfigError(f"{origin}:{lineno}: config key {key!r} repeats line {first_line[key]}")
         first_line[key] = lineno
-        out[key] = value.strip()
+        out[key] = value
     return out
 
 
@@ -138,56 +157,32 @@ def parse_config_file(path: str) -> dict[str, str]:
 
 def apply_overrides(raw: dict[str, str], overrides: list[str]) -> dict[str, str]:
     """Apply repeated `--set section.key=value` strings; a repeated key keeps its last value."""
-    out = dict(raw)
-    for item in overrides:
-        if "=" not in item:
-            raise ConfigError(f"--set expects section.key=value, got {item!r}")
-        key, value = item.split("=", 1)
-        key = key.strip()
-        if key not in _SCHEMA:
-            raise ConfigError(f"--set: unknown config key {key!r}")
-        out[key] = value.strip()
-    return out
+    return {**raw, **dict(_entry(item, "--set") for item in overrides)}
 
 
 def build_run_config(raw: dict[str, str]) -> RunConfig:
     for key in raw:
         if key not in _SCHEMA:
             raise ConfigError(f"unknown config key {key!r}")
-    values = {key: (tag_default[1] if key not in raw else _parse_value(key, raw[key]))
-              for key, tag_default in _SCHEMA.items()}
-    backbone = BackboneConfig(
-        input_size=(values["backbone.input"], values["backbone.input"]),
-        in_channels=values["backbone.in_channels"],
-        strides=values["backbone.strides"],
-        channels=values["backbone.channels"],
-    )
-    amb = AmbiguityParams(k=values["ambiguity.k"], beta_h=values["ambiguity.beta_h"],
-                          beta_l=values["ambiguity.beta_l"], gamma1=values["ambiguity.gamma1"])
-    noise = NoiseParams(gamma2=values["noise.gamma2"])
+    values = {key: default if key not in raw else _parse_value(key, raw[key])
+              for key, default in _SCHEMA.items()}
+    fields: dict[type, dict[str, object]] = defaultdict(dict)
+    for key, (cls, name) in _FIELDS.items():
+        fields[cls][name] = values[key]
+    size, channels = values["backbone.input"], values["backbone.in_channels"]
+    backbone = BackboneConfig(input_size=(size, size), in_channels=channels,
+                              **fields[BackboneConfig])
+    amb = AmbiguityParams(**fields[AmbiguityParams])
+    noise = NoiseParams(**fields[NoiseParams])
     adj = values["sir.adjacency_init"]
     if adj != "auto":
         try:
             adj = float(adj)
         except ValueError as exc:
             raise ConfigError(f"sir.adjacency_init must be 'auto' or a finite number, got {adj!r}") from exc
-    sir = SirConfig(channels=values["sir.channels"], heads=values["sir.heads"],
-                    gcn_depth=values["sir.gcn_depth"],
-                    adjacency_init=None if adj == "auto" else adj)
-    train = TrainConfig(xi=values["train.xi"], lr=values["train.lr"],
-                        momentum=values["train.momentum"],
-                        weight_decay=values["train.weight_decay"],
-                        epochs=values["train.epochs"], batch_size=values["train.batch_size"],
-                        seed=values["train.seed"], augment=values["train.augment"])
-    data = DataConfig(num_classes=values["data.classes"],
-                      samples_per_class=values["data.samples_per_class"],
-                      image_size=values["backbone.input"],
-                      channels=values["backbone.in_channels"],
-                      patch_size=values["data.patch_size"],
-                      signal_amplitude=values["data.signal_amplitude"],
-                      noise_amplitude=values["data.noise_amplitude"],
-                      overlap=values["data.overlap"],
-                      train_fraction=values["data.train_fraction"])
+    sir = SirConfig(adjacency_init=None if adj == "auto" else adj, **fields[SirConfig])
+    train = TrainConfig(**fields[TrainConfig])
+    data = DataConfig(image_size=size, channels=channels, **fields[DataConfig])
     bypass = values["model.bypass_filters"]
     if amb.k > data.num_classes:
         raise ConfigError(f"ambiguity.k ({amb.k}) exceeds data.classes ({data.num_classes})")
@@ -204,20 +199,8 @@ def preset(name: str) -> RunConfig:
 
 def resolved_text(cfg: RunConfig) -> str:
     """Every key with its effective value; reparses to the same config."""
-    lines = []
-    for key in sorted(_SCHEMA):
-        v = cfg.values[key]
-        tag = _SCHEMA[key][0]
-        if tag == "ints":
-            text = ",".join(str(i) for i in v)
-        elif tag == "bool":
-            text = "true" if v else "false"
-        elif tag == "float":
-            text = repr(float(v))
-        else:
-            text = str(v)
-        lines.append(f"{key} = {text}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{key} = {_TYPES[type(_SCHEMA[key])][2](cfg.values[key])}\n"
+                   for key in sorted(_SCHEMA))
 
 
 def build_model(cfg: RunConfig, rng: np.random.Generator) -> SFINet:

@@ -106,7 +106,7 @@ def evaluate(model: SFINet, images: np.ndarray, labels: np.ndarray,
     with T.no_tape():
         for img, y in zip(images, labels):
             res = model.forward(img, int(y))
-            losses.append(xi * res.filter_loss.item() + res.class_loss.item())
+            losses.append(total_loss(res.filter_loss, res.class_loss, xi).item())
             if int(np.argmax(res.probs)) == int(y):
                 correct += 1
     return float(np.mean(losses)), correct / len(labels)

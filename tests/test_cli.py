@@ -149,6 +149,13 @@ class TestTrainCommand:
                         "--out", out, "--quiet"]) == 0
         assert "train.seed = 9" in (out / "config_resolved.txt").read_text()
 
+    @pytest.mark.parametrize("value", ["abc", "-1", "1.5", ""])
+    def test_bad_sfi_seed_exits_2_naming_the_variable(self, monkeypatch, capsys, value):
+        monkeypatch.setenv("SFI_SEED", value)
+        assert run_cli(["eval", *TINY, "--checkpoint", "x"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: SFI_SEED must be a non-negative integer, got {value!r}\n"
+
     def test_tiny_preset_without_out_writes_runs_tiny(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert run_cli(["train", *TINY, "--set", "train.epochs=1", "--quiet"]) == 0

@@ -1,9 +1,14 @@
+import dataclasses
 import os
 
 import pytest
 
 from sfinet import config as C
-from sfinet.backbone import ConfigError
+from sfinet.backbone import BackboneConfig, ConfigError
+from sfinet.data import DataConfig
+from sfinet.filters import AmbiguityParams, NoiseParams
+from sfinet.reconstitution import SirConfig
+from sfinet.train import TrainConfig
 
 CONFIGS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "configs")
 
@@ -116,6 +121,29 @@ class TestResolvedSnapshot:
         text = C.resolved_text(C.build_run_config({}))
         keys = {line.split(" = ")[0] for line in text.splitlines()}
         assert keys == set(C._SCHEMA)
+
+
+class TestKeyTable:
+    # the fields that build_run_config sets by hand, and the keys that set them
+    HAND_SET = {(BackboneConfig, "input_size"), (BackboneConfig, "in_channels"),
+                (DataConfig, "image_size"), (DataConfig, "channels"), (SirConfig, "adjacency_init")}
+    HAND_KEYS = {"backbone.input", "backbone.in_channels", "sir.adjacency_init",
+                 "model.bypass_filters", "output.dir"}
+
+    def test_every_field_is_set_by_exactly_one_key(self):
+        entries = list(C._FIELDS.values())
+        assert len(entries) == len(set(entries))
+        every = {(cls, f.name) for cls in (BackboneConfig, AmbiguityParams, NoiseParams,
+                                           SirConfig, TrainConfig, DataConfig)
+                 for f in dataclasses.fields(cls)}
+        assert set(entries) == every - self.HAND_SET
+        assert set(C._SCHEMA) - set(C._FIELDS) == self.HAND_KEYS
+
+    def test_every_default_has_a_parser_that_reads_its_resolved_text(self):
+        for key, default in C._SCHEMA.items():
+            assert type(default) in C._TYPES, key
+            _, _, fmt = C._TYPES[type(default)]
+            assert C._parse_value(key, fmt(default)) == default, key
 
 
 class TestPresets:

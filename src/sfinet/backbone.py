@@ -8,20 +8,18 @@ the whole path smooth for finite-difference checks.
 
 Features travel as ``(S_i, C_i)`` rows, one per position of the
 ``(W_i, H_i)`` stage grid in row-major order (row ``x * H_i + y`` is cell
-``(x, y)``).  The image becomes rows once; each stage's patch indices are
-the only place the grid is read, so every later consumer sees rows.  A
-stage's indices are ``(S_i, stride**2)``, one row per patch, so a single
-fancy index lays each patch's input rows side by side as the
-``(S_i, stride**2 * C_{i-1})`` matrix the stage's linear embedding takes.
+``(x, y)``).  The image becomes rows once, and a stage reads its input
+grid only through a strided view: the rows reshaped to
+``(W/s, s, H/s, s, C)`` with the middle axes swapped, one copy of which
+is the ``(S_i, s**2 * C_{i-1})`` patch matrix its embedding takes.
 
 Each stage is one tape op, :func:`backbone_stage`, in place of the chain
 ``gather_rows``, ``reshape``, ``matmul``, ``add_rowvec``, ``tanh``, with
 the same values and gradients bit for bit.  Strides divide the grid
-exactly, so the patches use every input row once and the backward's
-scatter is a permutation, inverted once per stage when the backbone is
-built.  The values entering the tanh are checked for NaN/Inf, because the
-tanh would map an Inf to +-1; the stage's output is checked when its node
-is made.
+exactly, so the patches use every input row once and the backward
+returns the input gradient through the inverse transpose.  The values
+entering the tanh are checked for NaN/Inf, because the tanh would map an
+Inf to +-1; the stage's output is checked when its node is made.
 """
 
 from __future__ import annotations
@@ -81,19 +79,21 @@ class BackboneConfig:
         return shapes
 
 
-def backbone_stage(x: Tensor, patches: np.ndarray, inverse: np.ndarray,
+def backbone_stage(x: Tensor, grid: tuple[int, int], stride: int,
                    weight: Tensor, bias: Tensor) -> Tensor:
-    """One stage, ``tanh(x[patches].reshape(S_i, -1) @ weight + bias)``.
+    """One stage, ``tanh(P @ weight + bias)`` over the stride x stride patches of a grid.
 
-    ``patches`` is an ``(S_i, K)`` index array that uses every row of ``x``
-    exactly once, and ``inverse`` is the inverse permutation of its
-    flattened entries.
+    ``x`` holds the ``(W, H)`` grid's rows in row-major order.  Row ``i``
+    of the patch matrix ``P`` is patch ``i`` in row-major patch order, its
+    ``(di, dj)`` taps' rows side by side, row-major.
     """
-    if (x.ndim != 2 or patches.ndim != 2 or weight.ndim != 2
-            or patches.shape[1] * x.shape[1] != weight.shape[0] or bias.shape != weight.shape[1:]):
-        raise T.ShapeError(f"backbone_stage: patches {patches.shape} of rows {x.shape} "
-                           f"do not fit weight {weight.shape} and bias {bias.shape}")
-    p = x.data[patches].reshape(patches.shape[0], -1)
+    (w, h), s = grid, stride
+    if (x.ndim != 2 or weight.ndim != 2 or s < 1 or w % s or h % s or x.shape[0] != w * h
+            or s * s * x.shape[1] != weight.shape[0] or bias.shape != weight.shape[1:]):
+        raise T.ShapeError(f"backbone_stage: {w}x{h} grid of rows {x.shape} with stride {s} "
+                           f"does not fit weight {weight.shape} and bias {bias.shape}")
+    nw, nh, c = w // s, h // s, x.shape[1]
+    p = x.data.reshape(nw, s, nh, s, c).transpose(0, 2, 1, 3, 4).reshape(nw * nh, -1)
     y = p @ weight.data
     y += bias.data
     if not T.finite(y):
@@ -102,19 +102,14 @@ def backbone_stage(x: Tensor, patches: np.ndarray, inverse: np.ndarray,
 
     def bw(g):
         g = T.tanh_grad(g, y)
-        T.accumulate(bias, g.sum(axis=0))
+        T.accumulate(bias, np.add.reduce(g, 0))
         if weight.requires_grad:
             T.accumulate(weight, p.T @ g)
         if x.requires_grad:
-            T.accumulate(x, (g @ weight.data.T).reshape(-1, x.shape[1])[inverse])
+            gp = (g @ weight.data.T).reshape(nw, nh, s, s, c)
+            T.accumulate(x, gp.transpose(0, 2, 1, 3, 4).reshape(w * h, c))
 
     return T.node(y, (x, weight, bias), bw, "backbone_stage")
-
-
-def _patch_indices(w: int, h: int, s: int) -> np.ndarray:
-    """Stride-``s`` source-row indices (S_i, s**2): one row per patch, (di, dj) row-major."""
-    return (np.arange(w * h, dtype=np.intp).reshape(w // s, s, h // s, s)
-            .transpose(0, 2, 1, 3).reshape(-1, s * s))
 
 
 def uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
@@ -136,19 +131,14 @@ class Backbone:
         self.config = config
         self.weights: list[Tensor] = []
         self.biases: list[Tensor] = []
-        self._indices: list[np.ndarray] = []
-        self._inverses: list[np.ndarray] = []
         self._params: dict[str, Tensor] = {}
-        w, h = config.input_size
         c_in = config.in_channels
         for i, (stride, c_out) in enumerate(zip(config.strides, config.channels)):
             fan_in = stride * stride * c_in
             self.weights.append(register(self._params, f"backbone.stage{i}.weight",
                                          uniform(rng, (fan_in, c_out), fan_in)))
             self.biases.append(register(self._params, f"backbone.stage{i}.bias", np.zeros(c_out)))
-            self._indices.append(_patch_indices(w, h, stride))
-            self._inverses.append(np.argsort(self._indices[-1], axis=None))
-            w, h, c_in = w // stride, h // stride, c_out
+            c_in = c_out
 
     def parameters(self) -> dict[str, Tensor]:
         return dict(self._params)
@@ -162,7 +152,8 @@ class Backbone:
             raise T.ShapeError(f"backbone: image shape {image.shape}, config expects {expected}")
         x = T.reshape(image, (w * h, cfg.in_channels))
         stages = []
-        for idx, inv, weight, bias in zip(self._indices, self._inverses, self.weights, self.biases):
-            x = backbone_stage(x, idx, inv, weight, bias)
+        for stride, weight, bias in zip(cfg.strides, self.weights, self.biases):
+            x = backbone_stage(x, (w, h), stride, weight, bias)
             stages.append(x)
+            w, h = w // stride, h // stride
         return stages

@@ -155,7 +155,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # a non-finite value raises NonFiniteError naming its op, so numpy's warnings add nothing
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
     except (ConfigError, SerializationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

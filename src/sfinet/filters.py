@@ -209,7 +209,7 @@ def gather_kept_rows(features: Tensor, indices: np.ndarray) -> Tensor:
         ga[indices] = g
         T.accumulate(features, ga)
 
-    return T.node(features.data[indices], (features,), bw, "gather_kept_rows")
+    return T.node(features.data.take(indices, 0), (features,), bw, "gather_kept_rows")
 
 
 def noise_select(masked_maps: np.ndarray, features: Tensor, gamma2: float,
@@ -232,7 +232,8 @@ def noise_select(masked_maps: np.ndarray, features: Tensor, gamma2: float,
     candidates = (keep_mask > 0.5).nonzero()[0]
     if candidates.size < s_keep:
         raise ConfigError(f"noise_select: only {candidates.size} unmasked positions for quota {s_keep}")
-    chosen = candidates[(-scores[candidates]).argsort(kind="stable")[:s_keep]]
+    order = (-scores.take(candidates)).argsort(kind="stable")
+    chosen = candidates.take(order[:s_keep])
     return NoiseSelection(chosen, gather_kept_rows(features, chosen), scores)
 
 

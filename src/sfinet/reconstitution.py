@@ -100,9 +100,9 @@ def semantic_reassembly(g: Tensor, w_prev: Tensor, w_self: Tensor, w_next: Tenso
         gx[:-1] += grad[1:] * w_prev.data[None, :]
         gx[1:] += grad[:-1] * w_next.data[None, :]
         accumulate(g, gx)
-        accumulate(w_self, (grad * x).sum(axis=0))
-        accumulate(w_prev, (grad[1:] * x[:-1]).sum(axis=0))
-        accumulate(w_next, (grad[:-1] * x[1:]).sum(axis=0))
+        accumulate(w_self, np.add.reduce(grad * x, 0))
+        accumulate(w_prev, np.add.reduce(grad[1:] * x[:-1], 0))
+        accumulate(w_next, np.add.reduce(grad[:-1] * x[1:], 0))
 
     return node(out, (g, w_prev, w_self, w_next), bw, "semantic_reassembly")
 

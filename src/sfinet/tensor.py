@@ -28,10 +28,11 @@ model always builds the same way is one op with a hand-written backward:
 ``talking_head_attention`` and ``gcn_layer`` in ``reconstitution``).
 Each computes the chain's numpy expressions and adds into its parents in
 the chain's backward order, so values and gradients match the chain bit
-for bit; the primitive ops stay as the tests' reference.  The filters'
-kept rows are distinct by construction, so their gather
-(``filters.gather_kept_rows``) assigns its gradient where
-:func:`gather_rows` scatter-adds, to the same bits.  An expression
+for bit; the primitive ops stay as the tests' reference.  Rows that a
+chain gathers and never repeats are moved instead, to the same bits: a
+backbone stage's patches through a strided view and its inverse, the
+filters' kept rows by ``filters.gather_kept_rows``, whose backward
+assigns where :func:`gather_rows` scatter-adds.  An expression
 both need is an array helper both call (:func:`tanh_grad`,
 :func:`softmax_values`, :func:`softmax_grad`).  A fused op's output is
 checked by :func:`node`; where a later step of its chain would hide a NaN
@@ -39,8 +40,9 @@ or Inf (a tanh maps +-Inf to +-1, a relu or softmax maps -Inf to 0), the
 values before that step are checked with :func:`finite` too, and a
 failed check raises :func:`chain_error`, the error the chain would have
 raised.  For the same reason a mean on the per-sample path is written
-``np.add.reduce(x, axis) / n``: the arithmetic of ``x.mean(axis)`` to the
-bit, without its Python wrapper.
+``np.add.reduce(x, axis) / n``, a sum ``np.add.reduce`` and a max
+``np.maximum.reduce``: the arithmetic of ``x.mean``, ``x.sum`` and
+``x.max`` to the bit, without their Python wrappers.
 """
 
 from __future__ import annotations
@@ -443,8 +445,10 @@ def tanh(a: Tensor) -> Tensor:
 
 
 def log(a: Tensor) -> Tensor:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        y = np.log(a.data)
+    """Natural log; a value that is not positive raises the error its -Inf or NaN would."""
+    if not (a.data > 0).all():
+        raise NonFiniteError("op 'log' produced non-finite values")
+    y = np.log(a.data)
 
     def bw(g):
         accumulate(a, g / a.data)
@@ -457,16 +461,16 @@ def softmax_values(x: np.ndarray, axis: int, out: np.ndarray | None = None) -> n
 
     ``out`` may be ``x`` itself.
     """
-    y = np.subtract(x, x.max(axis=axis, keepdims=True), out=out)
+    y = np.subtract(x, np.maximum.reduce(x, axis, keepdims=True), out=out)
     np.exp(y, out=y)
-    y /= y.sum(axis=axis, keepdims=True)
+    y /= np.add.reduce(y, axis, keepdims=True)
     return y
 
 
 def softmax_grad(g: np.ndarray, y: np.ndarray, axis: int) -> np.ndarray:
     """The gradient through ``y = softmax(x)``: ``y * (g - sum(g * y))`` in one buffer."""
     d = g * y
-    np.subtract(g, d.sum(axis=axis, keepdims=True), out=d)
+    np.subtract(g, np.add.reduce(d, axis, keepdims=True), out=d)
     d *= y
     return d
 
@@ -496,9 +500,9 @@ def cross_entropy(logits: Tensor, label: int) -> Tensor:
     label = int(label)
     if not 0 <= label < logits.shape[0]:
         raise ShapeError(f"cross_entropy: label {label} outside 0..{logits.shape[0] - 1}")
-    shifted = logits.data - logits.data.max()
+    shifted = logits.data - np.maximum.reduce(logits.data)
     e = np.exp(shifted)
-    total = e.sum()
+    total = np.add.reduce(e)
 
     def bw(g):
         d = e / total

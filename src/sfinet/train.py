@@ -72,7 +72,14 @@ def cosine_lr(step: int, total_steps: int, lr0: float) -> float:
 
 def sgd_momentum_step(params: dict[str, Tensor], state: dict[str, np.ndarray],
                       lr: float, momentum: float, weight_decay: float) -> None:
-    """v <- momentum * v + (grad + wd * param); param <- param - lr * v."""
+    """v <- momentum * v + (grad + wd * param); param <- param - lr * v.
+
+    A NaN or Inf gradient raises ``NonFiniteError`` naming its parameter
+    before any parameter or momentum buffer changes.
+    """
+    for name, p in params.items():
+        if p.grad is not None and not T.finite(p.grad):
+            raise NonFiniteError(f"gradient of parameter '{name}' holds non-finite values")
     for name, p in params.items():
         g = p.grad if p.grad is not None else np.zeros_like(p.data)
         if g.shape != p.shape:
@@ -118,7 +125,7 @@ def train(model: SFINet, dataset: SyntheticDataset, cfg: TrainConfig,
     """Train in place; returns one train row and one test row per epoch.
 
     With ``out_dir`` set, writes metrics.csv and checkpoint.csv there.
-    Aborts with a diagnostic if any op yields a non-finite tensor.
+    Aborts with a diagnostic on a non-finite value or gradient.
 
     A step draws its batch's augmented images in batch order (the RNG
     sequence of a batch-wise loop), then runs forward and backward per
@@ -158,9 +165,9 @@ def train(model: SFINet, dataset: SyntheticDataset, cfg: TrainConfig,
                         correct += 1
                     del res, loss  # free this sample's tape before the next forward
                 batch_loss = T.scale(T.add_n(values), c)
-                lr_t = cosine_lr(step, total_steps, cfg.lr)
+                sgd_momentum_step(params, state, cosine_lr(step, total_steps, cfg.lr),
+                                  cfg.momentum, cfg.weight_decay)
                 step += 1
-                sgd_momentum_step(params, state, lr_t, cfg.momentum, cfg.weight_decay)
                 ep_loss += batch_loss.item() * len(idx)
             rows.append(MetricRow(epoch, "train", ep_loss / n, correct / n))
             test_loss, test_acc = evaluate(model, dataset.test_images, dataset.test_labels,

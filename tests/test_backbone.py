@@ -2,11 +2,11 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from sfinet.backbone import Backbone, BackboneConfig, ConfigError, _patch_indices
+from sfinet.backbone import Backbone, BackboneConfig, ConfigError, backbone_stage
 from sfinet.tensor import ShapeError, Tensor
 from sfinet import tensor as T
 
-from conftest import assert_grads_match
+from conftest import assert_grads_match, loop_patch_indices
 
 
 def tiny_config():
@@ -88,21 +88,26 @@ class TestForward:
         assert np.abs(bb.weights[0].data).max() <= bound0
 
 
-def loop_patch_indices(w, h, stride):
-    """One row per patch in row-major patch order, its (di, dj) taps row-major."""
-    out = []
-    for i in range(w // stride):
-        for j in range(h // stride):
-            out.append([(i * stride + di) * h + (j * stride + dj)
-                        for di in range(stride) for dj in range(stride)])
-    return np.asarray(out, dtype=np.intp)
-
-
+@pytest.mark.parametrize("c", [1, 3, 5])
 @pytest.mark.parametrize("w, h, stride", [(32, 32, 4), (8, 8, 2), (4, 4, 2), (4, 4, 1),
                                           (8, 4, 2), (6, 12, 3)])
-def test_patch_indices_match_the_loop(w, h, stride):
-    got = _patch_indices(w, h, stride)
-    want = loop_patch_indices(w, h, stride)
-    assert got.dtype == want.dtype and got.shape == want.shape
-    npt.assert_array_equal(got, want)
-    assert sorted(got.ravel()) == list(range(w * h))
+def test_strided_view_matches_the_loop(monkeypatch, rng, w, h, stride, c):
+    idx = loop_patch_indices(w, h, stride)
+    assert sorted(idx.ravel()) == list(range(w * h))  # every row in exactly one patch
+    k = stride * stride * c
+    x = Tensor(rng.standard_normal((w * h, c)), requires_grad=True)
+    # an identity embedding with zero bias hands the patch matrix itself to the
+    # pre-tanh check: each entry is one product with 1.0 plus exact zeros
+    weight, bias = Tensor(np.eye(k), requires_grad=True), Tensor(np.zeros(k), requires_grad=True)
+    seen = []
+    finite = T.finite
+    monkeypatch.setattr(T, "finite", lambda arr: seen.append(arr.copy()) or finite(arr))
+    out = backbone_stage(x, (w, h), stride, weight, bias)
+    assert seen[0].tobytes() == x.data[idx].reshape(len(idx), -1).tobytes()
+
+    upstream = rng.standard_normal(out.shape)
+    T.backward(T.sum_all(T.hadamard(out, Tensor(upstream))))
+    scatter = np.zeros((w * h, c))
+    patch_grad = T.tanh_grad(upstream, out.data) @ weight.data.T
+    np.add.at(scatter, idx.ravel(), patch_grad.reshape(-1, c))
+    assert x.grad.tobytes() == (scatter + 0.0).tobytes()

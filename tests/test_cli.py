@@ -222,7 +222,7 @@ class TestEvalCommand:
         assert "sir.classifier" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["eval", "export-maps"])
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_forward_exits_1_naming_op(self, trained, tmp_path, capsys, command):
         # finite weights whose forward overflows in the attention scores
         path = trained / "checkpoint.csv"
@@ -237,7 +237,7 @@ class TestEvalCommand:
         rc = run_cli(args)
         assert rc == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: op 'pairwise_scores'") and "Traceback" not in err
+        assert err.startswith("error: op 'pairwise_scores'") and err.count("\n") == 1
 
     def test_missing_checkpoint_exits_2(self, capsys):
         rc = run_cli(["eval", *TINY, "--checkpoint", "/nope/ckpt.csv"])
@@ -317,7 +317,7 @@ class TestExportMapsCommand:
         for name in names:
             assert (out / name).read_bytes() == (ref / name).read_bytes(), name
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_bypass_class_maps_overflow_exits_1_naming_op(self, tmp_path, capsys):
         # under bypass the forward runs no filter pass, so the class maps'
         # overflow surfaces only when export-maps asks for the filter records
@@ -335,7 +335,7 @@ class TestExportMapsCommand:
                       "--out", tmp_path / "maps"])
         assert rc == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: op 'class_maps'") and "Traceback" not in err
+        assert err.startswith("error: op 'class_maps'") and err.count("\n") == 1
 
     def test_unreadable_image_exits_2(self, tmp_path, capsys):
         run_dir = tmp_path / "run"

@@ -21,6 +21,8 @@ from sfinet.reconstitution import (attend, concat_stages, gcn_forward, head_mix,
                                    pairwise_scores, project_heads, talking_head_attention)
 from sfinet.tensor import Tensor
 
+from conftest import loop_patch_indices
+
 CONFIGS = {
     "default": {},
     "bypass": {"model.bypass_filters": "true", "data.samples_per_class": "48",
@@ -31,7 +33,8 @@ CONFIGS = {
 }
 
 
-def chain_stage(x, patches, weight, bias):
+def chain_stage(x, grid, stride, weight, bias):
+    patches = loop_patch_indices(*grid, stride)
     rows = T.reshape(T.gather_rows(x, patches.ravel()), (len(patches), -1))
     return T.tanh(T.add_rowvec(T.matmul(rows, weight), bias))
 
@@ -102,6 +105,11 @@ def stage_rows(cfg, model):
             for w, h, c in cfg.backbone.stage_shapes()]
 
 
+def input_grids(cfg):
+    """Each backbone stage's input grid (W, H)."""
+    return [cfg.backbone.input_size] + [(w, h) for w, h, _ in cfg.backbone.stage_shapes()]
+
+
 def uniform(rng, shape, fan_in):
     return rng.uniform(-1.0, 1.0, size=shape) / np.sqrt(fan_in)
 
@@ -113,14 +121,16 @@ class TestAgainstTheChain:
         bb = model.backbone
         rows = cfg.backbone.input_size[0] * cfg.backbone.input_size[1]
         c_in = cfg.backbone.in_channels
-        for i, (idx, weight, bias) in enumerate(zip(bb._indices, bb.weights, bb.biases)):
+        strides = cfg.backbone.strides
+        for i, (grid, stride, weight, bias) in enumerate(zip(input_grids(cfg), strides,
+                                                             bb.weights, bb.biases)):
             twin = Twins(rng)
             # stage 0 reads the image, which takes no gradient
             x, x_ref = twin(rng.standard_normal((rows, c_in)), requires_grad=i > 0)
             w, w_ref = twin(weight.data + uniform(rng, weight.shape, weight.shape[0]))
             b, b_ref = twin(rng.standard_normal(bias.shape) * 0.1)
-            fused = backbone_stage(x, idx, bb._inverses[i], w, b)
-            chain = chain_stage(x_ref, idx, w_ref, b_ref)
+            fused = backbone_stage(x, grid, stride, w, b)
+            chain = chain_stage(x_ref, grid, stride, w_ref, b_ref)
             assert_same(fused, chain)
             backward_both(rng, fused, chain)
             twin.assert_grads_equal()
@@ -138,8 +148,9 @@ class TestAgainstTheChain:
         fused = bb.forward(image)
         x = T.reshape(image, (-1, image.shape[2]))
         chain = []
-        for idx, ((_, w_ref), (_, b_ref)) in zip(bb._indices, params):
-            x = chain_stage(x, idx, w_ref, b_ref)
+        for grid, stride, ((_, w_ref), (_, b_ref)) in zip(input_grids(cfg), cfg.backbone.strides,
+                                                          params):
+            x = chain_stage(x, grid, stride, w_ref, b_ref)
             chain.append(x)
         for f, c in zip(fused, chain):
             assert_same(f, c)
@@ -192,11 +203,15 @@ class TestAgainstTheChain:
 
 class TestShapes:
     def test_backbone_stage(self):
-        x, patches = Tensor(np.zeros((4, 2))), np.array([[0, 1], [2, 3]])
-        inverse = np.argsort(patches, axis=None)
-        for w, b in (((4, 3), (2,)), ((5, 3), (3,)), ((4,), (3,))):
+        x = Tensor(np.zeros((4, 2)))  # a 2x2 grid: one stride-2 patch of 8 inputs
+        fits = backbone_stage(x, (2, 2), 2, Tensor(np.zeros((8, 3))), Tensor(np.zeros(3)))
+        assert fits.shape == (1, 3)
+        for grid, stride, w, b in (((2, 2), 2, (8, 3), (2,)), ((2, 2), 2, (9, 3), (3,)),
+                                   ((2, 2), 2, (8,), (3,)), ((2, 2), 1, (8, 3), (3,)),
+                                   ((1, 4), 2, (8, 3), (3,)), ((2, 3), 1, (2, 3), (3,)),
+                                   ((2, 2), 0, (0, 3), (3,))):
             with pytest.raises(T.ShapeError, match="backbone_stage"):
-                backbone_stage(x, patches, inverse, Tensor(np.zeros(w)), Tensor(np.zeros(b)))
+                backbone_stage(x, grid, stride, Tensor(np.zeros(w)), Tensor(np.zeros(b)))
 
     def test_attention_projections_must_agree(self):
         w = Tensor(np.zeros((2, 4, 2)))
@@ -260,11 +275,10 @@ class TestNonFinite:
     ])
     def test_pre_tanh_overflow(self, weight, bias, op):
         # tanh maps +-Inf to +-1, so the stage's output alone would be finite
-        x = Tensor(np.ones((4, 2)))
-        patches = np.array([[0, 1], [2, 3]])
+        x = Tensor(np.ones((4, 1)))  # a 2x2 grid: one stride-2 patch of 4 inputs
         w, b = Tensor(np.full((4, 3), weight)), Tensor(np.full(3, bias))
-        assert_same_error(lambda: backbone_stage(x, patches, np.argsort(patches, axis=None), w, b),
-                          lambda: chain_stage(x, patches, w, b), op)
+        assert_same_error(lambda: backbone_stage(x, (2, 2), 2, w, b),
+                          lambda: chain_stage(x, (2, 2), 2, w, b), op)
 
     def test_pre_relu_minus_inf(self):
         # the relu maps -Inf to 0

@@ -7,6 +7,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from sfinet import backbone as B
 from sfinet import config as C
 from sfinet import reconstitution as R
 from sfinet import tensor as T
@@ -85,6 +86,18 @@ class TestSgdMomentum:
         with pytest.raises(T.ShapeError):
             sgd_momentum_step({"p": p}, {"p": np.zeros(2)}, 0.1, 0.9, 0.0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gradient_rejected_before_any_change(self, value):
+        p, q = (Tensor(np.array([1.0, 2.0]), requires_grad=True) for _ in range(2))
+        p.grad, q.grad = np.array([0.5, -0.5]), np.array([0.25, value])
+        state = {"p": np.ones(2), "q": np.ones(2)}
+        with pytest.raises(T.NonFiniteError, match="gradient of parameter 'q'"):
+            sgd_momentum_step({"p": p, "q": q}, state, lr=0.1, momentum=0.9, weight_decay=0.0)
+        for t in (p, q):
+            npt.assert_array_equal(t.data, [1.0, 2.0])
+        for v in state.values():
+            npt.assert_array_equal(v, [1.0, 1.0])
+
 
 class TestCosineSchedule:
     def test_endpoints_and_midpoint(self):
@@ -158,6 +171,33 @@ class TestTrainingLoop:
         model.classifier.data[0, 0] = np.inf
         with np.errstate(invalid="ignore"), pytest.raises(TrainAbort, match="non-finite"):
             train(model, ds, cfg.train, rng=rng)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_gradient_aborts_naming_the_parameter(self, monkeypatch):
+        # a planted backward puts an Inf into one bias gradient of the first step
+        cfg = tiny_cfg()
+        ds, model, rng = C.build_experiment(cfg)
+        bias = model.backbone.biases[1]
+        stage = B.backbone_stage
+
+        def backbone_stage(x, grid, stride, weight, b):
+            out = stage(x, grid, stride, weight, b)
+            if b is bias:
+                backward_fn = out._backward_fn
+
+                def planted(g):
+                    backward_fn(g)
+                    bias.grad[0] = np.inf
+
+                out._backward_fn = planted
+            return out
+
+        monkeypatch.setattr(B, "backbone_stage", backbone_stage)
+        before = {k: p.data.tobytes() for k, p in model.parameters().items()}
+        with pytest.raises(TrainAbort, match=r"^non-finite value at epoch 1, step 0: gradient of "
+                                             r"parameter 'backbone\.stage1\.bias'"):
+            train(model, ds, cfg.train, rng=rng)
+        assert {k: p.data.tobytes() for k, p in model.parameters().items()} == before
 
     @pytest.mark.parametrize("preset, augment", [("tiny", "false"), ("tiny", "true"),
                                                  ("default", "false")])

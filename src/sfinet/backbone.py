@@ -15,11 +15,11 @@ is the ``(S_i, s**2 * C_{i-1})`` patch matrix its embedding takes.
 
 Each stage is one tape op, :func:`backbone_stage`, in place of the chain
 ``gather_rows``, ``reshape``, ``matmul``, ``add_rowvec``, ``tanh``, with
-the same values and gradients bit for bit.  Strides divide the grid
-exactly, so the patches use every input row once and the backward
-returns the input gradient through the inverse transpose.  The values
-entering the tanh are checked for NaN/Inf, because the tanh would map an
-Inf to +-1; the stage's output is checked when its node is made.
+the same values and gradients bit for bit.  The patches use every input
+row once, so the backward returns the input gradient through the inverse
+transpose; it skips only that one, for the image, and leaves constant
+weights to ``tensor.accumulate``.  The values entering the tanh are
+checked for NaN/Inf, as the tanh would map an Inf to +-1.
 """
 
 from __future__ import annotations
@@ -103,8 +103,7 @@ def backbone_stage(x: Tensor, grid: tuple[int, int], stride: int,
     def bw(g):
         g = T.tanh_grad(g, y)
         T.accumulate(bias, np.add.reduce(g, 0))
-        if weight.requires_grad:
-            T.accumulate(weight, p.T @ g)
+        T.accumulate(weight, p.T @ g)
         if x.requires_grad:
             gp = (g @ weight.data.T).reshape(nw, nh, s, s, c)
             T.accumulate(x, gp.transpose(0, 2, 1, 3, 4).reshape(w * h, c))

@@ -14,9 +14,9 @@ The stage concat, the attention and each GCN layer are one tape op
 apiece (:func:`concat_stages`, :func:`talking_head_attention`,
 :func:`gcn_layer`).  Each evaluates the numpy expressions of the primitive
 chain it replaces (``matmul`` and ``concat_rows``; ``project_heads``
-through ``merge_heads``; ``matmul``, ``matmul``, ``relu``) and adds into
-its parents in that chain's backward order, so values and gradients are
-the chain's bit for bit; the primitives stay as the tests' reference.
+through ``merge_heads``; ``matmul``, ``matmul``, ``relu``) and hands every
+parent its gradient in that chain's backward order (``tensor.accumulate``
+drops a constant's), so values and gradients are the chain's bit for bit.
 Every output is checked for NaN/Inf when its node is made, and so are
 the attention scores and the values entering each relu, which the softmax
 and the relu would turn from -Inf into 0.  A failed check names the chain
@@ -69,10 +69,8 @@ def concat_stages(selected: list[Tensor], projections: list[Tensor]) -> Tensor:
 
     def bw(grad):
         for g, proj, lo, hi in reversed(list(zip(selected, projections, bounds, bounds[1:]))):
-            if g.requires_grad:
-                accumulate(g, grad[lo:hi] @ proj.data.T)
-            if proj.requires_grad:
-                accumulate(proj, g.data.T @ grad[lo:hi])
+            accumulate(g, grad[lo:hi] @ proj.data.T)
+            accumulate(proj, g.data.T @ grad[lo:hi])
 
     try:
         return node(np.concatenate(parts, axis=0), (*selected, *projections), bw, "concat_stages")
@@ -258,14 +256,10 @@ def gcn_layer(x: Tensor, adjacency: Tensor, w: Tensor) -> Tensor:
 
     def bw(g):
         g = g * keep
-        if w.requires_grad:
-            accumulate(w, ax.T @ g)
-        if adjacency.requires_grad or x.requires_grad:
-            g = g @ w.data.T
-            if adjacency.requires_grad:
-                accumulate(adjacency, g @ x.data.T)
-            if x.requires_grad:
-                accumulate(x, adjacency.data.T @ g)
+        accumulate(w, ax.T @ g)
+        g = g @ w.data.T
+        accumulate(adjacency, g @ x.data.T)
+        accumulate(x, adjacency.data.T @ g)
 
     return node(np.maximum(pre, 0.0), (x, adjacency, w), bw, "gcn_layer")
 

@@ -9,16 +9,15 @@ backward passes (after a grad reset) are bit-for-bit identical.  Inside a
 
 All arithmetic is float64.  Each op checks its result for NaN/Inf and
 raises :class:`NonFiniteError` naming the op, which doubles as the
-"first non-finite tensor" diagnostic during training.  The check is one
-call on the common path: the sum of squares ``np.vdot(arr, arr)`` is
-finite only if every element is, and the element-wise ``np.isfinite``
-scan runs only when that sum is not (see :func:`finite`).  Values that no
-gradient flows through stay off the tape: a filter's selection values
-and the reported probabilities are plain arrays, each checked where it
-is made by :func:`checked` (the check ``node`` runs, with the same error
-naming the value), and an op whose parents need no gradient records no
-parents and no backward closure.  So the tape only holds differentiable
-work.
+"first non-finite tensor" diagnostic during training; the check is
+mostly one call (see :func:`finite`).  Values that no gradient flows
+through stay off the tape: a filter's selection values and the reported
+probabilities are plain arrays, each checked where it is made by
+:func:`checked`, and an op whose parents need no gradient records no
+parents and no backward closure.  A backward hands every parent its
+gradient and :func:`accumulate` drops those of tensors off the tape; only
+``backbone.backbone_stage`` skips one, its input's when that is the image
+(the reference primitives keep such guards, as tests call them with constants).
 
 Most of a sample's cost is the Python work per node, so a chain the
 model always builds the same way is one op with a hand-written backward:
@@ -207,11 +206,11 @@ def chain_error(steps: Sequence[tuple[str, np.ndarray]]) -> NonFiniteError:
 
 
 def accumulate(t: Tensor, g: np.ndarray) -> None:
-    """Add ``g`` into ``t.grad``; no-op for tensors outside the tape.
+    """Add ``g`` into ``t.grad``; a no-op for a tensor off the tape.
 
-    The first gradient is stored as ``g + 0.0``: a fresh array (never an
-    alias of ``g``) equal bit for bit to ``0.0 + g``, so -0.0 becomes +0.0
-    just as adding into a zero buffer would make it.
+    Backwards hand every parent its gradient and leave that test to this.
+    The first gradient is stored as ``g + 0.0``: a fresh array equal bit
+    for bit to ``0.0 + g``, so -0.0 becomes +0.0 as in a zero buffer.
     """
     if t.requires_grad:
         if t.grad is None:
@@ -534,10 +533,8 @@ def pooled_logits(rows: Tensor, w: Tensor) -> Tensor:
 
     def bw(g):
         g = g[None]
-        if rows.requires_grad:
-            accumulate(rows, np.repeat((g @ w.data.T) / rows.shape[0], rows.shape[0], axis=0))
-        if w.requires_grad:
-            accumulate(w, z.T @ g)
+        accumulate(rows, np.repeat((g @ w.data.T) / rows.shape[0], rows.shape[0], axis=0))
+        accumulate(w, z.T @ g)
 
     return node((z @ w.data)[0], (rows, w), bw, "pooled_logits")
 

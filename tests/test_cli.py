@@ -12,6 +12,7 @@ from sfinet import data as D
 from sfinet import tensor as T
 from sfinet.export import export_adjacency, export_stage_maps
 from sfinet.serialization import load_checkpoint, load_tensor, save_checkpoint, save_tensor
+from sfinet.train import evaluate
 
 TINY = ["--preset", "tiny"]
 
@@ -59,6 +60,17 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: data: samples_per_class={samples} ")
         assert "each split needs at least one" in err and "Traceback" not in err
+
+    def test_prints_one_epoch_line_per_epoch(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run_cli(["train", *TINY, "--set", "train.epochs=2", "--out", out]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        rows = [r.split(",") for r in (out / "metrics.csv").read_text().splitlines()[1:]]
+        assert [line.split()[:2] for line in lines[:2]] == [["epoch", "1"], ["epoch", "2"]]
+        for line, train_row, test_row in zip(lines, rows[::2], rows[1::2]):
+            assert f"train loss {float(train_row[2]):.4f} acc {float(train_row[3]):.3f}" in line
+            assert f"test loss {float(test_row[2]):.4f} acc {float(test_row[3]):.3f}" in line
+        assert lines[2].startswith("done: 2 epochs") and lines[3] == f"outputs in {out}"
 
     def test_writes_metrics_checkpoint_snapshot(self, tmp_path):
         out = tmp_path / "run"
@@ -178,6 +190,17 @@ class TestEvalCommand:
         final_test = [r for r in (trained / "metrics.csv").read_text().splitlines()[1:]
                       if r.split(",")[1] == "test"][-1]
         assert final_test.split(",")[3] in printed
+
+    def test_train_split_prints_what_evaluate_gives(self, trained, capsys, monkeypatch):
+        monkeypatch.delenv("SFI_SEED", raising=False)  # the CLI and C.preset build one dataset
+        rc = run_cli(["eval", *TINY, "--checkpoint", trained / "checkpoint.csv",
+                      "--split", "train"])
+        assert rc == 0
+        cfg = C.preset("tiny")
+        dataset, model, _ = C.build_experiment(cfg)
+        model.load_state(load_checkpoint(trained / "checkpoint.csv"))
+        loss, acc = evaluate(model, dataset.train_images, dataset.train_labels, xi=cfg.train.xi)
+        assert capsys.readouterr().out == f"split train: loss {loss!r} top1 {acc!r}\n"
 
     def test_eval_deterministic(self, trained, capsys):
         args = ["eval", *TINY, "--checkpoint", trained / "checkpoint.csv"]

@@ -1,12 +1,15 @@
 import dataclasses
 import os
+import re
 
+import numpy as np
 import pytest
 
 from sfinet import config as C
 from sfinet.backbone import BackboneConfig, ConfigError
 from sfinet.data import DataConfig
 from sfinet.filters import AmbiguityParams, NoiseParams
+from sfinet.model import SFINet
 from sfinet.reconstitution import SirConfig
 from sfinet.train import TrainConfig
 
@@ -85,6 +88,29 @@ class TestCrossValidation:
         cfg = C.build_run_config({"ambiguity.gamma1": "0.3", "noise.gamma2": "0.2",
                                   "model.bypass_filters": "true"})
         assert cfg.bypass_filters
+
+
+def sfinet(n_classes, amb=AmbiguityParams()):
+    return SFINet(BackboneConfig(), amb, NoiseParams(), SirConfig(), n_classes,
+                  np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("build, name", [
+    (lambda: BackboneConfig(strides=(2, 2), channels=(8,)), "strides and channels"),
+    (lambda: BackboneConfig(strides=(0, 2, 2, 1)), "strides must be >= 1"),
+    (lambda: DataConfig(num_classes=1), "2 classes"),
+    (lambda: DataConfig(train_fraction=1.0), "train_fraction"),
+    (lambda: TrainConfig(batch_size=0), "batch_size"),
+    (lambda: TrainConfig(epochs=0), "epochs"),
+    (lambda: sfinet(1), "model: need at least 2 classes"),
+    (lambda: sfinet(2, AmbiguityParams(k=3)), "top-k (3)"),
+    (lambda: C.build_run_config({"train.augment": "maybe"}), "train.augment"),
+], ids=["backbone-lengths", "backbone-stride-0", "data-1-class", "data-train-fraction-1",
+        "train-batch-0", "train-epochs-0", "model-1-class", "model-k-above-classes",
+        "augment-not-bool"])
+def test_out_of_domain_value_raises_config_error_naming_it(build, name):
+    with pytest.raises(ConfigError, match=re.escape(name)):
+        build()
 
 
 class TestOverrides:

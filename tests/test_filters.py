@@ -55,6 +55,16 @@ class TestParams:
             validate_filter_ratios(AmbiguityParams(gamma1=0.3), NoiseParams(gamma2=0.2),
                                    [(4, 4, 8)])
 
+    # floor((1 - 0.8) * 4) = 0 of a 2x2 stage's rows
+    @pytest.mark.parametrize("check", [
+        lambda: validate_filter_ratios(AmbiguityParams(gamma1=0.5), NoiseParams(gamma2=0.8),
+                                       [(2, 2, 8)]),
+        lambda: noise_select(np.ones((4, 2)), Tensor(np.ones((4, 3))), 0.8, np.ones(4)),
+    ], ids=["validate_filter_ratios", "noise_select"])
+    def test_gamma2_keeping_no_row_rejected(self, check):
+        with pytest.raises(ConfigError, match="gamma2=0.8 keeps no positions of 4"):
+            check()
+
 
 class TestClassMaps:
     def test_zero_weights(self, rng):

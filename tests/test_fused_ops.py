@@ -17,8 +17,9 @@ from sfinet import config as C
 from sfinet import filters as F
 from sfinet import tensor as T
 from sfinet.backbone import backbone_stage
-from sfinet.reconstitution import (attend, concat_stages, gcn_forward, head_mix, merge_heads,
-                                   pairwise_scores, project_heads, talking_head_attention)
+from sfinet.reconstitution import (attend, concat_stages, gcn_forward, gcn_layer, head_mix,
+                                   merge_heads, pairwise_scores, project_heads,
+                                   talking_head_attention)
 from sfinet.tensor import Tensor
 
 from conftest import loop_patch_indices
@@ -199,6 +200,41 @@ class TestAgainstTheChain:
         assert_same(fused, chain)
         backward_both(rng, fused, chain)
         twin.assert_grads_equal()
+
+
+# Each op with its parents' shapes, as the default config builds them:
+# backbone stage 1 (input grid 8x8 of 16 channels, stride 2), the four
+# filtered stages' rows into the concat, and the S=69 GCN layer and head.
+CONSTANT_PARENT_OPS = {
+    "backbone_stage": (lambda x, w, b: backbone_stage(x, (8, 8), 2, w, b),
+                       [(64, 16), (64, 32), (32,)]),
+    "concat_stages": (lambda *ts: concat_stages(list(ts[:4]), list(ts[4:])),
+                      [(51, 16), (12, 32), (3, 64), (3, 64),
+                       (16, 64), (32, 64), (64, 64), (64, 64)]),
+    "gcn_layer": (gcn_layer, [(69, 64), (69, 69), (64, 64)]),
+    "pooled_logits": (T.pooled_logits, [(69, 64), (64, 4)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONSTANT_PARENT_OPS))
+def test_a_constant_parent_gets_no_gradient_and_changes_no_other(rng, name):
+    """Every parent's gradient is computed and ``accumulate`` drops a constant's."""
+    op, shapes = CONSTANT_PARENT_OPS[name]
+    arrays = [rng.standard_normal(shape) / np.sqrt(shape[0]) for shape in shapes]
+    upstream = Tensor(rng.standard_normal(op(*map(Tensor, arrays)).shape))
+
+    def grads(constant):
+        parents = [Tensor(a, requires_grad=i != constant) for i, a in enumerate(arrays)]
+        T.backward(T.sum_all(T.hadamard(op(*parents), upstream)))
+        return [p.grad for p in parents]
+
+    trainable = grads(None)
+    for constant in range(len(arrays)):
+        got = grads(constant)
+        assert got[constant] is None
+        for i, (g, ref) in enumerate(zip(got, trainable)):
+            if i != constant:
+                assert g.tobytes() == ref.tobytes()
 
 
 class TestShapes:

@@ -63,8 +63,20 @@ class TestConcatStages:
         with pytest.raises(T.ShapeError):
             concat_stages([Tensor(rng.standard_normal((2, 3)))], [Tensor(np.eye(4))])
 
+    def test_one_projection_too_few(self, rng):
+        stages = [Tensor(rng.standard_normal((2, 3))) for _ in range(2)]
+        with pytest.raises(T.ShapeError, match="concat_stages: one projection per stage"):
+            concat_stages(stages, [Tensor(np.eye(3))])
+
 
 class TestSemanticReassembly:
+    @pytest.mark.parametrize("tap", [0, 1, 2])
+    def test_wrong_tap_shape_rejected(self, rng, tap):
+        taps = [Tensor(np.ones(3)) for _ in range(3)]
+        taps[tap] = Tensor(np.ones(4))
+        with pytest.raises(T.ShapeError, match=r"semantic_reassembly: tap weight \(4,\)"):
+            semantic_reassembly(Tensor(rng.standard_normal((5, 3))), *taps)
+
     def test_identity_kernel(self, rng):
         g = Tensor(rng.standard_normal((5, 3)))
         out = semantic_reassembly(g, Tensor(np.zeros(3)), Tensor(np.ones(3)), Tensor(np.zeros(3)))

@@ -104,6 +104,17 @@ class TestCorruptCheckpoint:
             return
         assert all(isinstance(v, np.ndarray) and v.dtype == np.float64 for v in out.values())
 
+    @pytest.mark.parametrize("load, text, message", [
+        (load_tensor, "\n  \n", "empty tensor file"),
+        (load_checkpoint, "tensor: a\nshape: 1\n1.0\ntensor: b\n",
+         "block 'b' missing shape header"),
+    ], ids=["blank-tensor", "last-block-headerless"])
+    def test_truncated_file_names_the_file(self, tmp_path, load, text, message):
+        path = tmp_path / "ckpt.csv"
+        path.write_text(text)
+        with pytest.raises(SerializationError, match=f"{path}: {message}"):
+            load(path)
+
     @pytest.mark.parametrize("load", [load_checkpoint, load_tensor])
     def test_non_utf8_byte_names_the_file(self, tmp_path, clean, load):
         path = tmp_path / "ckpt.csv"

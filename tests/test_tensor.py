@@ -207,6 +207,10 @@ class TestBackward:
         with pytest.raises(GraphError):
             T.scale(x, 2.0).backward()
 
+    def test_loss_of_constants_rejected(self, rng):
+        with pytest.raises(GraphError, match="loss does not depend on any requires_grad tensor"):
+            T.backward(T.sum_all(Tensor(rng.standard_normal(3))))
+
     def test_repeated_backward_bitwise_identical(self, rng):
         a = Tensor(rng.standard_normal((4, 4)), requires_grad=True)
         b = Tensor(rng.standard_normal((4, 4)), requires_grad=True)

@@ -32,7 +32,7 @@ wk = Tensor(rng.standard_normal((H, C, d)) * 0.5)
 wv = Tensor(rng.standard_normal((H, C, d)) * 0.5)
 
 out_id, attn = talking_head_attention(mixed, wq, wk, wv, Tensor(np.eye(H)))
-print("attention rows sum to 1:", np.allclose(attn.data.sum(axis=-1), 1.0))
+print("attention rows sum to 1:", np.allclose(attn.sum(axis=-1), 1.0))
 
 mix = Tensor(np.array([[0.8, 0.2], [0.3, 0.7]]))
 out_mixed, _ = talking_head_attention(mixed, wq, wk, wv, mix)

@@ -1,5 +1,8 @@
 """Command-line entry point: train, eval, export-maps, gradcheck.
 
+``sfinet train`` writes ``config_resolved.txt``, trains, then writes
+``metrics.csv`` and ``checkpoint.csv``; an aborted run writes the first only.
+
 Exit codes: 0 = ok, 1 = a check or run failed, 2 = usage/config error.
 The environment variable ``SFI_SEED`` overrides the seed of the config
 file or preset; an explicit ``--set train.seed=N`` overrides both.
@@ -18,9 +21,9 @@ from . import config as C
 from . import gradcheck as GC
 from .export import export_adjacency, export_stage_maps
 from .serialization import (SerializationError, atomic_open, load_checkpoint, load_tensor,
-                            make_dirs, save_tensor)
+                            make_dirs, save_checkpoint, save_tensor)
 from .tensor import ConfigError, NonFiniteError, finite, no_tape
-from .train import TrainAbort, evaluate, train
+from .train import TrainAbort, evaluate, metrics_csv, train
 
 
 def _load_config(path: str | None, sets: list[str], preset: str | None) -> C.RunConfig:
@@ -40,8 +43,10 @@ def cmd_train(args) -> int:
     with atomic_open(os.path.join(out_dir, "config_resolved.txt")) as fh:
         fh.write(C.resolved_text(cfg))
     dataset, model, rng = C.build_experiment(cfg)
-    rows = train(model, dataset, cfg.train, rng=rng, out_dir=out_dir,
-                 log=None if args.quiet else print)
+    rows = train(model, dataset, cfg.train, rng=rng, log=None if args.quiet else print)
+    with atomic_open(os.path.join(out_dir, "metrics.csv")) as fh:
+        fh.write(metrics_csv(rows))
+    save_checkpoint(os.path.join(out_dir, "checkpoint.csv"), model.parameters())
     final = rows[-1]
     print(f"done: {cfg.train.epochs} epochs, final test acc {final.acc:.4f}")
     print(f"outputs in {out_dir}")
@@ -81,7 +86,7 @@ def cmd_export_maps(args) -> int:
         written += export_stage_maps(args.out, image_id, i, art, (w, h))
     written += export_adjacency(args.out, image_id, model.adjacency.data)
     attn_path = os.path.join(args.out, f"{image_id}_attention.csv")
-    save_tensor(attn_path, res.attention.data)
+    save_tensor(attn_path, res.attention)
     written.append(attn_path)
     print(f"wrote {len(written)} files to {args.out}")
     return 0

@@ -13,14 +13,15 @@ the highest-activation (1 - gamma2) fraction of positions, whose feature
 rows feed the rest of the network together with an auxiliary
 cross-entropy on their per-stage mean.
 
-Rank selections are frozen at forward time: gradients flow only through
-the kept feature rows, gathered straight from the stage's features by
-one tape op, :func:`gather_kept_rows`.  Everything that only feeds a
-ranking or an export (the class maps, the coarse prediction, the
-ambiguity map, the mask, the masked class maps and the noise scores) is
-a plain float64 array, and the indices are ``intp`` arrays.  Each value
-but the 0/1 mask is checked where it is made (``T.checked``): a NaN or
-Inf still raises ``NonFiniteError`` naming the value, but it makes no
+Rank selections are frozen at forward time: selection takes arrays and
+returns indices (:func:`noise_select`), and gradients flow only through
+the kept feature rows, the stage's one tape node, which :func:`filter_stage`
+gathers from the features (:func:`gather_kept_rows`).  Everything that
+only feeds a ranking or an export (the class maps, the coarse prediction,
+the ambiguity map, the mask, the masked class maps and the noise scores)
+is a plain float64 array, and the indices are ``intp`` arrays.  Each
+value but the 0/1 mask is checked where it is made (``T.checked``): a NaN
+or Inf still raises ``NonFiniteError`` naming the value, but it makes no
 tape node.  The class-map projection therefore gets no gradient from the
 loss, only weight decay, and no ranking depends on its scale.  All
 tie-breaks are by lower row index so results are totally ordered and
@@ -114,12 +115,6 @@ def validate_filter_ratios(amb: AmbiguityParams, noise: NoiseParams,
             raise ConfigError(f"stage {i}: gamma2={noise.gamma2} keeps no positions of {s}")
 
 
-class NoiseSelection(NamedTuple):
-    indices: np.ndarray
-    selected: Tensor
-    scores: np.ndarray
-
-
 class FilterArtifacts(NamedTuple):
     """Everything one stage's filter pass produces, kept for export.
 
@@ -192,7 +187,7 @@ def apply_mask(mask: np.ndarray, maps: np.ndarray) -> np.ndarray:
     return T.checked(maps * mask[:, None], "masked_maps")
 
 
-def _noise_scores(masked_maps: np.ndarray) -> np.ndarray:
+def noise_scores(masked_maps: np.ndarray) -> np.ndarray:
     """(S,) channel-average of the masked class maps, one score per row."""
     return T.checked(np.add.reduce(masked_maps, 1) / masked_maps.shape[1], "noise_scores")
 
@@ -212,51 +207,47 @@ def gather_kept_rows(features: Tensor, indices: np.ndarray) -> Tensor:
     return T.node(features.data.take(indices, 0), (features,), bw, "gather_kept_rows")
 
 
-def noise_select(masked_maps: np.ndarray, features: Tensor, gamma2: float,
-                 keep_mask: np.ndarray) -> NoiseSelection:
-    """Keep the floor((1 - gamma2) * S) highest channel-average scores.
+def noise_select(scores: np.ndarray, gamma2: float, keep_mask: np.ndarray) -> np.ndarray:
+    """Indices of the floor((1 - gamma2) * S) highest of the (S,) noise scores.
 
-    Scores come from channel-average pooling the masked class maps;
-    ambiguity-dropped positions score exactly 0 there.  Only mask=1
-    positions of ``keep_mask`` are candidates, which guarantees every
-    selected index survived the ambiguity drop even if live scores go
-    negative.  Ties resolve to the lower row; the selected feature rows,
-    gathered straight from the (S, C) features, keep descending-score
-    order.
+    ``scores`` come from :func:`noise_scores`; ambiguity-dropped positions
+    score exactly 0 there.  Only mask=1 positions of ``keep_mask`` are
+    candidates, which guarantees every selected index survived the
+    ambiguity drop even if live scores go negative.  Ties resolve to the
+    lower row; the ``intp`` indices are in descending-score order.
     """
-    s = masked_maps.shape[0]
-    s_keep = kept_rows(s, gamma2)
+    s_keep = kept_rows(scores.size, gamma2)
     if s_keep < 1:
-        raise ConfigError(f"noise_select: gamma2={gamma2} keeps no positions of {s}")
-    scores = _noise_scores(masked_maps)
+        raise ConfigError(f"noise_select: gamma2={gamma2} keeps no positions of {scores.size}")
     candidates = (keep_mask > 0.5).nonzero()[0]
     if candidates.size < s_keep:
         raise ConfigError(f"noise_select: only {candidates.size} unmasked positions for quota {s_keep}")
     order = (-scores.take(candidates)).argsort(kind="stable")
-    chosen = candidates.take(order[:s_keep])
-    return NoiseSelection(chosen, gather_kept_rows(features, chosen), scores)
+    return candidates.take(order[:s_keep])
 
 
 def filter_stage(features: Tensor, projection: Tensor, amb: AmbiguityParams,
                  noise: NoiseParams, bypass: bool = False) -> FilterArtifacts:
     """Run one stage through both filters, computing every value in selection order.
 
-    ``features`` are the stage's (S, C) rows.  With ``bypass`` the mask
-    is all ones and every row is kept in order, so the kept rows are the
-    features tensor itself; every other value is computed as with the
-    filters on.
+    ``features`` are the stage's (S, C) rows.  The kept rows are the
+    stage's one tape node, gathered here; with ``bypass`` the mask is all
+    ones and every row is kept in order, so they are the features tensor
+    itself.  Every other value is computed as with the filters on.
     """
     maps, coarse = class_maps(features.data, projection.data)
     topk, weights = topk_weights(coarse, amb)
     amb_map = ambiguity_map(maps, topk, weights)
     mask = np.ones(amb_map.size) if bypass else ambiguity_mask(amb_map, amb.gamma1)
     masked_maps = apply_mask(mask, maps)
+    scores = noise_scores(masked_maps)
     if bypass:
-        sel = NoiseSelection(np.arange(amb_map.size), features, _noise_scores(masked_maps))
+        chosen, selected = np.arange(scores.size), features
     else:
-        sel = noise_select(masked_maps, features, noise.gamma2, keep_mask=mask)
+        chosen = noise_select(scores, noise.gamma2, mask)
+        selected = gather_kept_rows(features, chosen)
     return FilterArtifacts(maps, coarse, topk, weights, amb_map, mask, masked_maps,
-                           sel.scores, sel.indices, sel.selected)
+                           scores, chosen, selected)
 
 
 def filter_loss(selected_per_stage: Sequence[Tensor], classifiers: Sequence[Tensor],

@@ -36,13 +36,13 @@ class ForwardResult:
 
     ``stages`` are the backbone's (S_i, C_i) rows, from which
     :meth:`SFINet.filter_stages` gives the filter records; ``attention``
-    holds the (H, S, S) softmax weights, off the tape.
+    holds the (H, S, S) softmax weights, a plain array off the tape.
     """
     probs: np.ndarray
     class_loss: Tensor | None
     filter_loss: Tensor | None
     stages: list[Tensor]
-    attention: Tensor
+    attention: np.ndarray
 
 
 class SFINet:

@@ -187,13 +187,13 @@ def merge_heads(o: Tensor) -> Tensor:
 
 
 def talking_head_attention(b: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
-                           mix: Tensor) -> tuple[Tensor, Tensor]:
+                           mix: Tensor) -> tuple[Tensor, np.ndarray]:
     """Multi-head self-attention with cross-head mixing.
 
     Per head: J_h = softmax(Q K^T / sqrt(d)) V with d = C / H; head
     outputs are mixed by ``mix`` and concatenated along channels.
     Returns (output (S, C), attention weights (H, S, S)); the weights are
-    a constant off the tape, kept for export.  ``b`` receives its three
+    a plain array off the tape, kept for export.  ``b`` receives its three
     gradient terms in the chain's order: v's projection, k's, then q's.
     """
     if b.ndim != 2 or wq.ndim != 3 or not wq.shape == wk.shape == wv.shape:
@@ -238,7 +238,7 @@ def talking_head_attention(b: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
         # q, k and the scores have passed their check
         raise T.chain_error([("project_heads", v), ("softmax", weights), ("attend", attended),
                              ("head_mix", mixed), ("merge_heads", out)]) from None
-    return result, Tensor(weights)
+    return result, weights
 
 
 def gcn_layer(x: Tensor, adjacency: Tensor, w: Tensor) -> Tensor:

@@ -2,8 +2,9 @@
 
 The total objective is xi * filter_loss + class_loss.  One optimizer step
 runs per batch; the learning rate follows a half-cosine from its initial
-value to zero over the full step budget.  Metric rows are written with
-repr floats so identical runs produce byte-identical CSV files.
+value to zero over the full step budget.  Training writes no file: it
+returns the metric rows, which :func:`metrics_csv` writes with repr
+floats so identical runs produce byte-identical CSV files.
 
 Each sample is backpropagated as soon as its forward ends, seeded with
 ``scale(loss, 1 / batch)``, and its tape is dropped before the next
@@ -17,7 +18,6 @@ and comes out bit for bit what the batch-loss backward gives.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +25,6 @@ import numpy as np
 from . import tensor as T
 from .data import SyntheticDataset, augment_image
 from .model import SFINet
-from .serialization import atomic_open, make_dirs, save_checkpoint
 from .tensor import ConfigError, NonFiniteError, Tensor
 
 
@@ -120,11 +119,9 @@ def evaluate(model: SFINet, images: np.ndarray, labels: np.ndarray,
 
 
 def train(model: SFINet, dataset: SyntheticDataset, cfg: TrainConfig,
-          rng: np.random.Generator, out_dir: str | None = None,
-          log=None) -> list[MetricRow]:
+          rng: np.random.Generator, log=None) -> list[MetricRow]:
     """Train in place; returns one train row and one test row per epoch.
 
-    With ``out_dir`` set, writes metrics.csv and checkpoint.csv there.
     Aborts with a diagnostic on a non-finite value or gradient.
 
     A step draws its batch's augmented images in batch order (the RNG
@@ -178,10 +175,4 @@ def train(model: SFINet, dataset: SyntheticDataset, cfg: TrainConfig,
                     f"  test loss {test_loss:.4f} acc {test_acc:.3f}")
     except NonFiniteError as exc:
         raise TrainAbort(f"non-finite value at epoch {len(rows) // 2 + 1}, step {step}: {exc}") from exc
-    if out_dir is not None:
-        make_dirs(out_dir)
-        with atomic_open(os.path.join(out_dir, "metrics.csv")) as fh:
-            fh.write(metrics_csv(rows))
-        save_checkpoint(os.path.join(out_dir, "checkpoint.csv"),
-                        {k: v.data for k, v in params.items()})
     return rows

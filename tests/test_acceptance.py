@@ -13,7 +13,7 @@ import pytest
 from sfinet import config as C
 from sfinet import tensor as T
 from sfinet.filters import (AmbiguityParams, ambiguity_mask, apply_mask, gather_kept_rows,
-                            noise_select, topk_weights)
+                            noise_scores, noise_select, topk_weights)
 from sfinet.gradcheck import check_grad, check_model
 from sfinet import reconstitution as R
 from sfinet.backbone import backbone_stage
@@ -62,9 +62,9 @@ def test_criterion_02_filter_cardinalities_exact():
             maps = rng.standard_normal((w, h, 3)).reshape(s, 3)
             feats = Tensor(rng.standard_normal((w, h, 4)).reshape(s, 4))
             mm = apply_mask(mask, maps)
-            sel = noise_select(mm, feats, gamma2, keep_mask=mask)
-            assert len(sel.indices) == keep2
-            assert sel.selected.shape == (keep2, 4)
+            chosen = noise_select(noise_scores(mm), gamma2, keep_mask=mask)
+            assert len(chosen) == keep2
+            assert gather_kept_rows(feats, chosen).shape == (keep2, 4)
             checked += 1
 
 
@@ -86,11 +86,12 @@ def test_criterion_03_oracle_equivalence():
                                    naive_mask(scores, gamma1).ravel())
             maps = rng.standard_normal((w, h, 3))
             mask = ambiguity_mask(scores.ravel(), gamma1)
-            feats = Tensor(rng.standard_normal((w, h, 4)).reshape(s, 4))
+            feats = rng.standard_normal((w, h, 4)).reshape(s, 4)
             mm = apply_mask(mask, maps.reshape(s, 3))
-            sel = noise_select(mm, feats, gamma2, keep_mask=mask)
-            assert sel.indices.tolist() == naive_select(mm.reshape(w, h, 3), gamma2,
-                                                        mask.reshape(w, h))
+            chosen = noise_select(noise_scores(mm), gamma2, keep_mask=mask)
+            expected = naive_select(mm.reshape(w, h, 3), gamma2, mask.reshape(w, h))
+            assert chosen.tolist() == expected
+            npt.assert_array_equal(gather_kept_rows(Tensor(feats), chosen).data, feats[expected])
 
 
 def _op_cases(rng):

@@ -97,6 +97,29 @@ class TestTrainCommand:
         assert (out / "config_resolved.txt").read_text() == "previous\n"
         assert os.listdir(out) == ["config_resolved.txt"]
 
+    def test_failed_metrics_write_keeps_the_previous_file(self, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "metrics.csv").write_text("previous\n")
+
+        def fail(rows):
+            raise RuntimeError("injected")
+
+        monkeypatch.setattr(cli, "metrics_csv", fail)
+        with pytest.raises(RuntimeError, match="injected"):
+            run_cli(["train", *TINY, "--set", "train.epochs=1", "--out", out, "--quiet"])
+        assert (out / "metrics.csv").read_text() == "previous\n"
+        assert sorted(os.listdir(out)) == ["config_resolved.txt", "metrics.csv"]
+
+    def test_aborted_run_leaves_only_the_resolved_config(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        rc = run_cli(["train", *TINY, "--set", "train.lr=1e300", "--out", out, "--quiet"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: non-finite value at epoch 1, step 1: op 'semantic_reassembly'")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert os.listdir(out) == ["config_resolved.txt"]
+
     def test_outputs_confined_to_out_dir(self, tmp_path, monkeypatch):
         workdir = tmp_path / "cwd"
         workdir.mkdir()
@@ -325,7 +348,7 @@ class TestExportMapsCommand:
         for stage, (art, (w, h, _)) in enumerate(zip(arts, cfg.backbone.stage_shapes())):
             export_stage_maps(ref, "img", stage, art, (w, h))
         export_adjacency(ref, "img", model.adjacency.data)
-        save_tensor(ref / "img_attention.csv", res.attention.data)
+        save_tensor(ref / "img_attention.csv", res.attention)
 
         def make_synthetic(*args):
             raise AssertionError("export-maps built a dataset")

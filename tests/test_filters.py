@@ -10,7 +10,7 @@ from sfinet import tensor as T
 from sfinet.backbone import ConfigError
 from sfinet.filters import (AmbiguityParams, NoiseParams, ambiguity_map, ambiguity_mask,
                             apply_mask, class_maps, filter_loss, filter_stage,
-                            gather_kept_rows, noise_select, topk_weights,
+                            gather_kept_rows, noise_scores, noise_select, topk_weights,
                             validate_filter_ratios)
 from sfinet.tensor import Tensor
 
@@ -59,7 +59,7 @@ class TestParams:
     @pytest.mark.parametrize("check", [
         lambda: validate_filter_ratios(AmbiguityParams(gamma1=0.5), NoiseParams(gamma2=0.8),
                                        [(2, 2, 8)]),
-        lambda: noise_select(np.ones((4, 2)), Tensor(np.ones((4, 3))), 0.8, np.ones(4)),
+        lambda: noise_select(np.ones(4), 0.8, np.ones(4)),
     ], ids=["validate_filter_ratios", "noise_select"])
     def test_gamma2_keeping_no_row_rejected(self, check):
         with pytest.raises(ConfigError, match="gamma2=0.8 keeps no positions of 4"):
@@ -207,15 +207,13 @@ class TestNoiseSelect:
         # scores per position: 3, 1, 4, 2 -> keep [2, 0]
         maps = np.array([3.0, 1.0, 4.0, 2.0]).reshape(4, 1)
         feats = np.arange(8, dtype=float).reshape(4, 2)
-        sel = noise_select(maps, Tensor(feats), 0.5, np.ones(4))
-        assert sel.indices.tolist() == [2, 0]
-        npt.assert_array_equal(sel.selected.data, feats[[2, 0]])
+        chosen = noise_select(noise_scores(maps), 0.5, np.ones(4))
+        assert chosen.dtype == np.intp and chosen.tolist() == [2, 0]
+        npt.assert_array_equal(gather_kept_rows(Tensor(feats), chosen).data, feats[[2, 0]])
 
     def test_all_equal_scores_keep_first_flat_indices(self):
-        maps = np.ones((6, 2))
-        feats = np.arange(12, dtype=float).reshape(6, 2)
-        sel = noise_select(maps, Tensor(feats), 0.5, np.ones(6))
-        assert sel.indices.tolist() == [0, 1, 2]
+        chosen = noise_select(noise_scores(np.ones((6, 2))), 0.5, np.ones(6))
+        assert chosen.tolist() == [0, 1, 2]
 
     @given(st.integers(2, 6), st.integers(2, 6),
            st.floats(0.05, 0.8), st.integers(0, 2**31 - 1))
@@ -225,24 +223,43 @@ class TestNoiseSelect:
         keep = math.floor((1.0 - gamma2) * (w * h))
         if keep < 1:
             return
-        sel = noise_select(g.standard_normal((w * h, 3)),
-                           Tensor(g.standard_normal((w * h, 5))), gamma2, np.ones(w * h))
-        assert len(sel.indices) == keep
-        assert sel.selected.shape == (keep, 5)
+        chosen = noise_select(noise_scores(g.standard_normal((w * h, 3))), gamma2, np.ones(w * h))
+        assert len(chosen) == keep
+        assert gather_kept_rows(Tensor(g.standard_normal((w * h, 5))), chosen).shape == (keep, 5)
 
     def test_mask_restriction_guarantees_membership(self, rng):
         for _ in range(50):
             maps = rng.standard_normal((12, 2))
             mask = ambiguity_mask(rng.standard_normal(12), 0.25)
-            feats = Tensor(rng.standard_normal((12, 5)))
-            sel = noise_select(apply_mask(mask, maps), feats, 0.4, keep_mask=mask)
-            assert all(mask[i] == 1.0 for i in sel.indices)
+            chosen = noise_select(noise_scores(apply_mask(mask, maps)), 0.4, keep_mask=mask)
+            assert all(mask[i] == 1.0 for i in chosen)
+
+    def test_selection_makes_no_tape_node(self, rng, monkeypatch):
+        mask = ambiguity_mask(rng.standard_normal(12), 0.25)
+        scores = noise_scores(apply_mask(mask, rng.standard_normal((12, 3))))
+        calls = []
+        monkeypatch.setattr(T, "node", lambda *args: calls.append(args))
+        chosen = noise_select(scores, 0.4, mask)
+        assert calls == [] and type(chosen) is np.ndarray and chosen.dtype == np.intp
+
+    @pytest.mark.parametrize("bypass", [False, True])
+    def test_filter_stage_gathers_the_selected_rows(self, rng, bypass):
+        feats = Tensor(rng.standard_normal((16, 6)), requires_grad=True)
+        noise = NoiseParams()
+        art = filter_stage(feats, Tensor(rng.standard_normal((6, 5))), AmbiguityParams(), noise,
+                           bypass=bypass)
+        if bypass:
+            assert art.selected_features is feats
+        else:
+            chosen = noise_select(art.noise_scores, noise.gamma2, art.mask)
+            assert art.selected_indices.tobytes() == chosen.tobytes()
+            kept = gather_kept_rows(feats, chosen)
+            assert art.selected_features.data.tobytes() == kept.data.tobytes()
 
     def test_quota_infeasible_rejected(self, rng):
         mask = np.zeros(4)
         with pytest.raises(ConfigError, match="unmasked"):
-            noise_select(rng.standard_normal((4, 2)),
-                         Tensor(rng.standard_normal((4, 3))), 0.2, keep_mask=mask)
+            noise_select(noise_scores(rng.standard_normal((4, 2))), 0.2, keep_mask=mask)
 
 
 class TestOracleEquivalence:
@@ -268,7 +285,7 @@ class TestOracleEquivalence:
             maps = rng.standard_normal((int(w), int(h), 3))
             if rng.random() < 0.3:
                 maps = np.round(maps, 1)
-            feats = rng.standard_normal((int(w), int(h), 4))
+            feats = rng.standard_normal((int(w) * int(h), 4))
             use_mask = rng.random() < 0.5
             mask = None
             if use_mask:
@@ -277,11 +294,12 @@ class TestOracleEquivalence:
                     use_mask = False
                 else:
                     mask = ambiguity_mask(rng.standard_normal((int(w), int(h))).ravel(), gamma1)
-            sel = noise_select(maps.reshape(-1, 3), Tensor(feats.reshape(-1, 4)), gamma2,
-                               keep_mask=mask if use_mask else np.ones(w * h))
+            chosen = noise_select(noise_scores(maps.reshape(-1, 3)), gamma2,
+                                  keep_mask=mask if use_mask else np.ones(w * h))
             expected = naive_select(maps, gamma2,
                                     mask.reshape(int(w), int(h)) if use_mask else None)
-            assert sel.indices.tolist() == expected
+            assert chosen.tolist() == expected
+            npt.assert_array_equal(gather_kept_rows(Tensor(feats), chosen).data, feats[expected])
 
     def test_keep_count_rounds_the_product_of_the_extents(self, rng):
         # (1 - 0.3) * 6 * 5 rounds to 20.999..., (1 - 0.3) * 30 to 21.0
@@ -293,10 +311,9 @@ class TestOracleEquivalence:
         assert mask.sum() == oracle_mask.sum() == 21
         npt.assert_array_equal(mask, oracle_mask.ravel())
         maps = rng.standard_normal((w, h, 3))
-        sel = noise_select(maps.reshape(-1, 3), Tensor(rng.standard_normal((w * h, 4))), gamma,
-                           np.ones(w * h))
-        assert len(sel.indices) == len(naive_select(maps, gamma, None)) == 21
-        assert sel.indices.tolist() == naive_select(maps, gamma, None)
+        chosen = noise_select(noise_scores(maps.reshape(-1, 3)), gamma, np.ones(w * h))
+        assert len(chosen) == len(naive_select(maps, gamma, None)) == 21
+        assert chosen.tolist() == naive_select(maps, gamma, None)
 
 
 class TestSelectedRegionInvariance:
@@ -305,13 +322,12 @@ class TestSelectedRegionInvariance:
         maps = rng.standard_normal((16, 3))
         mask = ambiguity_mask(rng.standard_normal(16), 0.25)
         mm = apply_mask(mask, maps)
-        sel = noise_select(mm, Tensor(feats), 0.25, keep_mask=mask)
-        dropped = sorted(set(range(16)) - set(sel.indices.tolist()))
+        chosen = noise_select(noise_scores(mm), 0.25, keep_mask=mask)
+        dropped = sorted(set(range(16)) - set(chosen.tolist()))
         perturbed = feats.copy()
         perturbed[dropped] += rng.standard_normal((len(dropped), 6)) * 10
-        sel2 = noise_select(mm, Tensor(perturbed), 0.25, keep_mask=mask)
-        assert sel2.indices.tolist() == sel.indices.tolist()
-        npt.assert_array_equal(sel2.selected.data, sel.selected.data)
+        npt.assert_array_equal(gather_kept_rows(Tensor(perturbed), chosen).data,
+                               gather_kept_rows(Tensor(feats), chosen).data)
 
 
 class TestFilterLoss:
@@ -599,8 +615,6 @@ class TestMeansMatchNumpyMean:
     """The per-sample means are ``np.add.reduce(x, axis) / n``, byte for byte ``x.mean(axis)``."""
 
     def test_pooled_head_coarse_pool_and_noise_scores(self):
-        from sfinet.filters import _noise_scores
-
         rng = np.random.default_rng(20261018)
         shapes = [(1, 1), (1, 9), (9, 1), (69, 64), (88, 64), (69, 4)]
         shapes += [tuple(int(v) for v in rng.integers(1, 100, size=2)) for _ in range(60)]
@@ -611,5 +625,5 @@ class TestMeansMatchNumpyMean:
             assert got.tobytes() == (x.mean(axis=0)[None] @ head)[0].tobytes(), (r, c)
             maps, coarse = class_maps(x, np.eye(c))
             assert coarse.tobytes() == maps.mean(axis=0).tobytes(), (r, c)
-            scores = _noise_scores(x)
+            scores = noise_scores(x)
             assert scores.tobytes() == x.mean(axis=1).tobytes(), (r, c)

@@ -182,8 +182,8 @@ class TestAgainstTheChain:
         out, attn = talking_head_attention(b, *(w for w, _ in ws), mix)
         out_ref, attn_ref = chain_attention(b_ref, *(w for _, w in ws), mix_ref)
         assert_same(out, out_ref)
-        assert_same(attn, attn_ref)
-        assert not attn.requires_grad and attn._parents == ()
+        assert isinstance(attn, np.ndarray)
+        assert attn.shape == attn_ref.shape and attn.tobytes() == attn_ref.data.tobytes()
         backward_both(rng, out, out_ref)
         twin.assert_grads_equal()
 

@@ -140,7 +140,7 @@ class TestTalkingHeadAttention:
         wq, wk, wv = self._weights(rng)
         b = Tensor(rng.standard_normal((1, 4)))
         out, attn = talking_head_attention(b, wq, wk, wv, Tensor(np.eye(2)))
-        npt.assert_allclose(attn.data, 1.0, atol=1e-15)
+        npt.assert_allclose(attn, 1.0, atol=1e-15)
         expected = np.concatenate([b.data @ wv.data[0], b.data @ wv.data[1]], axis=1)
         npt.assert_allclose(out.data, expected, rtol=1e-12)
 

@@ -1,6 +1,5 @@
 import copy
 import importlib
-import os
 import tracemalloc
 
 import numpy as np
@@ -224,22 +223,6 @@ class TestTrainingLoop:
             ds, model, rng = C.build_experiment(cfg)
             runs.append(metrics_csv(train(model, ds, cfg.train, rng=rng)))
         assert runs[0] == runs[1]
-
-
-class TestOutputFiles:
-    def test_failed_metrics_write_keeps_the_previous_file(self, tmp_path, monkeypatch):
-        (tmp_path / "metrics.csv").write_text("previous\n")
-
-        def fail(rows):
-            raise RuntimeError("injected")
-
-        monkeypatch.setattr(TR, "metrics_csv", fail)
-        cfg = tiny_cfg(**{"train.epochs": 1})
-        ds, model, rng = C.build_experiment(cfg)
-        with pytest.raises(RuntimeError, match="injected"):
-            train(model, ds, cfg.train, rng=rng, out_dir=tmp_path)
-        assert (tmp_path / "metrics.csv").read_text() == "previous\n"
-        assert os.listdir(tmp_path) == ["metrics.csv"]
 
 
 def checkpoint_order(stages, gcn_depth):

@@ -187,7 +187,8 @@ def build_run_config(raw: dict[str, str]) -> RunConfig:
     if amb.k > data.num_classes:
         raise ConfigError(f"ambiguity.k ({amb.k}) exceeds data.classes ({data.num_classes})")
     if not bypass:
-        validate_filter_ratios(amb, noise, backbone.stage_shapes())
+        validate_filter_ratios([w * h for w, h, _ in backbone.stage_shapes()], amb.gamma1,
+                               noise.gamma2)
     return RunConfig(backbone, amb, noise, sir, train, data, bypass, values["output.dir"], values)
 
 

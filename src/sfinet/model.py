@@ -5,15 +5,16 @@ then per-stage filter weights, then reconstitution weights), so the same
 seed always yields the same initial weights.  Each parameter is named in
 one ordered registry on the line that creates it, so creation order is
 also checkpoint order: :meth:`SFINet.parameters` returns that registry.
-The sequence length seen by the reconstitution stage is fixed by the drop
-ratios and stage extents alone, which lets the adjacency matrix be
-allocated up front.
+The filter pass's stage layout and the sequence length seen by the
+reconstitution stage are fixed by the drop ratios and stage extents
+alone, which lets both be built and the adjacency matrix be allocated up
+front.
 
 The class-map projections ``mff.stage{i}.class_proj`` only drive the
 filters' selections, which are plain checked arrays off the tape, so the
 loss gives them no gradient: training changes them through weight decay
-alone.  A stage's filter pass adds one node to the tape, the gather of
-its kept rows.
+alone.  The one filter pass over every stage adds one node per stage to
+the tape, the gather of its kept rows.
 """
 
 from __future__ import annotations
@@ -56,10 +57,9 @@ class SFINet:
         if amb.k > n_classes:
             raise ConfigError(f"model: top-k ({amb.k}) exceeds class count ({n_classes})")
         shapes = backbone_cfg.stage_shapes()
-        if not bypass_filters:
-            F.validate_filter_ratios(amb, noise, shapes)
+        self.layout = F.stage_layout([w * h for w, h, _ in shapes], amb.gamma1, noise.gamma2,
+                                     bypass_filters)
         self.amb = amb
-        self.noise = noise
         self.n_classes = n_classes
         self.bypass_filters = bypass_filters
 
@@ -88,8 +88,7 @@ class SFINet:
 
         self.gcn_weights = [add(f"sir.gcn.layer{l}.weight", uniform(rng, (cc, cc), cc))
                             for l in range(sir_cfg.gcn_depth)]
-        self.seq_len = sum(w * h if bypass_filters else F.kept_rows(w * h, noise.gamma2)
-                           for w, h, _ in shapes)
+        self.seq_len = self.layout.kept[-1].stop
         a0 = sir_cfg.adjacency_init if sir_cfg.adjacency_init is not None else 1.0 / self.seq_len
         self.adjacency = add("sir.gcn.adjacency", np.full((self.seq_len, self.seq_len), a0))
         self.classifier = add("sir.classifier", uniform(rng, (cc, n_classes), cc))
@@ -127,16 +126,17 @@ class SFINet:
     def filter_stages(self, stages: list[Tensor]) -> list[F.FilterArtifacts]:
         """One filter record per stage of ``stages``, a forward's backbone rows.
 
-        The forward reads only the kept rows, and with the filters bypassed
-        it runs no filter pass, so an export asks here for the records.
+        The records are views into one pass over every stage.  The forward
+        reads only that pass's kept rows, and with the filters bypassed it
+        runs no filter pass, so an export asks here for the records.
         """
-        return [F.filter_stage(feats, proj, self.amb, self.noise, bypass=self.bypass_filters)
-                for feats, proj in zip(stages, self.class_projs)]
+        arts = F.filter_pass(stages, self.class_projs, self.amb, self.layout, self.bypass_filters)
+        return F.split_stages(arts, self.layout)
 
     def forward(self, image: np.ndarray, label: int | None = None) -> ForwardResult:
         stages = self.backbone.forward(Tensor(image))
-        selected = (stages if self.bypass_filters
-                    else [a.selected_features for a in self.filter_stages(stages)])
+        selected = (stages if self.bypass_filters else
+                    F.filter_pass(stages, self.class_projs, self.amb, self.layout).selected_features)
 
         concatenated = R.concat_stages(selected, self.stage_projs)
         reassembled = R.semantic_reassembly(concatenated, self.sr_prev, self.sr_self, self.sr_next)

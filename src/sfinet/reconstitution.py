@@ -193,7 +193,8 @@ def talking_head_attention(b: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
     Per head: J_h = softmax(Q K^T / sqrt(d)) V with d = C / H; head
     outputs are mixed by ``mix`` and concatenated along channels.
     Returns (output (S, C), attention weights (H, S, S)); the weights are
-    a plain array off the tape, kept for export.  ``b`` receives its three
+    a plain array off the tape, kept for export, and read-only, since the
+    backward reads the same buffer.  ``b`` receives its three
     gradient terms in the chain's order: v's projection, k's, then q's.
     """
     if b.ndim != 2 or wq.ndim != 3 or not wq.shape == wk.shape == wv.shape:
@@ -213,6 +214,7 @@ def talking_head_attention(b: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
         raise T.chain_error([("project_heads", q), ("project_heads", k), ("project_heads", v),
                              ("pairwise_scores", scores)])
     weights = T.softmax_values(scores, -1, out=scores)
+    weights.flags.writeable = False
     attended = weights @ v
     flat = attended.reshape(heads, -1)
     mixed = mix.data @ flat

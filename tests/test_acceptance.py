@@ -12,8 +12,8 @@ import pytest
 
 from sfinet import config as C
 from sfinet import tensor as T
-from sfinet.filters import (AmbiguityParams, ambiguity_mask, apply_mask, gather_kept_rows,
-                            noise_scores, noise_select, topk_weights)
+from sfinet.filters import (AmbiguityParams, apply_mask, gather_kept_rows, noise_scores,
+                            topk_weights)
 from sfinet.gradcheck import check_grad, check_model
 from sfinet import reconstitution as R
 from sfinet.backbone import backbone_stage
@@ -23,7 +23,7 @@ from sfinet.reconstitution import (attend, concat_stages, gcn_forward, gcn_layer
 from sfinet.tensor import Tensor
 from sfinet.train import metrics_csv, total_loss, train
 
-from test_filters import naive_mask, naive_select
+from test_filters import mask_of, naive_mask, naive_select, select_of
 from test_reconstitution import msa_reference
 
 
@@ -57,12 +57,12 @@ def test_criterion_02_filter_cardinalities_exact():
             if keep1 <= 0 or keep1 >= s or keep2 < 1:
                 continue
             scores = rng.standard_normal((w, h))
-            mask = ambiguity_mask(scores.ravel(), gamma1)
+            mask = mask_of(scores.ravel(), gamma1)
             assert int(mask.sum()) == keep1
             maps = rng.standard_normal((w, h, 3)).reshape(s, 3)
             feats = Tensor(rng.standard_normal((w, h, 4)).reshape(s, 4))
             mm = apply_mask(mask, maps)
-            chosen = noise_select(noise_scores(mm), gamma2, keep_mask=mask)
+            chosen = select_of(noise_scores(mm), gamma2, keep_mask=mask)
             assert len(chosen) == keep2
             assert gather_kept_rows(feats, chosen).shape == (keep2, 4)
             checked += 1
@@ -82,13 +82,13 @@ def test_criterion_03_oracle_equivalence():
             scores = rng.standard_normal((w, h))
             if rng.random() < 0.3:
                 scores = np.round(scores, 1)  # force ties
-            npt.assert_array_equal(ambiguity_mask(scores.ravel(), gamma1),
+            npt.assert_array_equal(mask_of(scores.ravel(), gamma1),
                                    naive_mask(scores, gamma1).ravel())
             maps = rng.standard_normal((w, h, 3))
-            mask = ambiguity_mask(scores.ravel(), gamma1)
+            mask = mask_of(scores.ravel(), gamma1)
             feats = rng.standard_normal((w, h, 4)).reshape(s, 4)
             mm = apply_mask(mask, maps.reshape(s, 3))
-            chosen = noise_select(noise_scores(mm), gamma2, keep_mask=mask)
+            chosen = select_of(noise_scores(mm), gamma2, keep_mask=mask)
             expected = naive_select(mm.reshape(w, h, 3), gamma2, mask.reshape(w, h))
             assert chosen.tolist() == expected
             npt.assert_array_equal(gather_kept_rows(Tensor(feats), chosen).data, feats[expected])

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import numpy.testing as npt
@@ -8,13 +9,31 @@ from hypothesis import strategies as st
 
 from sfinet import tensor as T
 from sfinet.backbone import ConfigError
-from sfinet.filters import (AmbiguityParams, NoiseParams, ambiguity_map, ambiguity_mask,
-                            apply_mask, class_maps, filter_loss, filter_stage,
-                            gather_kept_rows, noise_scores, noise_select, topk_weights,
-                            validate_filter_ratios)
+from sfinet.filters import (AmbiguityParams, FilterArtifacts, NoiseParams, ambiguity_map,
+                            ambiguity_mask, apply_mask, class_maps, filter_loss, filter_pass,
+                            filter_stage, gather_kept_rows, noise_scores, noise_select,
+                            split_stages, stage_layout, topk_weights, validate_filter_ratios)
 from sfinet.tensor import Tensor
 
+import filter_reference as ref
 from conftest import assert_grads_match
+
+
+# --- one-stage calls of the stacked helpers --------------------------------
+
+def rows(*sizes: int):
+    """A layout that only places stages of ``sizes`` rows in the stack."""
+    return stage_layout(sizes, 0.5, 0.5, bypass=True)
+
+
+def mask_of(scores: np.ndarray, gamma1: float) -> np.ndarray:
+    """The ambiguity mask of one stage whose scores are ``scores``."""
+    return ambiguity_mask(scores, stage_layout([scores.size], gamma1, gamma1))
+
+
+def select_of(scores: np.ndarray, gamma2: float, keep_mask: np.ndarray) -> np.ndarray:
+    """The kept rows of one stage whose noise scores are ``scores``."""
+    return noise_select(scores, keep_mask, stage_layout([scores.size], gamma2, gamma2))
 
 
 # --- naive full-sort references, kept deliberately independent ------------
@@ -52,14 +71,13 @@ class TestParams:
 
     def test_gamma1_above_gamma2_rejected(self):
         with pytest.raises(ConfigError, match="gamma1"):
-            validate_filter_ratios(AmbiguityParams(gamma1=0.3), NoiseParams(gamma2=0.2),
-                                   [(4, 4, 8)])
+            validate_filter_ratios([16], 0.3, 0.2)
 
-    # floor((1 - 0.8) * 4) = 0 of a 2x2 stage's rows
+    # floor((1 - 0.8) * 4) = 0 of a 2x2 stage's rows, for a config and a direct one-stage call
     @pytest.mark.parametrize("check", [
-        lambda: validate_filter_ratios(AmbiguityParams(gamma1=0.5), NoiseParams(gamma2=0.8),
-                                       [(2, 2, 8)]),
-        lambda: noise_select(np.ones(4), 0.8, np.ones(4)),
+        lambda: validate_filter_ratios([4], 0.5, 0.8),
+        lambda: filter_stage(Tensor(np.ones((4, 1))), Tensor(np.ones((1, 4))),
+                             AmbiguityParams(gamma1=0.5), NoiseParams(gamma2=0.8)),
     ], ids=["validate_filter_ratios", "noise_select"])
     def test_gamma2_keeping_no_row_rejected(self, check):
         with pytest.raises(ConfigError, match="gamma2=0.8 keeps no positions of 4"):
@@ -68,27 +86,28 @@ class TestParams:
 
 class TestClassMaps:
     def test_zero_weights(self, rng):
-        maps, coarse = class_maps(rng.standard_normal((9, 4)), np.zeros((4, 5)))
+        maps, coarse = class_maps([rng.standard_normal((9, 4))], [np.zeros((4, 5))], rows(9))
         npt.assert_array_equal(maps, 0.0)
         npt.assert_array_equal(coarse, 0.0)
 
     def test_single_pixel_coarse_equals_that_pixel(self, rng):
-        maps, coarse = class_maps(rng.standard_normal((1, 4)), rng.standard_normal((4, 6)))
-        npt.assert_allclose(coarse, maps[0], rtol=1e-15)
+        maps, coarse = class_maps([rng.standard_normal((1, 4))], [rng.standard_normal((4, 6))],
+                                  rows(1))
+        npt.assert_allclose(coarse[0], maps[0], rtol=1e-15)
 
     def test_coarse_matches_hand_pooling(self, rng):
         f = rng.standard_normal((4, 3))
         proj = np.zeros((3, 5))
         proj[:3, :3] = np.eye(3)  # identity-extended weights
-        _, coarse = class_maps(f, proj)
+        _, coarse = class_maps([f], [proj], rows(4))
         expected = np.concatenate([f.mean(axis=0), [0.0, 0.0]])
-        npt.assert_allclose(coarse, expected, rtol=1e-12)
+        npt.assert_allclose(coarse[0], expected, rtol=1e-12)
 
     def test_channel_mismatch(self, rng):
         with pytest.raises(T.ShapeError):
-            class_maps(rng.standard_normal((4, 3)), np.zeros((4, 5)))
+            class_maps([rng.standard_normal((4, 3))], [np.zeros((4, 5))], rows(4))
         with pytest.raises(T.ShapeError, match="feature rows"):  # a (W, H, C) grid, not rows
-            class_maps(rng.standard_normal((2, 2, 3)), np.zeros((3, 5)))
+            class_maps([rng.standard_normal((2, 2, 3))], [np.zeros((3, 5))], rows(4))
 
 
 class TestTopkWeights:
@@ -124,31 +143,31 @@ class TestAmbiguityMap:
     def test_identical_slices_scale_by_mean_weight(self, rng):
         x = rng.standard_normal(9)
         maps = np.stack([x, x, x], axis=1)
-        out = ambiguity_map(maps, [0, 2], np.array([1.1, 0.95]))
+        out = ambiguity_map(maps, np.array([[0, 2]]), np.array([1.1, 0.95]), rows(9))
         npt.assert_allclose(out, x * (1.1 + 0.95) / 2, rtol=1e-12)
 
     def test_hand_value_ones_and_zeros(self):
         maps = np.stack([np.ones(4), np.zeros(4)], axis=1)
-        out = ambiguity_map(maps, [0, 1], np.array([1.1, 0.95]))
+        out = ambiguity_map(maps, np.array([[0, 1]]), np.array([1.1, 0.95]), rows(4))
         npt.assert_allclose(out, np.full(4, 0.55), rtol=1e-12)
 
     def test_only_selected_slices_matter(self, rng):
         maps = rng.standard_normal((9, 5))
-        out1 = ambiguity_map(maps, [0, 2], np.array([1.1, 0.95]))
+        out1 = ambiguity_map(maps, np.array([[0, 2]]), np.array([1.1, 0.95]), rows(9))
         shuffled = maps.copy()
         shuffled[:, [1, 3, 4]] = maps[:, [4, 1, 3]]
-        out2 = ambiguity_map(shuffled, [0, 2], np.array([1.1, 0.95]))
+        out2 = ambiguity_map(shuffled, np.array([[0, 2]]), np.array([1.1, 0.95]), rows(9))
         npt.assert_array_equal(out1, out2)
 
 
 class TestAmbiguityMask:
     def test_hand_case_drops_highest(self):
         scores = np.array([0.1, 0.9, 0.5, 0.7])
-        mask = ambiguity_mask(scores, 0.25)
+        mask = mask_of(scores, 0.25)
         npt.assert_array_equal(mask, [1.0, 0.0, 1.0, 1.0])
 
     def test_constant_map_drops_last_row_major_cell(self):
-        mask = ambiguity_mask(np.ones(4), 0.25)
+        mask = mask_of(np.ones(4), 0.25)
         npt.assert_array_equal(mask, [1.0, 1.0, 1.0, 0.0])
 
     @given(st.integers(2, 8), st.integers(2, 8),
@@ -159,25 +178,25 @@ class TestAmbiguityMask:
         keep = math.floor((1.0 - gamma1) * (w * h))
         if keep <= 0 or keep >= w * h:
             return
-        mask = ambiguity_mask(scores, gamma1)
+        mask = mask_of(scores, gamma1)
         assert int(mask.sum()) == keep
 
     @given(st.floats(0.01, 100.0), st.integers(0, 2**31 - 1))
     @settings(max_examples=40, deadline=None)
     def test_positive_scaling_leaves_mask_unchanged(self, c, seed):
         scores = np.random.default_rng(seed).standard_normal(20)
-        a = ambiguity_mask(scores, 0.3)
-        b = ambiguity_mask(scores * c, 0.3)
+        a = mask_of(scores, 0.3)
+        b = mask_of(scores * c, 0.3)
         npt.assert_array_equal(a, b)
 
     def test_degenerate_requests_rejected(self):
         with pytest.raises(ConfigError, match="degenerate"):
-            ambiguity_mask(np.ones(4), 0.9999)  # keeps 0
+            mask_of(np.ones(4), 0.9999)  # keeps 0
         with pytest.raises(ConfigError):
-            ambiguity_mask(np.ones(400), 1e-17)  # rounds to keeping all
+            mask_of(np.ones(400), 1e-17)  # rounds to keeping all
 
     def test_mask_is_constant_not_differentiable(self, rng):
-        mask = ambiguity_mask(rng.standard_normal(9), 0.3)
+        mask = mask_of(rng.standard_normal(9), 0.3)
         assert type(mask) is np.ndarray and mask.dtype == np.float64
 
 
@@ -196,7 +215,7 @@ class TestApplyMask:
 
     def test_reapplying_is_noop(self, rng):
         maps = rng.standard_normal((9, 4))
-        mask = ambiguity_mask(rng.standard_normal(9), 0.3)
+        mask = mask_of(rng.standard_normal(9), 0.3)
         m2 = apply_mask(mask, maps)
         m3 = apply_mask(mask, m2)
         npt.assert_array_equal(m3, m2)
@@ -207,12 +226,12 @@ class TestNoiseSelect:
         # scores per position: 3, 1, 4, 2 -> keep [2, 0]
         maps = np.array([3.0, 1.0, 4.0, 2.0]).reshape(4, 1)
         feats = np.arange(8, dtype=float).reshape(4, 2)
-        chosen = noise_select(noise_scores(maps), 0.5, np.ones(4))
+        chosen = select_of(noise_scores(maps), 0.5, np.ones(4))
         assert chosen.dtype == np.intp and chosen.tolist() == [2, 0]
         npt.assert_array_equal(gather_kept_rows(Tensor(feats), chosen).data, feats[[2, 0]])
 
     def test_all_equal_scores_keep_first_flat_indices(self):
-        chosen = noise_select(noise_scores(np.ones((6, 2))), 0.5, np.ones(6))
+        chosen = select_of(noise_scores(np.ones((6, 2))), 0.5, np.ones(6))
         assert chosen.tolist() == [0, 1, 2]
 
     @given(st.integers(2, 6), st.integers(2, 6),
@@ -223,23 +242,23 @@ class TestNoiseSelect:
         keep = math.floor((1.0 - gamma2) * (w * h))
         if keep < 1:
             return
-        chosen = noise_select(noise_scores(g.standard_normal((w * h, 3))), gamma2, np.ones(w * h))
+        chosen = select_of(noise_scores(g.standard_normal((w * h, 3))), gamma2, np.ones(w * h))
         assert len(chosen) == keep
         assert gather_kept_rows(Tensor(g.standard_normal((w * h, 5))), chosen).shape == (keep, 5)
 
     def test_mask_restriction_guarantees_membership(self, rng):
         for _ in range(50):
             maps = rng.standard_normal((12, 2))
-            mask = ambiguity_mask(rng.standard_normal(12), 0.25)
-            chosen = noise_select(noise_scores(apply_mask(mask, maps)), 0.4, keep_mask=mask)
+            mask = mask_of(rng.standard_normal(12), 0.25)
+            chosen = select_of(noise_scores(apply_mask(mask, maps)), 0.4, keep_mask=mask)
             assert all(mask[i] == 1.0 for i in chosen)
 
     def test_selection_makes_no_tape_node(self, rng, monkeypatch):
-        mask = ambiguity_mask(rng.standard_normal(12), 0.25)
+        mask = mask_of(rng.standard_normal(12), 0.25)
         scores = noise_scores(apply_mask(mask, rng.standard_normal((12, 3))))
         calls = []
         monkeypatch.setattr(T, "node", lambda *args: calls.append(args))
-        chosen = noise_select(scores, 0.4, mask)
+        chosen = noise_select(scores, mask, stage_layout([12], 0.4, 0.4))
         assert calls == [] and type(chosen) is np.ndarray and chosen.dtype == np.intp
 
     @pytest.mark.parametrize("bypass", [False, True])
@@ -251,7 +270,7 @@ class TestNoiseSelect:
         if bypass:
             assert art.selected_features is feats
         else:
-            chosen = noise_select(art.noise_scores, noise.gamma2, art.mask)
+            chosen = select_of(art.noise_scores, noise.gamma2, art.mask)
             assert art.selected_indices.tobytes() == chosen.tobytes()
             kept = gather_kept_rows(feats, chosen)
             assert art.selected_features.data.tobytes() == kept.data.tobytes()
@@ -259,7 +278,7 @@ class TestNoiseSelect:
     def test_quota_infeasible_rejected(self, rng):
         mask = np.zeros(4)
         with pytest.raises(ConfigError, match="unmasked"):
-            noise_select(noise_scores(rng.standard_normal((4, 2))), 0.2, keep_mask=mask)
+            select_of(noise_scores(rng.standard_normal((4, 2))), 0.2, keep_mask=mask)
 
 
 class TestOracleEquivalence:
@@ -273,7 +292,7 @@ class TestOracleEquivalence:
             scores = rng.standard_normal((w, h))
             if rng.random() < 0.3:  # force ties
                 scores = np.round(scores, 1)
-            npt.assert_array_equal(ambiguity_mask(scores.ravel(), gamma1),
+            npt.assert_array_equal(mask_of(scores.ravel(), gamma1),
                                    naive_mask(scores, gamma1).ravel())
 
     def test_select_matches_naive_reference(self, rng):
@@ -293,8 +312,8 @@ class TestOracleEquivalence:
                 if math.floor((1.0 - gamma1) * (w * h)) in (0, w * h):
                     use_mask = False
                 else:
-                    mask = ambiguity_mask(rng.standard_normal((int(w), int(h))).ravel(), gamma1)
-            chosen = noise_select(noise_scores(maps.reshape(-1, 3)), gamma2,
+                    mask = mask_of(rng.standard_normal((int(w), int(h))).ravel(), gamma1)
+            chosen = select_of(noise_scores(maps.reshape(-1, 3)), gamma2,
                                   keep_mask=mask if use_mask else np.ones(w * h))
             expected = naive_select(maps, gamma2,
                                     mask.reshape(int(w), int(h)) if use_mask else None)
@@ -306,23 +325,109 @@ class TestOracleEquivalence:
         w, h, gamma = 6, 5, 0.3
         assert math.floor((1.0 - gamma) * w * h) == 20
         scores = rng.standard_normal((w, h))
-        mask = ambiguity_mask(scores.ravel(), gamma)
+        mask = mask_of(scores.ravel(), gamma)
         oracle_mask = naive_mask(scores, gamma)
         assert mask.sum() == oracle_mask.sum() == 21
         npt.assert_array_equal(mask, oracle_mask.ravel())
         maps = rng.standard_normal((w, h, 3))
-        chosen = noise_select(noise_scores(maps.reshape(-1, 3)), gamma, np.ones(w * h))
+        chosen = select_of(noise_scores(maps.reshape(-1, 3)), gamma, np.ones(w * h))
         assert len(chosen) == len(naive_select(maps, gamma, None)) == 21
         assert chosen.tolist() == naive_select(maps, gamma, None)
+
+
+class TestStackedPassMatchesTheOneStageReference:
+    """Every record of the stacked pass equals its stage filtered alone, byte for byte."""
+
+    @staticmethod
+    def assert_same_records(got, want, bypass):
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            for name in FilterArtifacts._fields[:-1]:
+                x, y = getattr(a, name), getattr(b, name)
+                assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), name
+            if bypass:
+                assert a.selected_features is b.selected_features
+            else:
+                assert a.selected_features.data.tobytes() == b.selected_features.data.tobytes()
+
+    def test_random_layouts_of_one_to_four_stages(self):
+        g = np.random.default_rng(20261019)
+        seen = {"signed_zero_maps": 0, "tied_scores": 0}
+        for _ in range(300):
+            n = int(g.integers(2, 9))
+            amb = AmbiguityParams(k=int(g.integers(2, n + 1)), gamma1=float(g.uniform(0.05, 0.5)))
+            noise = NoiseParams(gamma2=float(g.uniform(amb.gamma1, 0.8)))
+            feats, projs = [], []
+            while len(feats) < g.integers(1, 5):
+                s, c = int(g.integers(2, 70)), int(g.integers(1, 20))
+                try:
+                    stage_layout([s], amb.gamma1, noise.gamma2)
+                except ConfigError:
+                    continue
+                f = g.standard_normal((s, c)) * 10.0 ** float(g.integers(-3, 4))
+                p = g.standard_normal((c, n))
+                kind = g.integers(4)
+                if kind == 1:  # small integers: tied maps and scores
+                    f, p = np.round(f / np.abs(f).max() * 3), np.round(p * 2)
+                elif kind == 2:  # every row alike: constant maps
+                    f = np.repeat(f[:1], s, 0)
+                elif kind == 3:  # scores <= 0, some rows zero: masked rows score -0.0 or 0.0
+                    f, p = np.abs(f), -np.abs(p)
+                    f[g.random(s) < 0.3] = 0.0
+                feats.append(Tensor(f, requires_grad=True))
+                projs.append(Tensor(p))
+            sizes = [f.shape[0] for f in feats]
+            for bypass in (False, True):
+                layout = stage_layout(sizes, amb.gamma1, noise.gamma2, bypass)
+                got = split_stages(filter_pass(feats, projs, amb, layout, bypass), layout)
+                want = [ref.filter_stage(f, p, amb, noise, bypass) for f, p in zip(feats, projs)]
+                self.assert_same_records(got, want, bypass)
+                masked = np.concatenate([a.masked_maps for a in want])
+                seen["signed_zero_maps"] += bool(np.signbit(masked[masked == 0]).any())
+                scores = np.concatenate([a.noise_scores for a in want])
+                seen["tied_scores"] += np.unique(scores).size < scores.size
+            # the rankings alone, on scores where -0.0 and 0.0 tie
+            layout = stage_layout(sizes, amb.gamma1, noise.gamma2)
+            scores = g.choice([-0.0, 0.0, -1.0, 1.0, 2.0], size=sum(sizes))
+            mask = ambiguity_mask(scores, layout)
+            chosen = noise_select(-scores, mask, layout)
+            for r, k in zip(layout.rows, layout.kept):
+                want_mask = ref.ambiguity_mask(scores[r], amb.gamma1)
+                assert mask[r].tobytes() == want_mask.tobytes()
+                want_chosen = ref.noise_select(-scores[r], noise.gamma2, want_mask)
+                assert chosen[k].tobytes() == want_chosen.tobytes()
+        assert min(seen.values()) >= 20, seen
+
+    @pytest.mark.parametrize("setting", ["tiny", "default", "ambiguous-pair", "ambiguous-pair-bypass"])
+    def test_models(self, monkeypatch, setting):
+        from sfinet import config as C
+        from sfinet import reconstitution as R
+
+        raw = dict(C.PRESETS[setting]) if setting in C.PRESETS else C.parse_config_file(
+            os.path.join(os.path.dirname(__file__), os.pardir, "configs", "ambiguous-pair.txt"))
+        if setting.endswith("bypass"):
+            raw["model.bypass_filters"] = "true"
+        cfg = C.build_run_config(raw)
+        ds, model, _ = C.build_experiment(cfg)
+        concat, kept = R.concat_stages, []
+        monkeypatch.setattr(R, "concat_stages", lambda rows, projs: kept.append(rows) or concat(rows, projs))
+        for image, label in zip(ds.test_images[:6], ds.test_labels[:6]):
+            res = model.forward(image, int(label))
+            want = [ref.filter_stage(f, p, cfg.ambiguity, cfg.noise, cfg.bypass_filters)
+                    for f, p in zip(res.stages, model.class_projs)]
+            self.assert_same_records(model.filter_stages(res.stages), want, cfg.bypass_filters)
+            # the rows the forward passed on are the reference's kept rows
+            for rows, art in zip(kept.pop(), want):
+                assert rows.data.tobytes() == art.selected_features.data.tobytes()
 
 
 class TestSelectedRegionInvariance:
     def test_perturbing_dropped_positions_leaves_g_unchanged(self, rng):
         feats = rng.standard_normal((16, 6))
         maps = rng.standard_normal((16, 3))
-        mask = ambiguity_mask(rng.standard_normal(16), 0.25)
+        mask = mask_of(rng.standard_normal(16), 0.25)
         mm = apply_mask(mask, maps)
-        chosen = noise_select(noise_scores(mm), 0.25, keep_mask=mask)
+        chosen = select_of(noise_scores(mm), 0.25, keep_mask=mask)
         dropped = sorted(set(range(16)) - set(chosen.tolist()))
         perturbed = feats.copy()
         perturbed[dropped] += rng.standard_normal((len(dropped), 6)) * 10
@@ -453,7 +558,7 @@ class TestCheckedConstants:
         feats = np.zeros((4, 1))
         feats[0, 0] = 1.7e308
         proj = Tensor(np.array([[1.0, 0.5]]))
-        maps, coarse = class_maps(feats, proj.data)
+        maps, coarse = class_maps([feats], [proj.data], rows(4))
         assert np.isfinite(maps).all() and np.isfinite(coarse).all()
         with np.errstate(over="ignore"), pytest.raises(T.NonFiniteError, match="ambiguity_map"):
             filter_stage(Tensor(feats), proj, AmbiguityParams(k=2), NoiseParams())
@@ -461,36 +566,44 @@ class TestCheckedConstants:
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
     @pytest.mark.parametrize("op", ["class_maps", "coarse_pool", "ambiguity_map", "noise_scores"])
     def test_planted_overflow_raises_naming_the_value(self, monkeypatch, op):
-        """Finite stage-0 rows whose filter value overflows, in the forward and in filter_stages."""
+        """Finite rows of the first or the last stage whose filter value overflows.
+
+        The pass checks each value once over every stage's rows, so the
+        error names the value wherever it fails, in the forward and in
+        filter_stages.
+        """
         from sfinet import config as C
 
         cfg = C.build_run_config({"data.classes": "6"})
         ds, model, _ = C.build_experiment(cfg)
         big = np.finfo(np.float64).max
-        stages = [Tensor(np.zeros((w * h, c))) for w, h, c in cfg.backbone.stage_shapes()]
-        rows, proj = stages[0].data, np.zeros(model.class_projs[0].shape)
-        if op == "class_maps":  # each score sums 16 products equal to the float maximum
-            rows[:] = 1.0
-            proj[:] = big
-        elif op == "coarse_pool":  # every score is half the maximum, so every column sum overflows
-            rows[:, 0] = 1.0
-            proj[0] = 0.5 * big
-        elif op == "ambiguity_map":  # one row's top two scores, weighted 1.1 and 1.05
-            rows[0, 0] = 1.0
-            proj[0, :2] = 0.9 * big
-        else:
-            # rows 0 and 1 score +-0.6 max in classes 4 and 5, which cancel in
-            # the column sums, rank below classes 0-3 (row 2) and so stay out of
-            # the ambiguity map; both rows keep mask 1, and their row sums overflow
-            rows[0, 0], rows[1, 0], rows[2, 1] = 1.0, -1.0, 1.0
-            proj[0, 4:] = 0.6 * big
-            proj[1, :4] = [4.0, 3.0, 2.0, 1.0]
-        model.class_projs[0].data = proj
-        monkeypatch.setattr(model.backbone, "forward", lambda image: stages)
-        with pytest.raises(T.NonFiniteError, match=f"^op '{op}'"):
-            model.forward(ds.train_images[0], int(ds.train_labels[0]))
-        with pytest.raises(T.NonFiniteError, match=f"^op '{op}'"):
-            model.filter_stages(stages)
+        shapes = cfg.backbone.stage_shapes()
+        for site in (0, len(shapes) - 1):
+            stages = [Tensor(np.zeros((w * h, c))) for w, h, c in shapes]
+            feats, proj = stages[site].data, np.zeros(model.class_projs[site].shape)
+            if op == "class_maps":  # each score sums C_i products equal to the float maximum
+                feats[:] = 1.0
+                proj[:] = big
+            elif op == "coarse_pool":  # every score is half the maximum, so every column sum overflows
+                feats[:, 0] = 1.0
+                proj[0] = 0.5 * big
+            elif op == "ambiguity_map":  # one row's top two scores, weighted 1.1 and 1.05
+                feats[0, 0] = 1.0
+                proj[0, :2] = 0.9 * big
+            else:
+                # rows 0 and 1 score +-0.6 max in classes 4 and 5, which cancel in
+                # the column sums, rank below classes 0-3 (row 2) and so stay out of
+                # the ambiguity map; both rows keep mask 1, and their row sums overflow
+                feats[0, 0], feats[1, 0], feats[2, 1] = 1.0, -1.0, 1.0
+                proj[0, 4:] = 0.6 * big
+                proj[1, :4] = [4.0, 3.0, 2.0, 1.0]
+            for i, p in enumerate(model.class_projs):
+                p.data = proj if i == site else np.zeros(p.shape)
+            monkeypatch.setattr(model.backbone, "forward", lambda image: stages)
+            with pytest.raises(T.NonFiniteError, match=f"^op '{op}'"):
+                model.forward(ds.train_images[0], int(ds.train_labels[0]))
+            with pytest.raises(T.NonFiniteError, match=f"^op '{op}'"):
+                model.filter_stages(stages)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_kept_row_gather_matches_the_scatter_add_gather(self, seed):
@@ -597,9 +710,10 @@ class TestDeferredBypassValues:
         assert filter_values.isdisjoint(checks)
         # every node one training sample creates
         assert len(ops) == 27
+        # one pass checks each value once, over every stage's rows
         arts = model.filter_stages(res.stages)
-        assert (checks.count("class_maps") == checks.count("noise_scores") == len(arts)
-                == len(res.stages))
+        assert len(arts) == len(res.stages)
+        assert all(checks.count(value) == 1 for value in filter_values)
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
     def test_overflowing_class_maps_raise_when_read(self):
@@ -623,7 +737,7 @@ class TestMeansMatchNumpyMean:
             head = rng.standard_normal((c, 3))
             got = T.pooled_logits(Tensor(x), Tensor(head)).data
             assert got.tobytes() == (x.mean(axis=0)[None] @ head)[0].tobytes(), (r, c)
-            maps, coarse = class_maps(x, np.eye(c))
+            maps, coarse = class_maps([x], [np.eye(c)], rows(r))
             assert coarse.tobytes() == maps.mean(axis=0).tobytes(), (r, c)
             scores = noise_scores(x)
             assert scores.tobytes() == x.mean(axis=1).tobytes(), (r, c)

@@ -2,7 +2,10 @@
 
 Each case trains one of the three benchmark configs at one seed through
 ``cli.main`` and compares the sha256 of the run's ``config_resolved.txt``,
-``metrics.csv`` and ``checkpoint.csv`` with a pinned value.  A change meant
+``metrics.csv`` and ``checkpoint.csv`` with a pinned value.  It then runs
+``export-maps`` on the run's checkpoint with one fixed image and compares
+the sha256 of a manifest that lists every written file's name and sha256
+(four stages, two stages, and the bypass run's records).  A change meant
 to leave every number alone must pass unchanged; a change meant to move
 numbers updates the pins and records the old and new hashes, with the
 reason, in CHANGES.md.
@@ -15,9 +18,12 @@ recorded.  Another numpy or BLAS may round a matmul differently and move
 import hashlib
 import os
 
+import numpy as np
 import pytest
 
 from sfinet import cli
+from sfinet import config as C
+from sfinet.serialization import save_tensor
 
 AMBIGUOUS_PAIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                               "configs", "ambiguous-pair.txt")
@@ -53,6 +59,20 @@ PINS = {
                    "2f9579fe2e56ffe206a58c398d9c563cf0a92a56d86e5573c8c3838cf099c16e"),
 }
 
+# (run, seed) -> sha256 of the export manifest, one "name sha256" line per file in name order
+EXPORT_PINS = {
+    ("default", 7): "ec28c11d207d134f988ee2750803fef3e47741c9da6127ee83c3af65bc4ebfb3",
+    ("bypass", 7): "eccf334bbe53fd7f425411ee2063082423fb8cab199903018721e2fefe8a1636",
+    ("tiny", 7): "a7f7ce04796c0a12c7c531ec882f08a3e3674a113a7b1060b63a9d0282e5d68a",
+    ("default", 11): "ec2504c67af18fd86353a96ab16e3040d4ac62f28118a2c6ecd88055f39f7f68",
+    ("bypass", 11): "59cfc3eecb7fe7507fc5cf1f19a6b929c9f0d758cc0c1f19bf28063cc2abb6db",
+    ("tiny", 11): "6b326c6c60715dae4b58aee99f6161577e427b0cf433fe13e91509eb47f0ea63",
+}
+
+
+def sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
 
 @pytest.mark.parametrize("run, seed", sorted(PINS), ids=[f"{r}-{s}" for r, s in sorted(PINS)])
 def test_recipe_run_keeps_its_bits(tmp_path, monkeypatch, run, seed):
@@ -60,5 +80,16 @@ def test_recipe_run_keeps_its_bits(tmp_path, monkeypatch, run, seed):
     out = tmp_path / f"{run}-{seed}"
     assert cli.main(["train", "--quiet", "--out", str(out), *RUNS[run],
                      "--set", f"train.seed={seed}"]) == 0
-    got = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest() for name in FILES)
+    got = tuple(sha256(out / name) for name in FILES)
     assert dict(zip(FILES, got)) == dict(zip(FILES, PINS[run, seed]))
+
+    resolved = str(out / "config_resolved.txt")
+    cfg = C.build_run_config(C.parse_config_file(resolved))
+    image = np.random.default_rng(20261019).standard_normal(
+        (*cfg.backbone.input_size, cfg.backbone.in_channels))
+    save_tensor(str(tmp_path / "probe.csv"), image)
+    maps = tmp_path / "maps"
+    assert cli.main(["export-maps", "--config", resolved, "--checkpoint", str(out / "checkpoint.csv"),
+                     "--image", str(tmp_path / "probe.csv"), "--out", str(maps)]) == 0
+    manifest = "".join(f"{path.name} {sha256(path)}\n" for path in sorted(maps.iterdir()))
+    assert hashlib.sha256(manifest.encode()).hexdigest() == EXPORT_PINS[run, seed], manifest

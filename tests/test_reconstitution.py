@@ -195,6 +195,26 @@ class TestTalkingHeadAttention:
         assert_grads_match(loss, {"b": b, "wq": wq, "wk": wk, "wv": wv, "mix": mix})
 
 
+    def test_returned_weights_are_read_only(self):
+        """The weights the forward reports are the buffer the backward reads: no write reaches it."""
+        from sfinet import config as C
+        from sfinet.train import total_loss
+
+        cfg = C.build_run_config({})
+        ds, model, _ = C.build_experiment(cfg)
+        image, label = ds.train_images[0], int(ds.train_labels[0])
+        grads = []
+        for write in (False, True):
+            model.zero_grad()
+            res = model.forward(image, label)
+            if write:
+                with pytest.raises(ValueError, match="read-only"):
+                    res.attention *= 0.5
+            total_loss(res.filter_loss, res.class_loss, cfg.train.xi).backward()
+            grads.append(model.wq.grad.copy())
+        assert np.any(grads[0]) and grads[0].tobytes() == grads[1].tobytes()
+
+
 class TestEinsumOracle:
     """The matmul-based ops against np.einsum, forward and every parent gradient.
 

@@ -333,9 +333,10 @@ def filter_loss(selected_per_stage: Sequence[Tensor], classifiers: Sequence[Tens
     """Cross-entropy on the per-stage mean of the preserved feature rows.
 
     Each stage has its own linear classifier (channel depths differ);
-    stage losses sum, so uniform predictions give L * ln(N).
+    stage losses sum, so uniform predictions give L * ln(N).  The model
+    takes these losses in the same pass as its class loss; this is the
+    L-pair call of :func:`tensor.pooled_cross_entropy`.
     """
     if not 0 <= label < n_classes:
         raise ConfigError(f"filter_loss: label {label} outside 0..{n_classes - 1}")
-    return T.add_n([T.cross_entropy(T.pooled_logits(g, cls), label)
-                    for g, cls in zip(selected_per_stage, classifiers)])
+    return T.add_n(T.pooled_cross_entropy(list(zip(selected_per_stage, classifiers)), label)[0])

@@ -14,7 +14,11 @@ The class-map projections ``mff.stage{i}.class_proj`` only drive the
 filters' selections, which are plain checked arrays off the tape, so the
 loss gives them no gradient: training changes them through weight decay
 alone.  The one filter pass over every stage adds one node per stage to
-the tape, the gather of its kept rows.
+the tape, the gather of its kept rows.  A labelled forward takes the
+class loss and every stage's filter loss in one stacked pass
+(``tensor.pooled_cross_entropy``), one node per loss, and reads the
+class logits from it; an unlabelled one pools the head alone
+(``reconstitution.classify``).  Both report the same probabilities.
 """
 
 from __future__ import annotations
@@ -142,15 +146,16 @@ class SFINet:
         reassembled = R.semantic_reassembly(concatenated, self.sr_prev, self.sr_self, self.sr_next)
         attended, attn = R.talking_head_attention(reassembled, self.wq, self.wk, self.wv, self.mix)
         reconstituted = R.gcn_forward(attended, self.adjacency, self.gcn_weights)
-        logits = R.classify(reconstituted, self.classifier)
 
-        class_loss = None
-        f_loss = None
-        if label is not None:
-            class_loss = T.cross_entropy(logits, label)
-            f_loss = F.filter_loss(selected, self.filter_cls, int(label), self.n_classes)
+        if label is None:
+            class_loss = f_loss = None
+            logits = R.classify(reconstituted, self.classifier).data
+        else:  # the class loss and each stage's filter loss in one stacked pass
+            losses, stacked = T.pooled_cross_entropy(
+                [(reconstituted, self.classifier), *zip(selected, self.filter_cls)], label)
+            class_loss, f_loss, logits = losses[0], T.add_n(losses[1:]), stacked[0]
         # reported only, so a checked array off the tape
-        probs = T.checked(T.softmax_values(logits.data, -1), "softmax")
+        probs = T.checked(T.softmax_values(logits, -1), "softmax")
         return ForwardResult(probs, class_loss, f_loss, stages, attn)
 
     def predict(self, image: np.ndarray) -> int:

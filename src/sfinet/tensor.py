@@ -22,7 +22,9 @@ gradient and :func:`accumulate` drops those of tensors off the tape; only
 Most of a sample's cost is the Python work per node, so a chain the
 model always builds the same way is one op with a hand-written backward:
 :func:`pooled_logits` (mean-pool rows, then a linear head),
-:func:`cross_entropy`, and one op per layer elsewhere
+:func:`pooled_cross_entropy` (that head, then cross-entropy, for a
+sample's every loss in one stacked pass: one node per loss), and one op
+per layer elsewhere
 (``backbone.backbone_stage``; ``concat_stages``,
 ``talking_head_attention`` and ``gcn_layer`` in ``reconstitution``).
 Each computes the chain's numpy expressions and adds into its parents in
@@ -40,8 +42,9 @@ values before that step are checked with :func:`finite` too, and a
 failed check raises :func:`chain_error`, the error the chain would have
 raised.  For the same reason a mean on the per-sample path is written
 ``np.add.reduce(x, axis) / n``, a sum ``np.add.reduce`` and a max
-``np.maximum.reduce``: the arithmetic of ``x.mean``, ``x.sum`` and
-``x.max`` to the bit, without their Python wrappers.
+``np.maximum.reduce`` (a softmax's row maxima one ``np.maximum.reduceat``):
+the arithmetic of ``x.mean``, ``x.sum`` and ``x.max`` to the bit, without
+their Python wrappers.
 """
 
 from __future__ import annotations
@@ -458,9 +461,18 @@ def log(a: Tensor) -> Tensor:
 def softmax_values(x: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarray:
     """Max-shifted softmax of an array along ``axis``, in one buffer: ``out`` or a fresh one.
 
-    ``out`` may be ``x`` itself.
+    ``out`` may be ``x`` itself.  Along the last axis of a C-contiguous
+    array the row maxima are one ``np.maximum.reduceat`` over the flat
+    rows, which skips ``np.maximum.reduce``'s call per row; a max is exact
+    in any order, so the result has the same bits.  The row sums stay
+    ``np.add.reduce``, as ``np.add.reduceat`` rounds differently.
     """
-    y = np.subtract(x, np.maximum.reduce(x, axis, keepdims=True), out=out)
+    if x.ndim and x.size and axis in (-1, x.ndim - 1) and x.flags.c_contiguous:
+        starts = np.arange(0, x.size, x.shape[-1])
+        m = np.maximum.reduceat(x.reshape(-1), starts).reshape(*x.shape[:-1], 1)
+    else:
+        m = np.maximum.reduce(x, axis, keepdims=True)
+    y = np.subtract(x, m, out=out)
     np.exp(y, out=y)
     y /= np.add.reduce(y, axis, keepdims=True)
     return y
@@ -484,31 +496,6 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
         accumulate(a, softmax_grad(g, y, axis))
 
     return node(y, (a,), bw, "softmax")
-
-
-def cross_entropy(logits: Tensor, label: int) -> Tensor:
-    """-log softmax(logits)[label] via log-sum-exp; gradient softmax - onehot.
-
-    Finite for every finite logit vector, however confident: the log's
-    argument is the sum of the max-shifted exponentials, which lies in
-    [1, N].  That log is taken through the :func:`log` op, so per-op
-    counts and faults injected into ``log`` still see every loss.
-    """
-    if logits.ndim != 1:
-        raise ShapeError(f"cross_entropy: need a logit vector, got shape {logits.shape}")
-    label = int(label)
-    if not 0 <= label < logits.shape[0]:
-        raise ShapeError(f"cross_entropy: label {label} outside 0..{logits.shape[0] - 1}")
-    shifted = logits.data - np.maximum.reduce(logits.data)
-    e = np.exp(shifted)
-    total = np.add.reduce(e)
-
-    def bw(g):
-        d = e / total
-        d[label] -= 1.0
-        accumulate(logits, g * d)
-
-    return node(log(Tensor(total)).data - shifted[label], (logits,), bw, "cross_entropy")
 
 
 def sum_all(a: Tensor) -> Tensor:
@@ -537,6 +524,58 @@ def pooled_logits(rows: Tensor, w: Tensor) -> Tensor:
         accumulate(w, z.T @ g)
 
     return node((z @ w.data)[0], (rows, w), bw, "pooled_logits")
+
+
+def pooled_cross_entropy(pairs: Sequence[tuple[Tensor, Tensor]],
+                         label: int) -> tuple[list[Tensor], np.ndarray]:
+    """The cross-entropy of each (rows, head) pair's :func:`pooled_logits` against one label.
+
+    Each pair's (R, C) rows are mean-pooled through its (C, N) head into
+    one row of a (P, N) logits array, checked once as ``pooled_logits``;
+    the max, shift, exponentials and row sums then run once over the
+    stack.  Each loss is -log softmax(logits)[label] via log-sum-exp, so
+    it is finite for every finite logit row, however confident: the log's
+    argument is the sum of the max-shifted exponentials, which lies in
+    [1, N].  That log is one :func:`log` op per pair, so per-op counts and
+    faults injected into ``log`` still see every loss.  Each pair makes
+    one node, whose backward is the chain's (softmax - onehot, then the
+    pooled head's) in the same numpy expressions, so every loss and
+    gradient has the bits of ``cross_entropy(pooled_logits(rows, head),
+    label)``.  Returns the P losses and the logits, a plain array.
+    """
+    if not pairs:
+        raise ShapeError("pooled_cross_entropy: no heads")
+    for rows, w in pairs:
+        if rows.ndim != 2 or w.ndim != 2 or rows.shape[1] != w.shape[0]:
+            raise ShapeError(f"pooled_logits: rows {rows.shape} and head {w.shape} do not chain")
+        if rows.shape[0] < 1:
+            raise ShapeError("pooled_logits: no rows to pool")
+    n = pairs[0][1].shape[1]
+    if any(w.shape[1] != n for _, w in pairs):
+        raise ShapeError(f"pooled_cross_entropy: heads {[w.shape for _, w in pairs]} differ in classes")
+    label = int(label)
+    if not 0 <= label < n:
+        raise ShapeError(f"cross_entropy: label {label} outside 0..{n - 1}")
+    pooled = [np.add.reduce(rows.data, 0, keepdims=True) / rows.shape[0] for rows, _ in pairs]
+    logits = np.empty((len(pairs), n))
+    for i, (z, (_, w)) in enumerate(zip(pooled, pairs)):
+        np.matmul(z, w.data, out=logits[i:i + 1])
+    shifted = checked(logits, "pooled_logits") - np.maximum.reduce(logits, 1, keepdims=True)
+    e = np.exp(shifted)
+    totals = np.add.reduce(e, 1)
+
+    def loss(i: int, rows: Tensor, w: Tensor, z: np.ndarray) -> Tensor:
+        def bw(g):
+            d = e[i] / totals[i]
+            d[label] -= 1.0
+            g = (g * d + 0.0)[None]  # the logits' first gradient, as accumulate stores it
+            accumulate(rows, np.repeat((g @ w.data.T) / rows.shape[0], rows.shape[0], axis=0))
+            accumulate(w, z.T @ g)
+
+        value = log(Tensor(totals[i])).data - shifted[i, label]
+        return node(value, (rows, w), bw, "pooled_cross_entropy")
+
+    return [loss(i, rows, w, z) for i, ((rows, w), z) in enumerate(zip(pairs, pooled))], logits
 
 
 def mean_rows(a: Tensor) -> Tensor:

@@ -23,6 +23,7 @@ from sfinet.reconstitution import (attend, concat_stages, gcn_forward, gcn_layer
 from sfinet.tensor import Tensor
 from sfinet.train import metrics_csv, total_loss, train
 
+from loss_reference import cross_entropy
 from test_filters import mask_of, naive_mask, naive_select, select_of
 from test_reconstitution import msa_reference
 
@@ -155,7 +156,12 @@ def _op_cases(rng):
                   lambda: T.sum_all(T.tanh(semantic_reassembly(sr_g, wp, ws, wn))),
                   {"sr_g": sr_g, "wp": wp, "ws": ws, "wn": wn}))
     logits = a(5)
-    cases.append(("cross_entropy", lambda: T.cross_entropy(logits, 2), {"logits": logits}))
+    cases.append(("cross_entropy", lambda: cross_entropy(logits, 2), {"logits": logits}))
+    # the stacked losses: three heads, two of them over the same rows
+    r1, r2, h1, h2, h3 = a(5, 4), a(2, 3), a(4, 3), a(3, 3), a(4, 3)
+    cases.append(("pooled_cross_entropy",
+                  lambda: T.add_n(T.pooled_cross_entropy([(r1, h1), (r2, h2), (r1, h3)], 1)[0]),
+                  {"r1": r1, "r2": r2, "h1": h1, "h2": h2, "h3": h3}))
     rows, head = a(5, 4), a(4, 3)
     cases.append(("pooled_logits", lambda: T.sum_all(T.tanh(T.pooled_logits(rows, head))),
                   {"rows": rows, "head": head}))

@@ -638,15 +638,17 @@ class TestCheckedConstants:
         # hadamard masks the features no longer pass through, the eleven
         # reshapes the (W, H, C) stage maps needed before features became rows,
         # the mean_rows/reshape/matmul/reshape chains that pooled_logits and the
-        # (S_i, stride**2) patch gathers replaced, and the chains that became
+        # (S_i, stride**2) patch gathers replaced, the chains that became
         # one op per layer: each backbone stage (gather_rows, matmul,
         # add_rowvec, tanh), the stage concat (four matmuls, concat_rows),
         # the attention (three project_heads, pairwise_scores, scale, softmax,
-        # attend, head_mix, merge_heads) and the GCN layer (two matmuls, relu)
+        # attend, head_mix, merge_heads) and the GCN layer (two matmuls, relu),
+        # and each loss's pooled_logits and cross_entropy, one
+        # pooled_cross_entropy node since the five losses are one stacked pass
         assert counts == {
             "add": 1, "add_n": 1, "backbone_stage": 4, "concat_stages": 1,
-            "cross_entropy": 5, "gather_kept_rows": 4, "gcn_layer": 1, "leaf": 26,
-            "pooled_logits": 5, "scale": 1, "semantic_reassembly": 1,
+            "gather_kept_rows": 4, "gcn_layer": 1, "leaf": 26,
+            "pooled_cross_entropy": 5, "scale": 1, "semantic_reassembly": 1,
             "talking_head_attention": 1,
         }
 
@@ -670,8 +672,9 @@ class TestCheckedConstants:
         total_loss(res.filter_loss, res.class_loss, cfg.train.xi)
         # every node one training sample creates; the filters' selection
         # values are checked arrays, so each stage adds its kept-row gather
-        # alone, and the reported probabilities are a checked array too
-        assert len(ops) == 31
+        # alone, the reported probabilities are a checked array too, and each
+        # loss is one node of the stacked loss pass
+        assert len(ops) == 26
 
 
 class TestDeferredBypassValues:
@@ -708,8 +711,8 @@ class TestDeferredBypassValues:
         total_loss(res.filter_loss, res.class_loss, cfg.train.xi)
         filter_values = {"class_maps", "coarse_pool", "ambiguity_map", "masked_maps", "noise_scores"}
         assert filter_values.isdisjoint(checks)
-        # every node one training sample creates
-        assert len(ops) == 27
+        # every node one training sample creates, one per loss in the stacked loss pass
+        assert len(ops) == 22
         # one pass checks each value once, over every stage's rows
         arts = model.filter_stages(res.stages)
         assert len(arts) == len(res.stages)

@@ -9,6 +9,7 @@ from sfinet import tensor as T
 from sfinet.tensor import CompGraph, GraphError, NonFiniteError, ShapeError, Tensor
 
 from conftest import assert_grads_match
+from loss_reference import cross_entropy
 
 
 class TestMatmul:
@@ -73,24 +74,114 @@ class TestSoftmax:
             T.softmax(Tensor([1.0, 2.0]), axis=3)
 
 
+def _reduce_softmax_values(x: np.ndarray, axis: int) -> np.ndarray:
+    """``softmax_values`` with its row maxima from ``np.maximum.reduce``, as it was written."""
+    y = x - np.maximum.reduce(x, axis, keepdims=True)
+    np.exp(y, out=y)
+    y /= np.add.reduce(y, axis, keepdims=True)
+    return y
+
+
+class _MaximumSpy:
+    """Stands in for ``numpy`` in ``tensor`` and records which ``np.maximum`` reduction ran."""
+
+    def __init__(self):
+        self.calls = []
+        spy = self
+
+        class Maximum:
+            def reduce(self, *args, **kwargs):
+                spy.calls.append("reduce")
+                return np.maximum.reduce(*args, **kwargs)
+
+            def reduceat(self, *args, **kwargs):
+                spy.calls.append("reduceat")
+                return np.maximum.reduceat(*args, **kwargs)
+
+        self.maximum = Maximum()
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+class TestSegmentedRowMaxima:
+    """Along the last axis of a C-contiguous array, one ``reduceat`` gives the same bits."""
+
+    @staticmethod
+    def layouts(g):
+        shapes = [(4, 69, 69), (4, 88, 88), (1,), (7,), (5, 1), (3, 4, 1), (1, 1, 1)]
+        shapes += [tuple(int(v) for v in g.integers(1, 12, size=int(g.integers(1, 4))))
+                   for _ in range(200)]
+        for shape in shapes:
+            x = g.standard_normal(shape) * 10.0 ** float(g.integers(-3, 4))
+            kind = int(g.integers(0, 4))
+            if kind == 1:  # ties within rows, and at times every row the same
+                x = g.integers(-2, 3, shape).astype(float)
+                if x.ndim > 1 and g.integers(2):
+                    x[...] = x[:1]
+            elif kind == 2:  # -0.0 and 0.0 mixed with negatives: a zero is each row's max
+                x = np.where(g.random(shape) < 0.5, 0.0, -0.0)
+                x = np.where(g.random(shape) < 0.3, -g.random(shape), x)
+            elif kind == 3:
+                x[..., -1:] = np.maximum.reduce(x, -1, keepdims=True)  # the max twice
+            yield x
+
+    def test_equals_the_reduce_form_bit_for_bit(self):
+        g = np.random.default_rng(20261020)
+        for x in self.layouts(g):
+            want = _reduce_softmax_values(x, -1)
+            assert T.softmax_values(x, -1).tobytes() == want.tobytes(), x.shape
+            assert T.softmax_values(x, x.ndim - 1).tobytes() == want.tobytes(), x.shape
+            buf = x.copy()
+            assert T.softmax_values(buf, -1, out=buf) is buf
+            assert buf.tobytes() == want.tobytes(), x.shape
+
+    def test_the_attention_shapes_take_one_reduceat(self, monkeypatch):
+        spy = _MaximumSpy()
+        monkeypatch.setattr(T, "np", spy)
+        rng = np.random.default_rng(3)
+        for shape in [(4, 69, 69), (4, 88, 88)]:
+            x = rng.standard_normal(shape)
+            want = _reduce_softmax_values(x, -1)
+            assert T.softmax_values(x, -1, out=x).tobytes() == want.tobytes()
+        assert spy.calls == ["reduceat", "reduceat"]
+
+    @pytest.mark.parametrize("case", ["axis0", "axis1", "transposed", "strided", "empty_rows",
+                                      "empty_last"])
+    def test_other_layouts_take_the_reduce_path(self, monkeypatch, case):
+        rng = np.random.default_rng(4)
+        base = rng.standard_normal((3, 4, 5))
+        x, axis = {"axis0": (base, 0), "axis1": (base, 1), "transposed": (base.transpose(0, 2, 1), -1),
+                   "strided": (base[:, :, ::2], -1), "empty_rows": (np.zeros((0, 5)), -1),
+                   "empty_last": (np.zeros((3, 0)), -1)}[case]
+        spy = _MaximumSpy()
+        monkeypatch.setattr(T, "np", spy)
+        if case == "empty_last":
+            with pytest.raises(ValueError):
+                T.softmax_values(x, axis)
+        else:
+            assert T.softmax_values(x, axis).tobytes() == _reduce_softmax_values(x, axis).tobytes()
+        assert spy.calls == ["reduce"]
+
+
 class TestCrossEntropy:
     def test_hand_value(self):
         z = np.array([1.0, 2.0, 3.0])
-        out = T.cross_entropy(Tensor(z), 0)
+        out = cross_entropy(Tensor(z), 0)
         npt.assert_allclose(out.item(), -np.log(np.e / np.exp(z).sum()), rtol=1e-12)
 
     def test_uniform_logits_give_ln_n_exactly(self):
         for n in (2, 3, 7):
-            assert T.cross_entropy(Tensor(np.full(n, 4.5)), n - 1).item() == np.log(n)
+            assert cross_entropy(Tensor(np.full(n, 4.5)), n - 1).item() == np.log(n)
 
     def test_gradient_vs_finite_differences(self, rng):
         z = Tensor(rng.standard_normal(5), requires_grad=True)
         for label in (0, 3):
-            assert_grads_match(lambda: T.cross_entropy(z, label), {"z": z})
+            assert_grads_match(lambda: cross_entropy(z, label), {"z": z})
 
     def test_gradient_is_softmax_minus_onehot(self, rng):
         z = Tensor(rng.standard_normal(4), requires_grad=True)
-        T.cross_entropy(z, 2).backward()
+        cross_entropy(z, 2).backward()
         expected = T.softmax(Tensor(z.data)).data - np.eye(4)[2]
         npt.assert_allclose(z.grad, expected, rtol=0, atol=1e-15)
 
@@ -99,7 +190,7 @@ class TestCrossEntropy:
         # softmax underflows to exactly 0 for the losing classes here, so
         # log(softmax) would be -inf
         z = Tensor(np.array([3e6, 1e6, 0.0]), requires_grad=True)
-        out = T.cross_entropy(z, label)
+        out = cross_entropy(z, label)
         assert out.item() == loss
         out.backward()
         npt.assert_array_equal(z.grad, np.eye(3)[0] - np.eye(3)[label])
@@ -122,11 +213,11 @@ class TestCrossEntropy:
 
     def test_label_and_shape_checked(self):
         with pytest.raises(ShapeError):
-            T.cross_entropy(Tensor([1.0, 2.0]), 2)
+            cross_entropy(Tensor([1.0, 2.0]), 2)
         with pytest.raises(ShapeError):
-            T.cross_entropy(Tensor([1.0, 2.0]), -1)
+            cross_entropy(Tensor([1.0, 2.0]), -1)
         with pytest.raises(ShapeError):
-            T.cross_entropy(Tensor(np.zeros((2, 2))), 0)
+            cross_entropy(Tensor(np.zeros((2, 2))), 0)
 
 
 class TestHadamard:

@@ -8,10 +8,11 @@ the whole path smooth for finite-difference checks.
 
 Features travel as ``(S_i, C_i)`` rows, one per position of the
 ``(W_i, H_i)`` stage grid in row-major order (row ``x * H_i + y`` is cell
-``(x, y)``).  The image becomes rows once, and a stage reads its input
-grid only through a strided view: the rows reshaped to
-``(W/s, s, H/s, s, C)`` with the middle axes swapped, one copy of which
-is the ``(S_i, s**2 * C_{i-1})`` patch matrix its embedding takes.
+``(x, y)``).  The image becomes rows once, a checked constant off the
+tape, and a stage reads its input grid only through a strided view: the
+rows reshaped to ``(W/s, s, H/s, s, C)`` with the middle axes swapped,
+one copy of which is the ``(S_i, s**2 * C_{i-1})`` patch matrix its
+embedding takes.
 
 Each stage is one tape op, :func:`backbone_stage`, in place of the chain
 ``gather_rows``, ``reshape``, ``matmul``, ``add_rowvec``, ``tanh``, with
@@ -64,10 +65,6 @@ class BackboneConfig:
             w, h = w // s, h // s
         if w < 2 or h < 2:
             raise ConfigError(f"backbone: final stage extent {w}x{h} below 2x2")
-
-    @property
-    def num_stages(self) -> int:
-        return len(self.strides)
 
     def stage_shapes(self) -> list[tuple[int, int, int]]:
         """(W_i, H_i, C_i) per stage; stage i's features are W_i * H_i rows of C_i."""
@@ -149,7 +146,7 @@ class Backbone:
         expected = (w, h, cfg.in_channels)
         if image.shape != expected:
             raise T.ShapeError(f"backbone: image shape {image.shape}, config expects {expected}")
-        x = T.reshape(image, (w * h, cfg.in_channels))
+        x = Tensor(T.checked(image.data.reshape(w * h, cfg.in_channels), "reshape"))
         stages = []
         for stride, weight, bias in zip(cfg.strides, self.weights, self.biases):
             x = backbone_stage(x, (w, h), stride, weight, bias)

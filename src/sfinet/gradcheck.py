@@ -22,19 +22,19 @@ def finite_diff_grad(f: Callable[[], float], arr: np.ndarray, step: float = DEFA
     """Central differences of scalar ``f()`` w.r.t. every entry of ``arr``.
 
     ``arr`` is perturbed in place and restored, so ``f`` must read it on
-    every call (which holds for forward passes over leaf tensors).
+    every call (which holds for forward passes over leaf tensors).  Each
+    entry is indexed in ``arr`` itself, so a non-contiguous view, such as
+    a transposed leaf, is perturbed too.
     """
     grad = np.zeros_like(arr)
-    flat = arr.ravel()
-    gflat = grad.ravel()
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + step
+    for i in np.ndindex(arr.shape):
+        orig = arr[i]
+        arr[i] = orig + step
         hi = f()
-        flat[i] = orig - step
+        arr[i] = orig - step
         lo = f()
-        flat[i] = orig
-        gflat[i] = (hi - lo) / (2.0 * step)
+        arr[i] = orig
+        grad[i] = (hi - lo) / (2.0 * step)
     return grad
 
 

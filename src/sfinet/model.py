@@ -17,8 +17,9 @@ alone.  The one filter pass over every stage adds one node per stage to
 the tape, the gather of its kept rows.  A labelled forward takes the
 class loss and every stage's filter loss in one stacked pass
 (``tensor.pooled_cross_entropy``), one node per loss, and reads the
-class logits from it; an unlabelled one pools the head alone
-(``reconstitution.classify``).  Both report the same probabilities.
+class logits from it; an unlabelled one runs that pass's head alone,
+with no node (``reconstitution.classify``).  Both report the same
+probabilities.
 """
 
 from __future__ import annotations
@@ -149,7 +150,7 @@ class SFINet:
 
         if label is None:
             class_loss = f_loss = None
-            logits = R.classify(reconstituted, self.classifier).data
+            logits = R.classify(reconstituted, self.classifier)
         else:  # the class loss and each stage's filter loss in one stacked pass
             losses, stacked = T.pooled_cross_entropy(
                 [(reconstituted, self.classifier), *zip(selected, self.filter_cls)], label)

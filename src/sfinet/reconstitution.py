@@ -274,6 +274,10 @@ def gcn_forward(x: Tensor, adjacency: Tensor, layer_weights: list[Tensor]) -> Te
     return out
 
 
-def classify(f_rec: Tensor, classifier: Tensor) -> Tensor:
-    """Mean-pool the rows and apply the linear head, giving class logits."""
-    return T.pooled_logits(f_rec, classifier)
+def classify(f_rec: Tensor, classifier: Tensor) -> np.ndarray:
+    """Mean-pool the rows and apply the linear head: the (N,) class logits, a checked array.
+
+    The head pass of the labelled forward's losses (``tensor.pooled_heads``)
+    for this one pair, so it makes no tape node.
+    """
+    return T.pooled_heads([(f_rec, classifier)])[1][0]

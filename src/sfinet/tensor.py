@@ -21,10 +21,9 @@ gradient and :func:`accumulate` drops those of tensors off the tape; only
 
 Most of a sample's cost is the Python work per node, so a chain the
 model always builds the same way is one op with a hand-written backward:
-:func:`pooled_logits` (mean-pool rows, then a linear head),
-:func:`pooled_cross_entropy` (that head, then cross-entropy, for a
-sample's every loss in one stacked pass: one node per loss), and one op
-per layer elsewhere
+:func:`pooled_cross_entropy` (mean-pool rows, then a linear head, then
+cross-entropy, for a sample's every loss in one stacked pass: one node
+per loss), and one op per layer elsewhere
 (``backbone.backbone_stage``; ``concat_stages``,
 ``talking_head_attention`` and ``gcn_layer`` in ``reconstitution``).
 Each computes the chain's numpy expressions and adds into its parents in
@@ -33,9 +32,10 @@ for bit; the primitive ops stay as the tests' reference.  Rows that a
 chain gathers and never repeats are moved instead, to the same bits: a
 backbone stage's patches through a strided view and its inverse, the
 filters' kept rows by ``filters.gather_kept_rows``, whose backward
-assigns where :func:`gather_rows` scatter-adds.  An expression
-both need is an array helper both call (:func:`tanh_grad`,
-:func:`softmax_values`, :func:`softmax_grad`).  A fused op's output is
+assigns where :func:`gather_rows` scatter-adds.  An expression two
+callers need is an array helper both call (:func:`tanh_grad`,
+:func:`softmax_values`, :func:`softmax_grad`, and :func:`pooled_heads`
+for the losses and ``reconstitution.classify``).  A fused op's output is
 checked by :func:`node`; where a later step of its chain would hide a NaN
 or Inf (a tanh maps +-Inf to +-1, a relu or softmax maps -Inf to 0), the
 values before that step are checked with :func:`finite` too, and a
@@ -505,34 +505,37 @@ def sum_all(a: Tensor) -> Tensor:
     return node(a.data.sum(), (a,), bw, "sum_all")
 
 
-def pooled_logits(rows: Tensor, w: Tensor) -> Tensor:
-    """Mean-pool (R, C) rows and apply a (C, N) linear head, giving (N,) logits.
+def pooled_heads(pairs: Sequence[tuple[Tensor, Tensor]]) -> tuple[list[np.ndarray], np.ndarray]:
+    """Mean-pool each (rows, head) pair's (R, C) rows through its (C, N) head, in one (P, N) array.
 
-    One op for ``mean_rows -> reshape -> matmul -> reshape``, with the
-    same numpy expressions, so its values and gradients are those of the
-    chain to the bit.
+    The pooled head of every forward: :func:`pooled_cross_entropy` takes
+    its losses from these logits, and ``reconstitution.classify`` reads
+    its one row.  The logits are checked once as ``pooled_logits``.
+    Returns each pair's (1, C) pooled row and the logits, plain arrays
+    off the tape.
     """
-    if rows.ndim != 2 or w.ndim != 2 or rows.shape[1] != w.shape[0]:
-        raise ShapeError(f"pooled_logits: rows {rows.shape} and head {w.shape} do not chain")
-    if rows.shape[0] < 1:
-        raise ShapeError("pooled_logits: no rows to pool")
-    z = (np.add.reduce(rows.data, 0) / rows.shape[0])[None]
-
-    def bw(g):
-        g = g[None]
-        accumulate(rows, np.repeat((g @ w.data.T) / rows.shape[0], rows.shape[0], axis=0))
-        accumulate(w, z.T @ g)
-
-    return node((z @ w.data)[0], (rows, w), bw, "pooled_logits")
+    if not pairs:
+        raise ShapeError("pooled_heads: no heads")
+    for rows, w in pairs:
+        if rows.ndim != 2 or w.ndim != 2 or rows.shape[1] != w.shape[0]:
+            raise ShapeError(f"pooled_logits: rows {rows.shape} and head {w.shape} do not chain")
+        if rows.shape[0] < 1:
+            raise ShapeError("pooled_logits: no rows to pool")
+    n = pairs[0][1].shape[1]
+    if any(w.shape[1] != n for _, w in pairs):
+        raise ShapeError(f"pooled_heads: heads {[w.shape for _, w in pairs]} differ in classes")
+    pooled = [np.add.reduce(rows.data, 0, keepdims=True) / rows.shape[0] for rows, _ in pairs]
+    logits = np.empty((len(pairs), n))
+    for i, (z, (_, w)) in enumerate(zip(pooled, pairs)):
+        np.matmul(z, w.data, out=logits[i:i + 1])
+    return pooled, checked(logits, "pooled_logits")
 
 
 def pooled_cross_entropy(pairs: Sequence[tuple[Tensor, Tensor]],
                          label: int) -> tuple[list[Tensor], np.ndarray]:
-    """The cross-entropy of each (rows, head) pair's :func:`pooled_logits` against one label.
+    """The cross-entropy of each (rows, head) pair's :func:`pooled_heads` logits against one label.
 
-    Each pair's (R, C) rows are mean-pooled through its (C, N) head into
-    one row of a (P, N) logits array, checked once as ``pooled_logits``;
-    the max, shift, exponentials and row sums then run once over the
+    The max, shift, exponentials and row sums run once over the (P, N)
     stack.  Each loss is -log softmax(logits)[label] via log-sum-exp, so
     it is finite for every finite logit row, however confident: the log's
     argument is the sum of the max-shifted exponentials, which lies in
@@ -543,24 +546,12 @@ def pooled_cross_entropy(pairs: Sequence[tuple[Tensor, Tensor]],
     gradient has the bits of ``cross_entropy(pooled_logits(rows, head),
     label)``.  Returns the P losses and the logits, a plain array.
     """
-    if not pairs:
-        raise ShapeError("pooled_cross_entropy: no heads")
-    for rows, w in pairs:
-        if rows.ndim != 2 or w.ndim != 2 or rows.shape[1] != w.shape[0]:
-            raise ShapeError(f"pooled_logits: rows {rows.shape} and head {w.shape} do not chain")
-        if rows.shape[0] < 1:
-            raise ShapeError("pooled_logits: no rows to pool")
-    n = pairs[0][1].shape[1]
-    if any(w.shape[1] != n for _, w in pairs):
-        raise ShapeError(f"pooled_cross_entropy: heads {[w.shape for _, w in pairs]} differ in classes")
+    pooled, logits = pooled_heads(pairs)
+    n = logits.shape[1]
     label = int(label)
     if not 0 <= label < n:
         raise ShapeError(f"cross_entropy: label {label} outside 0..{n - 1}")
-    pooled = [np.add.reduce(rows.data, 0, keepdims=True) / rows.shape[0] for rows, _ in pairs]
-    logits = np.empty((len(pairs), n))
-    for i, (z, (_, w)) in enumerate(zip(pooled, pairs)):
-        np.matmul(z, w.data, out=logits[i:i + 1])
-    shifted = checked(logits, "pooled_logits") - np.maximum.reduce(logits, 1, keepdims=True)
+    shifted = logits - np.maximum.reduce(logits, 1, keepdims=True)
     e = np.exp(shifted)
     totals = np.add.reduce(e, 1)
 

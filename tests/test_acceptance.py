@@ -23,7 +23,7 @@ from sfinet.reconstitution import (attend, concat_stages, gcn_forward, gcn_layer
 from sfinet.tensor import Tensor
 from sfinet.train import metrics_csv, total_loss, train
 
-from loss_reference import cross_entropy
+from loss_reference import cross_entropy, pooled_logits
 from test_filters import mask_of, naive_mask, naive_select, select_of
 from test_reconstitution import msa_reference
 
@@ -163,7 +163,7 @@ def _op_cases(rng):
                   lambda: T.add_n(T.pooled_cross_entropy([(r1, h1), (r2, h2), (r1, h3)], 1)[0]),
                   {"r1": r1, "r2": r2, "h1": h1, "h2": h2, "h3": h3}))
     rows, head = a(5, 4), a(4, 3)
-    cases.append(("pooled_logits", lambda: T.sum_all(T.tanh(T.pooled_logits(rows, head))),
+    cases.append(("pooled_logits", lambda: T.sum_all(T.tanh(pooled_logits(rows, head))),
                   {"rows": rows, "head": head}))
     # the one-op layers; the stage reads a 4x4 grid of 2-channel rows in stride-2 patches
     grid, pw, pb = a(16, 2), a(8, 3), a(3)
@@ -328,7 +328,7 @@ def test_criterion_09_loss_constants():
             cls.data = np.zeros_like(cls.data)
         model.classifier.data = np.zeros_like(model.classifier.data)
         res = model.forward(ds.train_images[0], int(ds.train_labels[0]))
-        n, stages = cfg.data.num_classes, cfg.backbone.num_stages
+        n, stages = cfg.data.num_classes, len(cfg.backbone.strides)
         npt.assert_allclose(res.filter_loss.item(), stages * np.log(n), atol=1e-9, rtol=0)
         npt.assert_allclose(res.class_loss.item(), np.log(n), atol=1e-9, rtol=0)
 

@@ -673,8 +673,9 @@ class TestCheckedConstants:
         # every node one training sample creates; the filters' selection
         # values are checked arrays, so each stage adds its kept-row gather
         # alone, the reported probabilities are a checked array too, and each
-        # loss is one node of the stacked loss pass
-        assert len(ops) == 26
+        # loss is one node of the stacked loss pass; the image enters as a
+        # checked constant, no node
+        assert len(ops) == 25
 
 
 class TestDeferredBypassValues:
@@ -712,7 +713,7 @@ class TestDeferredBypassValues:
         filter_values = {"class_maps", "coarse_pool", "ambiguity_map", "masked_maps", "noise_scores"}
         assert filter_values.isdisjoint(checks)
         # every node one training sample creates, one per loss in the stacked loss pass
-        assert len(ops) == 22
+        assert len(ops) == 21
         # one pass checks each value once, over every stage's rows
         arts = model.filter_stages(res.stages)
         assert len(arts) == len(res.stages)
@@ -738,7 +739,7 @@ class TestMeansMatchNumpyMean:
         for r, c in shapes:
             x = rng.standard_normal((r, c)) * 10.0 ** float(rng.integers(-6, 7))
             head = rng.standard_normal((c, 3))
-            got = T.pooled_logits(Tensor(x), Tensor(head)).data
+            got = T.pooled_heads([(Tensor(x), Tensor(head))])[1][0]
             assert got.tobytes() == (x.mean(axis=0)[None] @ head)[0].tobytes(), (r, c)
             maps, coarse = class_maps([x], [np.eye(c)], rows(r))
             assert coarse.tobytes() == maps.mean(axis=0).tobytes(), (r, c)

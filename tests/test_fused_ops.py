@@ -204,7 +204,8 @@ class TestAgainstTheChain:
 
 # Each op with its parents' shapes, as the default config builds them:
 # backbone stage 1 (input grid 8x8 of 16 channels, stride 2), the four
-# filtered stages' rows into the concat, and the S=69 GCN layer and head.
+# filtered stages' rows into the concat, the S=69 GCN layer, and the head
+# and the four stages' filter heads of the stacked loss pass, whose losses add.
 CONSTANT_PARENT_OPS = {
     "backbone_stage": (lambda x, w, b: backbone_stage(x, (8, 8), 2, w, b),
                        [(64, 16), (64, 32), (32,)]),
@@ -212,7 +213,10 @@ CONSTANT_PARENT_OPS = {
                       [(51, 16), (12, 32), (3, 64), (3, 64),
                        (16, 64), (32, 64), (64, 64), (64, 64)]),
     "gcn_layer": (gcn_layer, [(69, 64), (69, 69), (64, 64)]),
-    "pooled_logits": (T.pooled_logits, [(69, 64), (64, 4)]),
+    "pooled_cross_entropy": (
+        lambda *ts: T.add_n(T.pooled_cross_entropy(list(zip(ts[::2], ts[1::2])), 1)[0]),
+        [(69, 64), (64, 4), (51, 16), (16, 4), (12, 32), (32, 4), (3, 64), (64, 4),
+         (3, 64), (64, 4)]),
 }
 
 

@@ -5,8 +5,9 @@ loss, its logits and every parent gradient must equal, byte for byte,
 those of ``cross_entropy(pooled_logits(rows, head), label)`` for its pair
 alone (``loss_reference``), on random pairs and on the rows the models
 feed it.  The forward's two paths (with a label, through this op; without
-one, through ``reconstitution.classify``) must report the same
-probabilities.
+one, through ``reconstitution.classify``, which reads only the op's head
+pass) must report the same probabilities and stop alike on a non-finite
+head.
 """
 
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 
 from sfinet import config as C
 from sfinet import filters as F
+from sfinet import reconstitution as R
 from sfinet import tensor as T
 from sfinet.tensor import ConfigError, NonFiniteError, ShapeError, Tensor
 
@@ -179,3 +181,26 @@ def test_the_forwards_with_and_without_a_label_report_the_same_probabilities(nam
             for y in range(model.n_classes):
                 assert model.forward(image, y).probs.tobytes() == unlabelled.tobytes()
         assert model.forward(image, int(label)).probs.tobytes() == unlabelled.tobytes()
+
+
+@pytest.mark.parametrize("name", ["tiny", "default", "bypass"])
+def test_both_forwards_share_one_head_and_the_unlabelled_one_tapes_none_of_it(monkeypatch, name):
+    """A NaN head stops either forward with the head pass's error; ``classify`` makes no node."""
+    cfg = C.build_run_config(CONFIGS[name])
+    ds, model, _ = C.build_experiment(cfg)
+    made = []
+    node = T.node
+
+    def counting_node(*args):
+        made.append(args[-1])
+        return node(*args)
+
+    monkeypatch.setattr(T, "node", counting_node)
+    monkeypatch.setattr(R, "node", counting_node)
+    rows = Tensor(np.ones((model.seq_len, model.classifier.shape[0])), requires_grad=True)
+    logits = R.classify(rows, model.classifier)
+    assert made == [] and isinstance(logits, np.ndarray) and logits.shape == (model.n_classes,)
+    model.classifier.data[1, 2] = np.nan
+    for label in (None, int(ds.test_labels[0])):
+        with pytest.raises(NonFiniteError, match="^op 'pooled_logits' produced non-finite values$"):
+            model.forward(ds.test_images[0], label)

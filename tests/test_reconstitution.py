@@ -289,22 +289,25 @@ class TestGcn:
 
 
 class TestClassify:
+    """The unlabelled forward's head: plain (N,) logits, as the model turns them into probabilities."""
+
     def test_zero_weights_uniform(self, rng):
-        probs = T.softmax(classify(Tensor(rng.standard_normal((5, 4))), Tensor(np.zeros((4, 3)))))
-        npt.assert_allclose(probs.data, 1 / 3, atol=1e-15)
+        logits = classify(Tensor(rng.standard_normal((5, 4))), Tensor(np.zeros((4, 3))))
+        npt.assert_allclose(T.softmax_values(logits, -1), 1 / 3, atol=1e-15)
 
     def test_single_row_pooling_is_identity(self, rng):
         row = rng.standard_normal((1, 4))
         w = rng.standard_normal((4, 3))
         logits = classify(Tensor(row), Tensor(w))
-        npt.assert_allclose(logits.data, (row @ w).ravel(), rtol=1e-12)
+        assert isinstance(logits, np.ndarray) and logits.shape == (3,)
+        npt.assert_allclose(logits, (row @ w).ravel(), rtol=1e-12)
 
     def test_probabilities_sum_to_one(self, rng):
         for _ in range(20):
-            probs = T.softmax(classify(Tensor(rng.standard_normal((6, 5)) * 10),
-                                       Tensor(rng.standard_normal((5, 7)))))
-            assert abs(probs.data.sum() - 1.0) < 1e-12
-            assert np.all(probs.data > 0)
+            probs = T.softmax_values(classify(Tensor(rng.standard_normal((6, 5)) * 10),
+                                              Tensor(rng.standard_normal((5, 7)))), -1)
+            assert abs(probs.sum() - 1.0) < 1e-12
+            assert np.all(probs > 0)
 
 
 class TestNoDeadSubgraph:

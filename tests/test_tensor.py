@@ -9,7 +9,7 @@ from sfinet import tensor as T
 from sfinet.tensor import CompGraph, GraphError, NonFiniteError, ShapeError, Tensor
 
 from conftest import assert_grads_match
-from loss_reference import cross_entropy
+from loss_reference import cross_entropy, pooled_logits
 
 
 class TestMatmul:
@@ -343,6 +343,30 @@ class TestBackward:
         assert max(errs.values()) < 1e-3, errs
 
 
+class TestFiniteDifferences:
+    """The numeric gradient perturbs the leaf's own buffer, whatever its memory layout."""
+
+    @staticmethod
+    def transposed_leaf(rng):
+        x = Tensor(rng.standard_normal((3, 4)).T, requires_grad=True)
+        assert not x.data.flags.c_contiguous
+        return x
+
+    def test_a_transposed_leaf_passes(self, rng):
+        x = self.transposed_leaf(rng)
+        assert_grads_match(lambda: T.sum_all(T.tanh(x)), {"x": x})
+
+    def test_a_zero_gradient_for_a_transposed_leaf_fails(self, rng):
+        from sfinet.gradcheck import check_grad
+
+        x = self.transposed_leaf(rng)
+
+        def planted_tanh(a):  # tanh's values with a backward that hands back zeros
+            return T.node(np.tanh(a.data), (a,), lambda g: T.accumulate(a, np.zeros_like(g)), "tanh")
+
+        assert check_grad(lambda: T.sum_all(planted_tanh(x)), {"x": x})["x"] > 0.1
+
+
 class TestAccumulate:
     def test_first_write_is_a_fresh_zero_plus_g(self):
         t = T.scale(Tensor(np.ones(3), requires_grad=True), 1.0)  # op output: no buffer yet
@@ -573,19 +597,23 @@ def _weighted_sum_backward(out: Tensor, upstream: np.ndarray) -> None:
 
 
 class TestFusedOps:
-    """One-op forms of chains the model used to build, checked against those chains."""
+    """One-op forms of chains the model used to build, checked against those chains.
+
+    ``pooled_logits`` is the tests' reference copy (``loss_reference``),
+    the per-loss head that ``tensor.pooled_cross_entropy`` is checked against.
+    """
 
     def test_pooled_logits_gradients(self, rng):
         rows = Tensor(rng.standard_normal((5, 4)), requires_grad=True)
         w = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
         v = Tensor(rng.standard_normal(3))
-        assert_grads_match(lambda: T.sum_all(T.hadamard(T.pooled_logits(rows, w), v)),
+        assert_grads_match(lambda: T.sum_all(T.hadamard(pooled_logits(rows, w), v)),
                            {"rows": rows, "w": w})
 
     def test_pooled_logits_single_row_is_a_product(self, rng):
         row = rng.standard_normal((1, 4))
         w = rng.standard_normal((4, 3))
-        out = T.pooled_logits(Tensor(row), Tensor(w))
+        out = pooled_logits(Tensor(row), Tensor(w))
         assert out.shape == (3,)
         assert out.data.tobytes() == (row @ w)[0].tobytes()
 
@@ -593,7 +621,7 @@ class TestFusedOps:
                                          ((0, 5), (5, 3)), ((2, 2, 5), (5, 3))])
     def test_pooled_logits_shape_errors(self, rows, w):
         with pytest.raises(ShapeError, match="pooled_logits"):
-            T.pooled_logits(Tensor(np.zeros(rows)), Tensor(np.zeros(w)))
+            pooled_logits(Tensor(np.zeros(rows)), Tensor(np.zeros(w)))
 
     @pytest.mark.parametrize("r, c, n", [(1, 4, 3), (69, 64, 4), (13, 16, 4)])
     def test_pooled_logits_bitwise_equal_to_the_old_chain(self, rng, r, c, n):
@@ -602,7 +630,7 @@ class TestFusedOps:
         upstream = rng.standard_normal(n)
         rows, w = Tensor(data, requires_grad=True), Tensor(head, requires_grad=True)
         old_rows, old_w = Tensor(data, requires_grad=True), Tensor(head, requires_grad=True)
-        new = T.pooled_logits(rows, w)
+        new = pooled_logits(rows, w)
         z = T.mean_rows(old_rows)
         old = T.reshape(T.matmul(T.reshape(z, (1, c)), old_w), (n,))
         assert new.data.tobytes() == old.data.tobytes()

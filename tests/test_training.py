@@ -344,8 +344,8 @@ class TestEvaluate:
         made.clear()
         res = model.forward(ds.train_images[0], int(ds.train_labels[0]))
         loss = total_loss(res.filter_loss, res.class_loss, cfg.train.xi)
-        assert len(made) == 26
-        assert sum(1 for t in made if t._parents) == 20  # not the image reshape or the five logs
+        assert len(made) == 25
+        assert sum(1 for t in made if t._parents) == 20  # not the five logs
         loss.backward()
         assert model.classifier.grad.any()
 

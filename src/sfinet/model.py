@@ -16,10 +16,12 @@ loss gives them no gradient: training changes them through weight decay
 alone.  The one filter pass over every stage adds one node per stage to
 the tape, the gather of its kept rows.  A labelled forward takes the
 class loss and every stage's filter loss in one stacked pass
-(``tensor.pooled_cross_entropy``), one node per loss, and reads the
-class logits from it; an unlabelled one runs that pass's head alone,
-with no node (``reconstitution.classify``).  Both report the same
-probabilities.
+(``tensor.pooled_cross_entropy``), one node and one ``log`` op per loss
+on the tape, and reads the class logits from it; under ``T.no_tape()``,
+as in evaluation, that pass takes the losses' values from one log call
+and makes no node, to the same bits.  An unlabelled forward runs that
+pass's head alone, with no node (``reconstitution.classify``).  Both
+report the same probabilities.
 """
 
 from __future__ import annotations

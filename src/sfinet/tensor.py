@@ -23,7 +23,8 @@ Most of a sample's cost is the Python work per node, so a chain the
 model always builds the same way is one op with a hand-written backward:
 :func:`pooled_cross_entropy` (mean-pool rows, then a linear head, then
 cross-entropy, for a sample's every loss in one stacked pass: one node
-per loss), and one op per layer elsewhere
+and one :func:`log` per loss on the tape, one ``np.log`` call and no
+node off it), and one op per layer elsewhere
 (``backbone.backbone_stage``; ``concat_stages``,
 ``talking_head_attention`` and ``gcn_layer`` in ``reconstitution``).
 Each computes the chain's numpy expressions and adds into its parents in
@@ -42,9 +43,9 @@ values before that step are checked with :func:`finite` too, and a
 failed check raises :func:`chain_error`, the error the chain would have
 raised.  For the same reason a mean on the per-sample path is written
 ``np.add.reduce(x, axis) / n``, a sum ``np.add.reduce`` and a max
-``np.maximum.reduce`` (a softmax's row maxima one ``np.maximum.reduceat``):
-the arithmetic of ``x.mean``, ``x.sum`` and ``x.max`` to the bit, without
-their Python wrappers.
+``np.maximum.reduce`` (the row maxima of a softmax over many rows one
+``np.maximum.reduceat``): the arithmetic of ``x.mean``, ``x.sum`` and
+``x.max`` to the bit, without their Python wrappers.
 """
 
 from __future__ import annotations
@@ -462,12 +463,13 @@ def softmax_values(x: np.ndarray, axis: int, out: np.ndarray | None = None) -> n
     """Max-shifted softmax of an array along ``axis``, in one buffer: ``out`` or a fresh one.
 
     ``out`` may be ``x`` itself.  Along the last axis of a C-contiguous
-    array the row maxima are one ``np.maximum.reduceat`` over the flat
-    rows, which skips ``np.maximum.reduce``'s call per row; a max is exact
-    in any order, so the result has the same bits.  The row sums stay
-    ``np.add.reduce``, as ``np.add.reduceat`` rounds differently.
+    array of many rows the row maxima are one ``np.maximum.reduceat`` over
+    the flat rows, which skips ``np.maximum.reduce``'s call per row (one
+    row, such as a forward's logits, is cheaper through ``reduce``); a max
+    is exact in any order, so the result has the same bits.  The row sums
+    stay ``np.add.reduce``, as ``np.add.reduceat`` rounds differently.
     """
-    if x.ndim and x.size and axis in (-1, x.ndim - 1) and x.flags.c_contiguous:
+    if x.ndim and x.size > x.shape[-1] and axis in (-1, x.ndim - 1) and x.flags.c_contiguous:
         starts = np.arange(0, x.size, x.shape[-1])
         m = np.maximum.reduceat(x.reshape(-1), starts).reshape(*x.shape[:-1], 1)
     else:
@@ -539,12 +541,16 @@ def pooled_cross_entropy(pairs: Sequence[tuple[Tensor, Tensor]],
     stack.  Each loss is -log softmax(logits)[label] via log-sum-exp, so
     it is finite for every finite logit row, however confident: the log's
     argument is the sum of the max-shifted exponentials, which lies in
-    [1, N].  That log is one :func:`log` op per pair, so per-op counts and
-    faults injected into ``log`` still see every loss.  Each pair makes
-    one node, whose backward is the chain's (softmax - onehot, then the
-    pooled head's) in the same numpy expressions, so every loss and
-    gradient has the bits of ``cross_entropy(pooled_logits(rows, head),
-    label)``.  Returns the P losses and the logits, a plain array.
+    [1, N].  On the tape that log is one :func:`log` op per pair, so
+    per-op counts and faults injected into ``log`` still see every
+    training loss, and each pair makes one node, whose backward is the
+    chain's (softmax - onehot, then the pooled head's) in the same numpy
+    expressions, so every loss and gradient has the bits of
+    ``cross_entropy(pooled_logits(rows, head), label)``.  With no tape open
+    only the values are read: all P logs are one ``np.log`` call over the
+    sums, which rounds each element as a call on it alone, checked once,
+    and the losses are leaves with no op, node or closure.  Returns the P
+    losses and the logits, a plain array.
     """
     pooled, logits = pooled_heads(pairs)
     n = logits.shape[1]
@@ -554,6 +560,9 @@ def pooled_cross_entropy(pairs: Sequence[tuple[Tensor, Tensor]],
     shifted = logits - np.maximum.reduce(logits, 1, keepdims=True)
     e = np.exp(shifted)
     totals = np.add.reduce(e, 1)
+    if not _taping:  # values only: every log in one call, no op, node or closure
+        values = checked(np.log(totals) - shifted[:, label], "pooled_cross_entropy")
+        return [Tensor(v) for v in values], logits
 
     def loss(i: int, rows: Tensor, w: Tensor, z: np.ndarray) -> Tensor:
         def bw(g):

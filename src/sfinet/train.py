@@ -106,7 +106,11 @@ def metrics_csv(rows: list[MetricRow]) -> str:
 
 def evaluate(model: SFINet, images: np.ndarray, labels: np.ndarray,
              xi: float) -> tuple[float, float]:
-    """Mean total loss and top-1 accuracy over a split, with nothing taped."""
+    """Mean total loss and top-1 accuracy over a split, with nothing taped.
+
+    Untaped, each forward takes its losses from one log call and makes no
+    loss node; the values keep the bits of a taped forward.
+    """
     losses = []
     correct = 0
     with T.no_tape():
@@ -116,6 +120,38 @@ def evaluate(model: SFINet, images: np.ndarray, labels: np.ndarray,
             if int(np.argmax(res.probs)) == int(y):
                 correct += 1
     return float(np.mean(losses)), correct / len(labels)
+
+
+def backward_origin(model: SFINet, images: list[np.ndarray], labels: np.ndarray, c: float,
+                    xi: float) -> str | None:
+    """The op whose backward first made a non-finite gradient in a batch, or None.
+
+    Replays the batch as :func:`train` ran it, last sample first into
+    zeroed gradients, with every node's backward closure wrapped to check
+    its parents' gradients after it runs.  Only a step whose gradient
+    check failed pays for this; the normal path keeps its closures.
+    """
+    def checking(t: Tensor):
+        fn = t._backward_fn
+
+        def bw(g):
+            fn(g)
+            if not all(p.grad is None or T.finite(p.grad) for p in t._parents):
+                raise NonFiniteError(t.op)
+        return bw
+
+    model.zero_grad()
+    for img, y in zip(reversed(images), reversed(labels)):
+        res = model.forward(img, int(y))
+        loss = T.scale(total_loss(res.filter_loss, res.class_loss, xi), c)
+        for t in T.CompGraph.from_output(loss).nodes:
+            if t._backward_fn is not None:
+                t._backward_fn = checking(t)
+        try:
+            loss.backward()
+        except NonFiniteError as exc:
+            return str(exc)
+    return None
 
 
 def train(model: SFINet, dataset: SyntheticDataset, cfg: TrainConfig,
@@ -129,8 +165,10 @@ def train(model: SFINet, dataset: SyntheticDataset, cfg: TrainConfig,
     sample from the last to the first; only the detached loss values are
     kept for the batch loss.  On an abort no optimizer step has run for
     the current batch, so every parameter keeps its bytes, but the leaf
-    ``.grad`` buffers may hold the partial sum of the samples already
-    backpropagated.
+    ``.grad`` buffers may hold a partial sum of the batch's gradients.
+    A gradient abort names the parameter and, from
+    :func:`backward_origin`'s replay of the batch, the op whose backward
+    first made a non-finite value.
     """
     params = model.parameters()
     state = {name: np.zeros_like(p.data) for name, p in params.items()}
@@ -162,8 +200,13 @@ def train(model: SFINet, dataset: SyntheticDataset, cfg: TrainConfig,
                         correct += 1
                     del res, loss  # free this sample's tape before the next forward
                 batch_loss = T.scale(T.add_n(values), c)
-                sgd_momentum_step(params, state, cosine_lr(step, total_steps, cfg.lr),
-                                  cfg.momentum, cfg.weight_decay)
+                try:
+                    sgd_momentum_step(params, state, cosine_lr(step, total_steps, cfg.lr),
+                                      cfg.momentum, cfg.weight_decay)
+                except NonFiniteError as exc:
+                    op = backward_origin(model, images, dataset.train_labels[idx], c, cfg.xi)
+                    raise NonFiniteError(f"{exc}; first made by the backward of op '{op}'"
+                                         if op else str(exc)) from exc
                 step += 1
                 ep_loss += batch_loss.item() * len(idx)
             rows.append(MetricRow(epoch, "train", ep_loss / n, correct / n))

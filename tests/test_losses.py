@@ -7,17 +7,24 @@ alone (``loss_reference``), on random pairs and on the rows the models
 feed it.  The forward's two paths (with a label, through this op; without
 one, through ``reconstitution.classify``, which reads only the op's head
 pass) must report the same probabilities and stop alike on a non-finite
-head.
+head.  With no tape open the op takes its losses from one ``np.log`` call
+and makes no node; a labelled forward must give the same bytes either way.
 """
+
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from sfinet import config as C
 from sfinet import filters as F
 from sfinet import reconstitution as R
 from sfinet import tensor as T
 from sfinet.tensor import ConfigError, NonFiniteError, ShapeError, Tensor
+from sfinet.train import train
 
 import loss_reference as ref
 from test_fused_ops import CONFIGS
@@ -35,7 +42,7 @@ def _twins(arrays, prior):
 
 
 def assert_matches_reference(pair_arrays, label, coeffs, priors=None, shared_rows=False):
-    """The op's losses, logits and parent gradients equal the reference chain's, bit for bit.
+    """The op's losses (taped and not), logits and parent gradients equal the reference chain's.
 
     ``pair_arrays`` is a list of (rows, head) arrays; each loss enters the
     total scaled by its coefficient, so every loss node gets its own
@@ -55,6 +62,9 @@ def assert_matches_reference(pair_arrays, label, coeffs, priors=None, shared_row
         assert got.op == "pooled_cross_entropy" and got.shape == ()
         assert got.data.tobytes() == want.data.tobytes(), i
         assert logits[i].tobytes() == want._parents[0].data.tobytes(), i
+    with T.no_tape():  # one log call for every loss, to the same bits
+        untaped, _ = T.pooled_cross_entropy(new_pairs, label)
+    assert [u.data.tobytes() for u in untaped] == [l.data.tobytes() for l in losses]
 
     def total(ls):
         return T.add_n([T.scale(l, c) for l, c in zip(ls, coeffs)])
@@ -63,6 +73,26 @@ def assert_matches_reference(pair_arrays, label, coeffs, priors=None, shared_row
     T.backward(total(expected))
     for i, (a, b) in enumerate(zip(new, old)):
         assert a.grad.tobytes() == b.grad.tobytes(), i
+
+
+def _forward_counts(monkeypatch, model, image, label):
+    """``T.log`` calls and ``pooled_cross_entropy`` nodes made by one labelled forward."""
+    logs, nodes = [], []
+    log, node = T.log, T.node
+
+    def counting_log(a):
+        logs.append(a)
+        return log(a)
+
+    def counting_node(*args):
+        nodes.append(args[-1])
+        return node(*args)
+
+    monkeypatch.setattr(T, "log", counting_log)
+    monkeypatch.setattr(T, "node", counting_node)
+    res = model.forward(image, label)
+    monkeypatch.undo()
+    return res, len(logs), nodes.count("pooled_cross_entropy")
 
 
 class TestPooledCrossEntropyMatchesThePerLossReference:
@@ -122,16 +152,57 @@ class TestPooledCrossEntropyMatchesThePerLossReference:
     def test_a_training_forward_takes_one_log_per_loss(self, monkeypatch):
         cfg = C.build_run_config({})
         ds, model, _ = C.build_experiment(cfg)
-        calls = []
-        log = T.log
+        _, logs, nodes = _forward_counts(monkeypatch, model, ds.train_images[0],
+                                         int(ds.train_labels[0]))
+        assert logs == nodes == 1 + len(model.filter_cls)
 
-        def counting_log(a):
-            calls.append(a)
-            return log(a)
 
-        monkeypatch.setattr(T, "log", counting_log)
-        model.forward(ds.train_images[0], int(ds.train_labels[0]))
-        assert len(calls) == 1 + len(model.filter_cls)
+class TestTheUntapedPath:
+    """With no tape open the op takes every loss from one ``np.log`` call, to the same bits."""
+
+    @pytest.mark.parametrize("name", ["tiny", "default", "bypass"])
+    def test_a_labelled_forward_has_the_same_bits_taped_and_untaped(self, name):
+        cfg = C.build_run_config({**CONFIGS[name], "train.epochs": "1"})
+        ds, model, rng = C.build_experiment(cfg)
+        for trained in (False, True):
+            if trained:
+                train(model, ds, cfg.train, rng)
+            for image, label in zip(ds.test_images[:6], ds.test_labels[:6]):
+                taped = model.forward(image, int(label))
+                with T.no_tape():
+                    untaped = model.forward(image, int(label))
+                assert taped.class_loss.requires_grad and not untaped.class_loss.requires_grad
+                for key in ("class_loss", "filter_loss"):
+                    got, want = getattr(untaped, key), getattr(taped, key)
+                    assert got.data.tobytes() == want.data.tobytes(), (trained, key)
+                assert untaped.probs.tobytes() == taped.probs.tobytes(), trained
+
+    @pytest.mark.parametrize("name", ["tiny", "default", "bypass"])
+    def test_an_untaped_forward_takes_no_log_and_makes_no_loss_node(self, monkeypatch, name):
+        cfg = C.build_run_config(CONFIGS[name])
+        ds, model, _ = C.build_experiment(cfg)
+        with T.no_tape():
+            res, logs, nodes = _forward_counts(monkeypatch, model, ds.train_images[0],
+                                               int(ds.train_labels[0]))
+        assert (logs, nodes) == (0, 0)
+        assert res.class_loss.op == "leaf" and res.class_loss._backward_fn is None
+
+    def test_a_non_finite_loss_names_the_op_on_both_paths(self):
+        # finite logits whose difference overflows: the label's shifted logit and loss are Inf
+        pairs = [(Tensor(np.ones((2, 1))), Tensor(np.array([[1e308, -1e308]])))]
+        for context in (T.no_tape, nullcontext):
+            with context(), np.errstate(over="ignore"), \
+                    pytest.raises(NonFiniteError, match="^op 'pooled_cross_entropy' produced"):
+                T.pooled_cross_entropy(pairs, 1)
+
+    @given(st.integers(2, 64).flatmap(lambda n: hnp.arrays(
+        np.float64, st.integers(1, 17), elements=st.floats(1.0, float(n)))))
+    @settings(max_examples=300, deadline=None)
+    def test_one_log_call_equals_one_call_per_value(self, totals):
+        """The untaped path's premise: ``np.log`` over (P,) sums in [1, N] rounds as P 0-d calls."""
+        whole = np.log(totals)
+        for i, v in enumerate(totals):
+            assert whole[i].tobytes() == np.log(np.asarray(v)).tobytes(), v
 
 
 class TestPooledCrossEntropyErrors:

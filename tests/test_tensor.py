@@ -105,7 +105,10 @@ class _MaximumSpy:
 
 
 class TestSegmentedRowMaxima:
-    """Along the last axis of a C-contiguous array, one ``reduceat`` gives the same bits."""
+    """Along the last axis of a C-contiguous array of rows, one ``reduceat`` gives the same bits.
+
+    A single row takes ``np.maximum.reduce``, which costs less there.
+    """
 
     @staticmethod
     def layouts(g):
@@ -147,13 +150,15 @@ class TestSegmentedRowMaxima:
         assert spy.calls == ["reduceat", "reduceat"]
 
     @pytest.mark.parametrize("case", ["axis0", "axis1", "transposed", "strided", "empty_rows",
-                                      "empty_last"])
+                                      "empty_last", "one_row", "one_row_2d"])
     def test_other_layouts_take_the_reduce_path(self, monkeypatch, case):
         rng = np.random.default_rng(4)
         base = rng.standard_normal((3, 4, 5))
         x, axis = {"axis0": (base, 0), "axis1": (base, 1), "transposed": (base.transpose(0, 2, 1), -1),
                    "strided": (base[:, :, ::2], -1), "empty_rows": (np.zeros((0, 5)), -1),
-                   "empty_last": (np.zeros((3, 0)), -1)}[case]
+                   "empty_last": (np.zeros((3, 0)), -1),
+                   "one_row": (base[0, 0], -1),  # a forward's (N,) logits
+                   "one_row_2d": (base[:1, 0], -1)}[case]
         spy = _MaximumSpy()
         monkeypatch.setattr(T, "np", spy)
         if case == "empty_last":

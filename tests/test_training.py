@@ -194,8 +194,24 @@ class TestTrainingLoop:
         monkeypatch.setattr(B, "backbone_stage", backbone_stage)
         before = {k: p.data.tobytes() for k, p in model.parameters().items()}
         with pytest.raises(TrainAbort, match=r"^non-finite value at epoch 1, step 0: gradient of "
-                                             r"parameter 'backbone\.stage1\.bias'"):
+                                             r"parameter 'backbone\.stage1\.bias' holds non-finite "
+                                             r"values; first made by the backward of op "
+                                             r"'backbone_stage'$"):
             train(model, ds, cfg.train, rng=rng)
+        assert {k: p.data.tobytes() for k, p in model.parameters().items()} == before
+
+    def test_a_gradient_abort_names_the_backward_op_that_made_it(self, monkeypatch):
+        # an Inf from attention's softmax backward spreads to every upstream gradient
+        cfg = tiny_cfg()
+        ds, model, rng = C.build_experiment(cfg)
+        monkeypatch.setattr(T, "softmax_grad", lambda g, y, axis: np.full_like(g, np.inf))
+        before = {k: p.data.tobytes() for k, p in model.parameters().items()}
+        with np.errstate(invalid="ignore", over="ignore"), pytest.raises(TrainAbort) as info:
+            train(model, ds, cfg.train, rng=rng)
+        # the registry's first parameter, far upstream of the op
+        assert str(info.value) == ("non-finite value at epoch 1, step 0: gradient of parameter "
+                                   "'backbone.stage0.weight' holds non-finite values; first made "
+                                   "by the backward of op 'talking_head_attention'")
         assert {k: p.data.tobytes() for k, p in model.parameters().items()} == before
 
     @pytest.mark.parametrize("preset, augment", [("tiny", "false"), ("tiny", "true"),

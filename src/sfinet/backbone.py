@@ -20,7 +20,8 @@ the same values and gradients bit for bit.  The patches use every input
 row once, so the backward returns the input gradient through the inverse
 transpose; it skips only that one, for the image, and leaves constant
 weights to ``tensor.accumulate``.  The values entering the tanh are
-checked for NaN/Inf, as the tanh would map an Inf to +-1.
+checked for NaN/Inf, as the tanh would map an Inf to +-1; a failed check
+names ``backbone_stage`` and the chain step that went non-finite.
 """
 
 from __future__ import annotations
@@ -94,7 +95,7 @@ def backbone_stage(x: Tensor, grid: tuple[int, int], stride: int,
     y = p @ weight.data
     y += bias.data
     if not T.finite(y):
-        raise T.chain_error([("matmul", p @ weight.data), ("add_rowvec", y)])
+        raise T.chain_error("backbone_stage", [("matmul", p @ weight.data), ("add_rowvec", y)])
     np.tanh(y, out=y)
 
     def bw(g):

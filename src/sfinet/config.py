@@ -1,16 +1,17 @@
 """Flat `section.key = value` run configuration.
 
 One file drives a whole run: backbone layout, filter ratios, attention
-sizes, optimizer settings, dataset recipe, and output directory.  Unknown
-keys are rejected by name.  The resolved snapshot written next to each
-run's outputs parses back to an identical configuration, so a run can be
-reproduced from its own artifacts.
+sizes, optimizer settings, dataset recipe, and output directory.  All keys
+but five are settings dataclass fields, declared only there (_FIELDS).
+Unknown keys are rejected by name.  The resolved snapshot written next to
+each run's outputs parses back to an identical configuration, so a run
+can be reproduced from its own artifacts.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from collections import defaultdict
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,36 +24,18 @@ from .serialization import read_text
 from .tensor import ConfigError
 from .train import TrainConfig
 
-# key -> (dataclass, field) for each key that sets exactly one field.  The
-# key's default is that field's default, and its parser follows the
-# default's type (_TYPES).
+# Key `section.field` sets that field of _SECTIONS[section], takes its default
+# and parses by the default's type (_TYPES); `data.classes` sets
+# DataConfig.num_classes, and build_run_config sets _HAND_SET from its own keys.
+_SECTIONS = {"backbone": BackboneConfig, "ambiguity": AmbiguityParams, "noise": NoiseParams,
+             "sir": SirConfig, "train": TrainConfig, "data": DataConfig}
+_RENAMED = {(DataConfig, "num_classes"): "classes"}
+_HAND_SET = {(BackboneConfig, "input_size"), (BackboneConfig, "in_channels"),
+             (DataConfig, "image_size"), (DataConfig, "channels"), (SirConfig, "adjacency_init")}
 _FIELDS: dict[str, tuple[type, str]] = {
-    "backbone.strides": (BackboneConfig, "strides"),
-    "backbone.channels": (BackboneConfig, "channels"),
-    "ambiguity.k": (AmbiguityParams, "k"),
-    "ambiguity.beta_h": (AmbiguityParams, "beta_h"),
-    "ambiguity.beta_l": (AmbiguityParams, "beta_l"),
-    "ambiguity.gamma1": (AmbiguityParams, "gamma1"),
-    "noise.gamma2": (NoiseParams, "gamma2"),
-    "sir.channels": (SirConfig, "channels"),
-    "sir.heads": (SirConfig, "heads"),
-    "sir.gcn_depth": (SirConfig, "gcn_depth"),
-    "train.xi": (TrainConfig, "xi"),
-    "train.lr": (TrainConfig, "lr"),
-    "train.momentum": (TrainConfig, "momentum"),
-    "train.weight_decay": (TrainConfig, "weight_decay"),
-    "train.epochs": (TrainConfig, "epochs"),
-    "train.batch_size": (TrainConfig, "batch_size"),
-    "train.seed": (TrainConfig, "seed"),
-    "train.augment": (TrainConfig, "augment"),
-    "data.classes": (DataConfig, "num_classes"),
-    "data.samples_per_class": (DataConfig, "samples_per_class"),
-    "data.patch_size": (DataConfig, "patch_size"),
-    "data.signal_amplitude": (DataConfig, "signal_amplitude"),
-    "data.noise_amplitude": (DataConfig, "noise_amplitude"),
-    "data.overlap": (DataConfig, "overlap"),
-    "data.train_fraction": (DataConfig, "train_fraction"),
-}
+    f"{section}.{_RENAMED.get((cls, f.name), f.name)}": (cls, f.name)
+    for section, cls in _SECTIONS.items() for f in dataclasses.fields(cls)
+    if (cls, f.name) not in _HAND_SET}
 
 # every key -> its default; build_run_config applies the last five by hand
 _SCHEMA: dict[str, object] = {
@@ -103,7 +86,7 @@ PRESETS: dict[str, dict[str, str]] = {
 }
 
 
-@dataclass
+@dataclasses.dataclass
 class RunConfig:
     backbone: BackboneConfig
     ambiguity: AmbiguityParams

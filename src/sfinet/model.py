@@ -59,8 +59,6 @@ class SFINet:
     def __init__(self, backbone_cfg: BackboneConfig, amb: F.AmbiguityParams,
                  noise: F.NoiseParams, sir_cfg: R.SirConfig, n_classes: int,
                  rng: np.random.Generator, bypass_filters: bool = False):
-        if n_classes < 2:
-            raise ConfigError(f"model: need at least 2 classes, got {n_classes}")
         if amb.k > n_classes:
             raise ConfigError(f"model: top-k ({amb.k}) exceeds class count ({n_classes})")
         shapes = backbone_cfg.stage_shapes()

@@ -19,8 +19,8 @@ parent its gradient in that chain's backward order (``tensor.accumulate``
 drops a constant's), so values and gradients are the chain's bit for bit.
 Every output is checked for NaN/Inf when its node is made, and so are
 the attention scores and the values entering each relu, which the softmax
-and the relu would turn from -Inf into 0.  A failed check names the chain
-op that first went non-finite.
+and the relu would turn from -Inf into 0.  A failed check names the fused
+op and the chain step that first went non-finite.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ def concat_stages(selected: list[Tensor], projections: list[Tensor]) -> Tensor:
     try:
         return node(np.concatenate(parts, axis=0), (*selected, *projections), bw, "concat_stages")
     except T.NonFiniteError:
-        raise T.chain_error([("matmul", part) for part in parts]) from None
+        raise T.chain_error("concat_stages", [("matmul", part) for part in parts]) from None
 
 
 def semantic_reassembly(g: Tensor, w_prev: Tensor, w_self: Tensor, w_next: Tensor) -> Tensor:
@@ -211,7 +211,8 @@ def talking_head_attention(b: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
     scores = q @ k.transpose(0, 2, 1)
     scores *= scale
     if not T.finite(scores):
-        raise T.chain_error([("project_heads", q), ("project_heads", k), ("project_heads", v),
+        raise T.chain_error("talking_head_attention",
+                            [("project_heads", q), ("project_heads", k), ("project_heads", v),
                              ("pairwise_scores", scores)])
     weights = T.softmax_values(scores, -1, out=scores)
     weights.flags.writeable = False
@@ -238,7 +239,8 @@ def talking_head_attention(b: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
         result = node(out, (b, wq, wk, wv, mix), bw, "talking_head_attention")
     except T.NonFiniteError:
         # q, k and the scores have passed their check
-        raise T.chain_error([("project_heads", v), ("softmax", weights), ("attend", attended),
+        raise T.chain_error("talking_head_attention",
+                            [("project_heads", v), ("softmax", weights), ("attend", attended),
                              ("head_mix", mixed), ("merge_heads", out)]) from None
     return result, weights
 
@@ -253,7 +255,7 @@ def gcn_layer(x: Tensor, adjacency: Tensor, w: Tensor) -> Tensor:
     ax = adjacency.data @ x.data
     pre = ax @ w.data
     if not T.finite(pre):
-        raise T.chain_error([("matmul", ax), ("matmul", pre)])
+        raise T.chain_error("gcn_layer", [("matmul", ax), ("matmul", pre)])
     keep = pre > 0
 
     def bw(g):

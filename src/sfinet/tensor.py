@@ -40,12 +40,12 @@ for the losses and ``reconstitution.classify``).  A fused op's output is
 checked by :func:`node`; where a later step of its chain would hide a NaN
 or Inf (a tanh maps +-Inf to +-1, a relu or softmax maps -Inf to 0), the
 values before that step are checked with :func:`finite` too, and a
-failed check raises :func:`chain_error`, the error the chain would have
-raised.  For the same reason a mean on the per-sample path is written
-``np.add.reduce(x, axis) / n``, a sum ``np.add.reduce`` and a max
-``np.maximum.reduce`` (the row maxima of a softmax over many rows one
-``np.maximum.reduceat``): the arithmetic of ``x.mean``, ``x.sum`` and
-``x.max`` to the bit, without their Python wrappers.
+failed check raises :func:`chain_error`, naming the fused op and its
+first non-finite chain step.  For the same reason a mean on the per-sample
+path is written ``np.add.reduce(x, axis) / n``, a sum ``np.add.reduce``
+and a max ``np.maximum.reduce`` (the row maxima of a softmax over many
+rows one ``np.maximum.reduceat``): the arithmetic of ``x.mean``,
+``x.sum`` and ``x.max`` to the bit, without their Python wrappers.
 """
 
 from __future__ import annotations
@@ -196,17 +196,17 @@ def checked(arr: np.ndarray, op: str) -> np.ndarray:
     return arr
 
 
-def chain_error(steps: Sequence[tuple[str, np.ndarray]]) -> NonFiniteError:
-    """The error a chain of ops raises: it names the first step that is not all finite.
+def chain_error(op: str, steps: Sequence[tuple[str, np.ndarray]]) -> NonFiniteError:
+    """The error fused op ``op`` raises: it names ``op`` and the first chain step not all finite.
 
     A fused op calls this once one of its checks has failed, with the
     chain's intermediate values in creation order and the failed value
-    last, so the error is the one the primitive chain would have raised.
+    last, so the step named is the op the primitive chain would have raised.
     """
-    for op, arr in steps:
+    for step, arr in steps:
         if not np.isfinite(arr).all():
             break
-    return NonFiniteError(f"op '{op}' produced non-finite values")
+    return NonFiniteError(f"op '{op}' (chain step '{step}') produced non-finite values")
 
 
 def accumulate(t: Tensor, g: np.ndarray) -> None:

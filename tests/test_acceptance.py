@@ -205,6 +205,32 @@ def test_criterion_04_gradient_suite():
               f"over {len(rows)} parameter tensors")
 
 
+@pytest.fixture
+def tiny_without_adjacency_grad(monkeypatch):
+    """``tiny`` at init, with ``gcn_layer``'s backward handing the adjacency a zero gradient."""
+    cfg = C.preset("tiny")
+    ds, model, _ = C.build_experiment(cfg)
+    accumulate = R.accumulate
+    monkeypatch.setattr(R, "accumulate", lambda t, g: accumulate(
+        t, np.zeros_like(g) if t is model.adjacency else g))
+    return cfg, ds.train_images[0], int(ds.train_labels[0]), model
+
+
+def test_the_zero_adjacency_gradient_reaches_the_model(tiny_without_adjacency_grad):
+    cfg, image, label, model = tiny_without_adjacency_grad
+    res = model.forward(image, label)
+    total_loss(res.filter_loss, res.class_loss, cfg.train.xi).backward()
+    assert model.adjacency.grad is not None and not model.adjacency.grad.any()
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 14")
+def test_model_gradcheck_fails_on_a_zero_adjacency_gradient(tiny_without_adjacency_grad):
+    # the adjacency's true gradient entries are all below the error's floor of 1
+    cfg, image, label, model = tiny_without_adjacency_grad
+    rows = check_model(model, image, label, cfg.train.xi, tol=1e-3)
+    assert not next(r for r in rows if r.name == "sir.gcn.adjacency").passed
+
+
 @pytest.mark.parametrize("overrides", [{}, {"model.bypass_filters": "true"}],
                          ids=["default", "bypass"])
 def test_every_op_on_a_training_tape_has_a_gradcheck_case(monkeypatch, overrides):

@@ -283,7 +283,23 @@ class TestEvalCommand:
         rc = run_cli(args)
         assert rc == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: op 'pairwise_scores'") and err.count("\n") == 1
+        assert err.startswith("error: op 'talking_head_attention' (chain step 'pairwise_scores')")
+        assert err.count("\n") == 1
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_gcn_product_names_the_layer(self, trained, capsys):
+        # finite weights whose forward first overflows in the GCN's second product;
+        # backbone_stage and concat_stages raise on the same chain step name
+        path = trained / "checkpoint.csv"
+        state = load_checkpoint(path)
+        state["sir.gcn.adjacency"][:] = 1e300
+        state["sir.gcn.layer0.weight"][:] = 1e300
+        save_checkpoint(path, state)
+        rc = run_cli(["eval", *TINY, "--checkpoint", path])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: op 'gcn_layer' (chain step 'matmul')")
+        assert err.count("\n") == 1
 
     def test_missing_checkpoint_exits_2(self, capsys):
         rc = run_cli(["eval", *TINY, "--checkpoint", "/nope/ckpt.csv"])

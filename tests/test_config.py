@@ -102,7 +102,7 @@ def sfinet(n_classes, amb=AmbiguityParams()):
     (lambda: DataConfig(train_fraction=1.0), "train_fraction"),
     (lambda: TrainConfig(batch_size=0), "batch_size"),
     (lambda: TrainConfig(epochs=0), "epochs"),
-    (lambda: sfinet(1), "model: need at least 2 classes"),
+    (lambda: sfinet(1), "top-k (4) exceeds class count (1)"),
     (lambda: sfinet(2, AmbiguityParams(k=3)), "top-k (3)"),
     (lambda: C.build_run_config({"train.augment": "maybe"}), "train.augment"),
 ], ids=["backbone-lengths", "backbone-stride-0", "data-1-class", "data-train-fraction-1",

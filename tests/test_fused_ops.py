@@ -270,10 +270,10 @@ def _error(fn):
     return str(info.value)
 
 
-def assert_same_error(fused, chain, op):
-    message = _error(chain)
-    assert message == f"op '{op}' produced non-finite values"
-    assert _error(fused) == message
+def assert_same_error(fused, chain, op, step):
+    """The fused op ``op`` names itself and the chain op ``step`` that the chain's error names."""
+    assert _error(chain) == f"op '{step}' produced non-finite values"
+    assert _error(fused) == f"op '{op}' (chain step '{step}') produced non-finite values"
 
 
 class TestNonFinite:
@@ -290,7 +290,8 @@ class TestNonFinite:
             scores = b.data @ -b.data.T
         assert scores[0, 0] == -np.inf and not np.isnan(scores).any() and (scores < np.inf).all()
         assert_same_error(lambda: talking_head_attention(b, wq, wk, wv, mix),
-                          lambda: chain_attention(b, wq, wk, wv, mix), "pairwise_scores")
+                          lambda: chain_attention(b, wq, wk, wv, mix),
+                          "talking_head_attention", "pairwise_scores")
 
     def test_head_mix_overflow(self, rng):
         # every value row is (4, 4), so each attended row is too, and mixing
@@ -300,14 +301,16 @@ class TestNonFinite:
         wv = Tensor(np.ones((2, 4, 2)))
         mix = Tensor(np.full((2, 2), 1e308))
         assert_same_error(lambda: talking_head_attention(b, wq, wk, wv, mix),
-                          lambda: chain_attention(b, wq, wk, wv, mix), "head_mix")
+                          lambda: chain_attention(b, wq, wk, wv, mix),
+                          "talking_head_attention", "head_mix")
 
     def test_value_projection_overflow(self, rng):
         b = Tensor(rng.standard_normal((4, 4)))
         wq, wk = (Tensor(uniform(rng, (2, 4, 2), 4)) for _ in range(2))
         wv = Tensor(np.full((2, 4, 2), 1e308))
         assert_same_error(lambda: talking_head_attention(b, wq, wk, wv, Tensor(np.eye(2))),
-                          lambda: chain_attention(b, wq, wk, wv, Tensor(np.eye(2))), "project_heads")
+                          lambda: chain_attention(b, wq, wk, wv, Tensor(np.eye(2))),
+                          "talking_head_attention", "project_heads")
 
     @pytest.mark.parametrize("weight, bias, op", [
         (1e308, 0.0, "matmul"),       # the product overflows
@@ -318,15 +321,17 @@ class TestNonFinite:
         x = Tensor(np.ones((4, 1)))  # a 2x2 grid: one stride-2 patch of 4 inputs
         w, b = Tensor(np.full((4, 3), weight)), Tensor(np.full(3, bias))
         assert_same_error(lambda: backbone_stage(x, (2, 2), 2, w, b),
-                          lambda: chain_stage(x, (2, 2), 2, w, b), op)
+                          lambda: chain_stage(x, (2, 2), 2, w, b), "backbone_stage", op)
 
     def test_pre_relu_minus_inf(self):
         # the relu maps -Inf to 0
         x = Tensor(np.array([[1e200, 1.0], [1.0, 1.0]]))
         adj, w = Tensor(np.eye(2)), Tensor(np.array([[-1e200, 0.0], [0.0, 1.0]]))
-        assert_same_error(lambda: gcn_forward(x, adj, [w]), lambda: chain_gcn(x, adj, [w]), "matmul")
+        assert_same_error(lambda: gcn_forward(x, adj, [w]), lambda: chain_gcn(x, adj, [w]),
+                          "gcn_layer", "matmul")
 
     def test_stage_projection_overflow(self):
         g = [Tensor(np.ones((2, 2))), Tensor(np.ones((3, 2)))]
         p = [Tensor(np.eye(2)), Tensor(np.full((2, 2), 1e308))]
-        assert_same_error(lambda: concat_stages(g, p), lambda: chain_concat(g, p), "matmul")
+        assert_same_error(lambda: concat_stages(g, p), lambda: chain_concat(g, p),
+                          "concat_stages", "matmul")

@@ -4,8 +4,10 @@
 ``metrics.csv`` and ``checkpoint.csv``; an aborted run writes the first only.
 
 Exit codes: 0 = ok, 1 = a check or run failed, 2 = usage/config error.
-The environment variable ``SFI_SEED`` overrides the seed of the config
-file or preset; an explicit ``--set train.seed=N`` overrides both.
+``--preset NAME`` reads the shipped file ``presets/NAME.txt`` as ``--config``
+reads its file (``config.load``).  The environment variable ``SFI_SEED``
+overrides the seed of the config file or preset; an explicit
+``--set train.seed=N`` overrides both.
 """
 
 from __future__ import annotations
@@ -26,18 +28,18 @@ from .tensor import ConfigError, NonFiniteError, finite, no_tape
 from .train import TrainAbort, evaluate, metrics_csv, train
 
 
-def _load_config(path: str | None, sets: list[str], preset: str | None) -> C.RunConfig:
-    raw = C.parse_config_file(path) if path is not None else dict(C.PRESETS[preset or "default"])
-    seed = os.environ.get("SFI_SEED")
+def _load_config(args, preset: str = "default") -> C.RunConfig:
+    """The command's config; ``SFI_SEED`` is the first override, so each ``--set`` wins over it."""
+    sets, seed = args.set, os.environ.get("SFI_SEED")
     if seed is not None:
         if not seed.strip().isdecimal():
             raise ConfigError(f"SFI_SEED must be a non-negative integer, got {seed!r}")
-        raw["train.seed"] = seed.strip()
-    return C.build_run_config(C.apply_overrides(raw, sets))
+        sets = [f"train.seed={seed.strip()}", *sets]
+    return C.load(args.config, args.preset or preset, sets)
 
 
 def cmd_train(args) -> int:
-    cfg = _load_config(args.config, args.set, args.preset)
+    cfg = _load_config(args)
     out_dir = args.out or cfg.out_dir
     make_dirs(out_dir)
     with atomic_open(os.path.join(out_dir, "config_resolved.txt")) as fh:
@@ -54,7 +56,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg = _load_config(args.config, args.set, args.preset)
+    cfg = _load_config(args)
     dataset, model, _ = C.build_experiment(cfg)
     model.load_state(load_checkpoint(args.checkpoint))
     if args.split == "train":
@@ -67,7 +69,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_export_maps(args) -> int:
-    cfg = _load_config(args.config, args.set, args.preset)
+    cfg = _load_config(args)
     # every parameter comes from the checkpoint, so no dataset and any generator
     model = C.build_model(cfg, np.random.default_rng(cfg.train.seed))
     model.load_state(load_checkpoint(args.checkpoint))
@@ -96,7 +98,7 @@ def cmd_gradcheck(args) -> int:
     for flag, value in (("--step", args.step), ("--tol", args.tol)):
         if not 0.0 < value < math.inf:
             raise ConfigError(f"{flag} must be finite and > 0, got {value}")
-    cfg = _load_config(args.config, args.set, args.preset or "tiny")
+    cfg = _load_config(args, "tiny")
     dataset, model, _ = C.build_experiment(cfg)
     image = dataset.train_images[0]
     label = int(dataset.train_labels[0])
@@ -124,8 +126,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         source = p.add_mutually_exclusive_group()
         source.add_argument("--config", help="path to a section.key = value config file")
-        source.add_argument("--preset", choices=sorted(C.PRESETS),
-                            help="named built-in configuration")
+        source.add_argument("--preset", choices=C.PRESETS,
+                            help="named config file shipped with the package")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override a config key (repeatable)")
 

@@ -2,16 +2,20 @@
 
 One file drives a whole run: backbone layout, filter ratios, attention
 sizes, optimizer settings, dataset recipe, and output directory.  All keys
-but five are settings dataclass fields, declared only there (_FIELDS).
-Unknown keys are rejected by name.  The resolved snapshot written next to
-each run's outputs parses back to an identical configuration, so a run
-can be reproduced from its own artifacts.
+but four are settings dataclass fields, declared only there (_FIELDS).
+Unknown keys are rejected by name.  A preset is a config file shipped in
+``presets/``; :func:`load` reads it, or any other file, the same way.
+The resolved snapshot written next to each run's outputs parses back to
+an identical configuration, so a run can be reproduced from its own
+artifacts.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import os
 from collections import defaultdict
+from typing import Sequence
 
 import numpy as np
 
@@ -31,18 +35,17 @@ _SECTIONS = {"backbone": BackboneConfig, "ambiguity": AmbiguityParams, "noise": 
              "sir": SirConfig, "train": TrainConfig, "data": DataConfig}
 _RENAMED = {(DataConfig, "num_classes"): "classes"}
 _HAND_SET = {(BackboneConfig, "input_size"), (BackboneConfig, "in_channels"),
-             (DataConfig, "image_size"), (DataConfig, "channels"), (SirConfig, "adjacency_init")}
+             (DataConfig, "image_size"), (DataConfig, "channels")}
 _FIELDS: dict[str, tuple[type, str]] = {
     f"{section}.{_RENAMED.get((cls, f.name), f.name)}": (cls, f.name)
     for section, cls in _SECTIONS.items() for f in dataclasses.fields(cls)
     if (cls, f.name) not in _HAND_SET}
 
-# every key -> its default; build_run_config applies the last five by hand
+# every key -> its default; build_run_config applies the last four by hand
 _SCHEMA: dict[str, object] = {
     **{key: getattr(cls, name) for key, (cls, name) in _FIELDS.items()},
     "backbone.input": BackboneConfig.input_size[0],  # input_size and DataConfig.image_size
     "backbone.in_channels": BackboneConfig.in_channels,  # also DataConfig.channels
-    "sir.adjacency_init": "auto",  # or a float
     "model.bypass_filters": False,
     "output.dir": "runs/default",
 }
@@ -64,26 +67,12 @@ _TYPES = {
     tuple: ("ints", lambda text: tuple(int(v) for v in text.split(",")),
             lambda v: ",".join(str(i) for i in v)),
     str: ("str", str, str),
+    type(None): ("'auto' or float", lambda text: None if text == "auto" else float(text),
+                 lambda v: "auto" if v is None else repr(v)),
 }
 
-PRESETS: dict[str, dict[str, str]] = {
-    "default": {},
-    # small enough for exhaustive finite-difference checking
-    "tiny": {
-        "backbone.input": "8",
-        "backbone.strides": "2,2",
-        "backbone.channels": "4,6",
-        "ambiguity.k": "2",
-        "sir.channels": "8",
-        "sir.heads": "2",
-        "data.classes": "3",
-        "data.samples_per_class": "8",
-        "data.patch_size": "4",
-        "train.epochs": "2",
-        "train.batch_size": "4",
-        "output.dir": "runs/tiny",
-    },
-}
+_PRESET_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "presets")
+PRESETS = ("default", "tiny")  # the files presets/NAME.txt
 
 
 @dataclasses.dataclass
@@ -138,7 +127,7 @@ def parse_config_file(path: str) -> dict[str, str]:
     return parse_config_text(read_text(path), origin=path)
 
 
-def apply_overrides(raw: dict[str, str], overrides: list[str]) -> dict[str, str]:
+def apply_overrides(raw: dict[str, str], overrides: Sequence[str]) -> dict[str, str]:
     """Apply repeated `--set section.key=value` strings; a repeated key keeps its last value."""
     return {**raw, **dict(_entry(item, "--set") for item in overrides)}
 
@@ -157,13 +146,7 @@ def build_run_config(raw: dict[str, str]) -> RunConfig:
                               **fields[BackboneConfig])
     amb = AmbiguityParams(**fields[AmbiguityParams])
     noise = NoiseParams(**fields[NoiseParams])
-    adj = values["sir.adjacency_init"]
-    if adj != "auto":
-        try:
-            adj = float(adj)
-        except ValueError as exc:
-            raise ConfigError(f"sir.adjacency_init must be 'auto' or a finite number, got {adj!r}") from exc
-    sir = SirConfig(adjacency_init=None if adj == "auto" else adj, **fields[SirConfig])
+    sir = SirConfig(**fields[SirConfig])
     train = TrainConfig(**fields[TrainConfig])
     data = DataConfig(image_size=size, channels=channels, **fields[DataConfig])
     bypass = values["model.bypass_filters"]
@@ -175,10 +158,13 @@ def build_run_config(raw: dict[str, str]) -> RunConfig:
     return RunConfig(backbone, amb, noise, sir, train, data, bypass, values["output.dir"], values)
 
 
-def preset(name: str) -> RunConfig:
-    if name not in PRESETS:
-        raise ConfigError(f"unknown preset {name!r}; have {sorted(PRESETS)}")
-    return build_run_config(dict(PRESETS[name]))
+def load(path: str | None = None, preset: str = "default", sets: Sequence[str] = ()) -> RunConfig:
+    """The config file at ``path``, or else the shipped ``preset``, with ``sets`` applied in order."""
+    if path is None:
+        if preset not in PRESETS:
+            raise ConfigError(f"unknown preset {preset!r}; have {list(PRESETS)}")
+        path = os.path.join(_PRESET_DIR, f"{preset}.txt")
+    return build_run_config(apply_overrides(parse_config_file(path), sets))
 
 
 def resolved_text(cfg: RunConfig) -> str:

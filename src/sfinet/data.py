@@ -81,22 +81,19 @@ def _anchors(cfg: DataConfig) -> list[tuple[int, int]]:
     margin = max((cfg.image_size - cfg.patch_size) // 6, 0)
     hi = cfg.image_size - cfg.patch_size - margin
     corners = [(margin, margin), (hi, hi), (margin, hi), (hi, margin)]
-    slots_needed = max(cfg.num_classes - 1, 1)
+    slots_needed = cfg.num_classes - 1
     slots = []
     for s in range(slots_needed):
         if s < len(corners):
             slots.append(corners[s])
         else:
             # deterministic diagonal fill for many classes
-            step = (hi - margin) // max(slots_needed - 1, 1)
+            step = (hi - margin) // (slots_needed - 1)
             slots.append((margin + s * step, margin + s * step))
     if len(set(slots)) < len(slots):
         raise ConfigError(f"data: {cfg.num_classes} classes get colliding anchors with "
                           f"{cfg.patch_size} px patches in {cfg.image_size} px images")
-    out = [slots[0], slots[0]]
-    for c in range(2, cfg.num_classes):
-        out.append(slots[c - 1])
-    return out[: cfg.num_classes]
+    return [slots[0], *slots]
 
 
 def _class_patches(cfg: DataConfig, rng: np.random.Generator) -> np.ndarray:

@@ -289,14 +289,17 @@ def noise_select(scores: np.ndarray, mask: np.ndarray, layout: StageLayout) -> n
 
 
 def filter_pass(features: Sequence[Tensor], projections: Sequence[Tensor], amb: AmbiguityParams,
-                layout: StageLayout, bypass: bool = False) -> FilterArtifacts:
+                layout: StageLayout) -> FilterArtifacts:
     """Run every stage through both filters at once, computing each stacked value in selection order.
 
     ``features`` are the stages' (S_i, C_i) rows.  Each stage's kept rows
-    are its one tape node, gathered here; with ``bypass`` the mask is all
-    ones and every row is kept in order, so they are the features tensors
-    themselves.  Every other value is computed as with the filters on.
+    are its one tape node, gathered here.  A layout that keeps every row
+    is the bypass (with the filters on, each stage drops at least one):
+    the mask is all ones and every row is kept in order, so the kept rows
+    are the features tensors themselves.  Every other value is computed
+    as with the filters on.
     """
+    bypass = layout.kept[-1].stop == layout.rows[-1].stop
     maps, coarse = class_maps([f.data for f in features], [p.data for p in projections], layout)
     topk, weights = topk_weights(coarse, amb)
     amb_map = ambiguity_map(maps, topk, weights, layout)
@@ -325,7 +328,7 @@ def filter_stage(features: Tensor, projection: Tensor, amb: AmbiguityParams,
                  noise: NoiseParams, bypass: bool = False) -> FilterArtifacts:
     """Run one stage through both filters: the one-stage call of :func:`filter_pass`."""
     layout = stage_layout([features.shape[0]], amb.gamma1, noise.gamma2, bypass)
-    return split_stages(filter_pass([features], [projection], amb, layout, bypass), layout)[0]
+    return split_stages(filter_pass([features], [projection], amb, layout), layout)[0]
 
 
 def filter_loss(selected_per_stage: Sequence[Tensor], classifiers: Sequence[Tensor],

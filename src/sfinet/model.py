@@ -135,7 +135,7 @@ class SFINet:
         reads only that pass's kept rows, and with the filters bypassed it
         runs no filter pass, so an export asks here for the records.
         """
-        arts = F.filter_pass(stages, self.class_projs, self.amb, self.layout, self.bypass_filters)
+        arts = F.filter_pass(stages, self.class_projs, self.amb, self.layout)
         return F.split_stages(arts, self.layout)
 
     def forward(self, image: np.ndarray, label: int | None = None) -> ForwardResult:

@@ -195,7 +195,7 @@ def test_criterion_04_gradient_suite():
             worst = max(errs.values())
             worst_op = max(worst_op, worst)
             assert worst < 1e-4, f"op {name}: worst rel err {worst:.3e}"
-        cfg = C.preset("tiny")
+        cfg = C.load(preset="tiny")
         ds, model, _ = C.build_experiment(cfg)
         rows = check_model(model, ds.train_images[0], int(ds.train_labels[0]),
                            cfg.train.xi, tol=1e-3)
@@ -208,7 +208,7 @@ def test_criterion_04_gradient_suite():
 @pytest.fixture
 def tiny_without_adjacency_grad(monkeypatch):
     """``tiny`` at init, with ``gcn_layer``'s backward handing the adjacency a zero gradient."""
-    cfg = C.preset("tiny")
+    cfg = C.load(preset="tiny")
     ds, model, _ = C.build_experiment(cfg)
     accumulate = R.accumulate
     monkeypatch.setattr(R, "accumulate", lambda t, g: accumulate(
@@ -372,9 +372,7 @@ def test_criterion_10_reproducibility(tmp_path):
         assert (outs[0] / "metrics.csv").read_bytes() == (outs[1] / "metrics.csv").read_bytes()
         assert (outs[0] / "checkpoint.csv").read_bytes() == (outs[1] / "checkpoint.csv").read_bytes()
 
-        raw = dict(C.PRESETS["tiny"])
-        raw["train.epochs"] = "3"
-        cfg = C.build_run_config(raw)
+        cfg = C.load(preset="tiny", sets=["train.epochs=3"])
         ds, trained, _ = C.build_experiment(cfg)
         trained.load_state(load_checkpoint(outs[0] / "checkpoint.csv"))
         _, fresh, _ = C.build_experiment(cfg)

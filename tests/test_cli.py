@@ -15,6 +15,7 @@ from sfinet.serialization import load_checkpoint, load_tensor, save_checkpoint, 
 from sfinet.train import evaluate
 
 TINY = ["--preset", "tiny"]
+CONFIGS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "configs")
 
 
 def run_cli(args):
@@ -184,6 +185,15 @@ class TestTrainCommand:
                         "--out", out, "--quiet"]) == 0
         assert "train.seed = 9" in (out / "config_resolved.txt").read_text()
 
+    def test_seed_overrides_apply_to_a_config_file(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("SFI_SEED", "5")  # configs/default.txt sets train.seed = 42
+        conf = os.path.join(CONFIGS, "default.txt")
+        for sets, seed in (([], 5), (["--set", "train.seed=9"], 9)):
+            out = tmp_path / f"seed-{seed}"
+            assert run_cli(["train", "--config", conf, "--set", "train.epochs=1", *sets,
+                            "--out", out, "--quiet"]) == 0
+            assert f"\ntrain.seed = {seed}\n" in (out / "config_resolved.txt").read_text()
+
     @pytest.mark.parametrize("value", ["abc", "-1", "1.5", ""])
     def test_bad_sfi_seed_exits_2_naming_the_variable(self, monkeypatch, capsys, value):
         monkeypatch.setenv("SFI_SEED", value)
@@ -215,11 +225,11 @@ class TestEvalCommand:
         assert final_test.split(",")[3] in printed
 
     def test_train_split_prints_what_evaluate_gives(self, trained, capsys, monkeypatch):
-        monkeypatch.delenv("SFI_SEED", raising=False)  # the CLI and C.preset build one dataset
+        monkeypatch.delenv("SFI_SEED", raising=False)  # the CLI and C.load build one dataset
         rc = run_cli(["eval", *TINY, "--checkpoint", trained / "checkpoint.csv",
                       "--split", "train"])
         assert rc == 0
-        cfg = C.preset("tiny")
+        cfg = C.load(preset="tiny")
         dataset, model, _ = C.build_experiment(cfg)
         model.load_state(load_checkpoint(trained / "checkpoint.csv"))
         loss, acc = evaluate(model, dataset.train_images, dataset.train_labels, xi=cfg.train.xi)
@@ -312,7 +322,7 @@ class TestExportMapsCommand:
         run_dir = tmp_path / "run"
         assert run_cli(["train", *TINY, "--out", run_dir, "--quiet"]) == 0
         from sfinet import config as C
-        cfg = C.preset("tiny")
+        cfg = C.load(preset="tiny")
         ds, model, _ = C.build_experiment(cfg)
         img_path = tmp_path / "sample.csv"
         save_tensor(img_path, ds.test_images[0])
@@ -351,7 +361,7 @@ class TestExportMapsCommand:
                 npt.assert_array_equal(exported, arr.reshape(w, h))
 
     def test_builds_no_dataset_and_writes_a_taped_forwards_bytes(self, tmp_path, monkeypatch):
-        cfg = C.preset("tiny")
+        cfg = C.load(preset="tiny")
         ds, model, _ = C.build_experiment(cfg)
         for p in model.parameters().values():  # differ from the initial draws
             p.data = p.data * 1.5 + 0.25
@@ -384,8 +394,7 @@ class TestExportMapsCommand:
         # under bypass the forward runs no filter pass, so the class maps'
         # overflow surfaces only when export-maps asks for the filter records
         bypass = [*TINY, "--set", "model.bypass_filters=true"]
-        cfg = C.build_run_config(C.apply_overrides(dict(C.PRESETS["tiny"]),
-                                                   ["model.bypass_filters=true"]))
+        cfg = C.load(preset="tiny", sets=["model.bypass_filters=true"])
         ds, model, _ = C.build_experiment(cfg)
         model.backbone.biases[0].data[:] = 20.0  # tanh saturates: stage-0 features are all 1.0
         model.class_projs[0].data[:] = np.finfo(np.float64).max  # so each class score is 4x that
@@ -410,7 +419,7 @@ class TestExportMapsCommand:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_image_exits_2_naming_it(self, tmp_path, capsys, bad):
         ckpt, img = tmp_path / "ckpt.csv", tmp_path / "img.csv"
-        save_checkpoint(ckpt, C.build_experiment(C.preset("tiny"))[1].parameters())
+        save_checkpoint(ckpt, C.build_experiment(C.load(preset="tiny"))[1].parameters())
         image = np.ones((8, 8, 3))
         image[3, 4, 1] = bad
         save_tensor(img, image)
@@ -450,7 +459,7 @@ def test_unreadable_input_file_exits_2_naming_it(tmp_path, capsys, case):
     else:
         bad.mkdir()
     ckpt = tmp_path / "ckpt.csv"
-    save_checkpoint(ckpt, C.build_experiment(C.preset("tiny"))[1].parameters())
+    save_checkpoint(ckpt, C.build_experiment(C.load(preset="tiny"))[1].parameters())
     argv = {
         "config-not-utf8": ["train", "--config", bad, "--out", tmp_path / "run"],
         "config-dir": ["train", "--config", bad, "--out", tmp_path / "run"],
@@ -498,7 +507,7 @@ def test_unusable_out_path_exits_2_naming_it(tmp_path, capsys, case):
     blocker.write_text("not a directory\n")
     out = blocker / "sub" if case == "train-under-file" else blocker
     if case == "export-file":
-        cfg = C.preset("tiny")
+        cfg = C.load(preset="tiny")
         ds, model, _ = C.build_experiment(cfg)
         ckpt, img = tmp_path / "ckpt.csv", tmp_path / "img.csv"
         save_checkpoint(ckpt, model.parameters())

@@ -79,8 +79,10 @@ class TestCrossValidation:
             C.build_run_config({"sir.channels": "10", "sir.heads": "4"})
 
     def test_adjacency_init_value(self):
-        cfg = C.build_run_config({"sir.adjacency_init": "0.25"})
+        cfg = C.build_run_config({"sir.adjacency_init": "0.250"})
         assert cfg.sir.adjacency_init == 0.25
+        assert "sir.adjacency_init = 0.25\n" in C.resolved_text(cfg)  # a float key's repr
+        assert C.build_run_config({"sir.adjacency_init": "auto"}).sir.adjacency_init is None
         with pytest.raises(ConfigError, match="adjacency_init"):
             C.build_run_config({"sir.adjacency_init": "sometimes"})
 
@@ -152,9 +154,8 @@ class TestResolvedSnapshot:
 class TestKeyTable:
     # the fields that build_run_config sets by hand, and the keys that set them
     HAND_SET = {(BackboneConfig, "input_size"), (BackboneConfig, "in_channels"),
-                (DataConfig, "image_size"), (DataConfig, "channels"), (SirConfig, "adjacency_init")}
-    HAND_KEYS = {"backbone.input", "backbone.in_channels", "sir.adjacency_init",
-                 "model.bypass_filters", "output.dir"}
+                (DataConfig, "image_size"), (DataConfig, "channels")}
+    HAND_KEYS = {"backbone.input", "backbone.in_channels", "model.bypass_filters", "output.dir"}
 
     def test_every_field_is_set_by_exactly_one_key(self):
         entries = list(C._FIELDS.values())
@@ -174,11 +175,19 @@ class TestKeyTable:
 
 class TestPresets:
     def test_tiny_preset_valid(self):
-        cfg = C.preset("tiny")
+        cfg = C.load(preset="tiny")
         assert max(w * h for w, h, _ in cfg.backbone.stage_shapes()) <= 16
 
     def test_tiny_preset_writes_where_its_file_says(self):
-        assert C.preset("tiny").out_dir == shipped("tiny.txt").out_dir == "runs/tiny"
+        assert C.load(preset="tiny").out_dir == "runs/tiny"
+
+    def test_every_preset_is_a_shipped_file(self):
+        assert sorted(os.listdir(C._PRESET_DIR)) == [f"{name}.txt" for name in C.PRESETS]
+
+    def test_default_preset_sets_no_key(self):
+        # each default stays declared once, in its settings dataclass
+        assert C.parse_config_file(os.path.join(C._PRESET_DIR, "default.txt")) == {}
+        assert C.resolved_text(C.load()) == C.resolved_text(C.build_run_config({}))
 
     def test_paper_protocol_preset_valid(self):
         # documentation only, as a config file: 384 px does not fit at desk scale
@@ -188,16 +197,15 @@ class TestPresets:
         assert cfg.train.batch_size == 12
 
     def test_unknown_preset_rejected(self):
-        with pytest.raises(ConfigError):
-            C.preset("gigantic")
+        with pytest.raises(ConfigError, match=r"unknown preset 'nope'; have \['default', 'tiny'\]"):
+            C.load(preset="nope")
 
 
 class TestShippedConfigs:
     @pytest.mark.parametrize("name, build", [
         ("default.txt", lambda: C.build_run_config({})),
-        ("tiny.txt", lambda: C.preset("tiny")),
         ("ambiguous-pair.txt", lambda: C.build_run_config(dict(AMBIGUOUS_PAIR))),
-    ], ids=["default", "tiny", "ambiguous-pair"])
+    ], ids=["default", "ambiguous-pair"])
     def test_file_resolves_like_code(self, name, build):
         from_file, from_code = shipped(name).values, build().values
         assert {**from_file, "output.dir": None} == {**from_code, "output.dir": None}

@@ -379,7 +379,7 @@ class TestStackedPassMatchesTheOneStageReference:
             sizes = [f.shape[0] for f in feats]
             for bypass in (False, True):
                 layout = stage_layout(sizes, amb.gamma1, noise.gamma2, bypass)
-                got = split_stages(filter_pass(feats, projs, amb, layout, bypass), layout)
+                got = split_stages(filter_pass(feats, projs, amb, layout), layout)
                 want = [ref.filter_stage(f, p, amb, noise, bypass) for f, p in zip(feats, projs)]
                 self.assert_same_records(got, want, bypass)
                 masked = np.concatenate([a.masked_maps for a in want])
@@ -403,11 +403,9 @@ class TestStackedPassMatchesTheOneStageReference:
         from sfinet import config as C
         from sfinet import reconstitution as R
 
-        raw = dict(C.PRESETS[setting]) if setting in C.PRESETS else C.parse_config_file(
-            os.path.join(os.path.dirname(__file__), os.pardir, "configs", "ambiguous-pair.txt"))
-        if setting.endswith("bypass"):
-            raw["model.bypass_filters"] = "true"
-        cfg = C.build_run_config(raw)
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "ambiguous-pair.txt")
+        sets = ["model.bypass_filters=true"] if setting.endswith("bypass") else []
+        cfg = C.load(preset=setting, sets=sets) if setting in C.PRESETS else C.load(path, sets=sets)
         ds, model, _ = C.build_experiment(cfg)
         concat, kept = R.concat_stages, []
         monkeypatch.setattr(R, "concat_stages", lambda rows, projs: kept.append(rows) or concat(rows, projs))

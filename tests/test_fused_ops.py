@@ -24,14 +24,20 @@ from sfinet.tensor import Tensor
 
 from conftest import loop_patch_indices
 
+# name -> (preset, overrides)
 CONFIGS = {
-    "default": {},
-    "bypass": {"model.bypass_filters": "true", "data.samples_per_class": "48",
-               "data.overlap": "0.8", "data.noise_amplitude": "1.5",
-               "data.signal_amplitude": "1.25"},
-    "tiny": dict(C.PRESETS["tiny"]),
-    "tiny-gcn2": {**C.PRESETS["tiny"], "sir.gcn_depth": "2"},
+    "default": ("default", []),
+    "bypass": ("default", ["model.bypass_filters=true", "data.samples_per_class=48",
+                           "data.overlap=0.8", "data.noise_amplitude=1.5",
+                           "data.signal_amplitude=1.25"]),
+    "tiny": ("tiny", []),
+    "tiny-gcn2": ("tiny", ["sir.gcn_depth=2"]),
 }
+
+
+def load_config(name, *sets):
+    preset, overrides = CONFIGS[name]
+    return C.load(preset=preset, sets=[*overrides, *sets])
 
 
 def chain_stage(x, grid, stride, weight, bias):
@@ -95,7 +101,7 @@ def assert_same(fused, chain):
 
 
 def model_for(name):
-    cfg = C.build_run_config(CONFIGS[name])
+    cfg = load_config(name)
     _, model, _ = C.build_experiment(cfg)
     return cfg, model
 

@@ -27,7 +27,7 @@ from sfinet.tensor import ConfigError, NonFiniteError, ShapeError, Tensor
 from sfinet.train import train
 
 import loss_reference as ref
-from test_fused_ops import CONFIGS
+from test_fused_ops import CONFIGS, load_config
 
 
 def _twins(arrays, prior):
@@ -130,7 +130,7 @@ class TestPooledCrossEntropyMatchesThePerLossReference:
     @pytest.mark.parametrize("name", ["default", "bypass", "tiny"])
     def test_the_models_rows(self, monkeypatch, name):
         """Every pair a training forward hands the op, replayed against the reference."""
-        cfg = C.build_run_config(CONFIGS[name])
+        cfg = load_config(name)
         ds, model, _ = C.build_experiment(cfg)
         seen = []
         op = T.pooled_cross_entropy
@@ -162,7 +162,7 @@ class TestTheUntapedPath:
 
     @pytest.mark.parametrize("name", ["tiny", "default", "bypass"])
     def test_a_labelled_forward_has_the_same_bits_taped_and_untaped(self, name):
-        cfg = C.build_run_config({**CONFIGS[name], "train.epochs": "1"})
+        cfg = load_config(name, "train.epochs=1")
         ds, model, rng = C.build_experiment(cfg)
         for trained in (False, True):
             if trained:
@@ -179,7 +179,7 @@ class TestTheUntapedPath:
 
     @pytest.mark.parametrize("name", ["tiny", "default", "bypass"])
     def test_an_untaped_forward_takes_no_log_and_makes_no_loss_node(self, monkeypatch, name):
-        cfg = C.build_run_config(CONFIGS[name])
+        cfg = load_config(name)
         ds, model, _ = C.build_experiment(cfg)
         with T.no_tape():
             res, logs, nodes = _forward_counts(monkeypatch, model, ds.train_images[0],
@@ -243,7 +243,7 @@ class TestPooledCrossEntropyErrors:
 @pytest.mark.parametrize("name", ["tiny", "default", "bypass"])
 def test_the_forwards_with_and_without_a_label_report_the_same_probabilities(name):
     """``predict`` and ``export-maps`` read the unlabelled path, ``evaluate`` the labelled one."""
-    cfg = C.build_run_config(CONFIGS[name])
+    cfg = load_config(name)
     ds, model, _ = C.build_experiment(cfg)
     for image, label in zip(ds.test_images[:4], ds.test_labels[:4]):
         unlabelled = model.forward(image).probs
@@ -257,7 +257,7 @@ def test_the_forwards_with_and_without_a_label_report_the_same_probabilities(nam
 @pytest.mark.parametrize("name", ["tiny", "default", "bypass"])
 def test_both_forwards_share_one_head_and_the_unlabelled_one_tapes_none_of_it(monkeypatch, name):
     """A NaN head stops either forward with the head pass's error; ``classify`` makes no node."""
-    cfg = C.build_run_config(CONFIGS[name])
+    cfg = load_config(name)
     ds, model, _ = C.build_experiment(cfg)
     made = []
     node = T.node

@@ -314,7 +314,7 @@ class TestNoDeadSubgraph:
     def test_every_sir_parameter_gets_class_loss_gradient(self, rng):
         from sfinet import config as C
 
-        cfg = C.preset("tiny")
+        cfg = C.load(preset="tiny")
         ds, model, _ = C.build_experiment(cfg)
         res = model.forward(ds.train_images[0], int(ds.train_labels[0]))
         model.zero_grad()

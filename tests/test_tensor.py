@@ -204,7 +204,7 @@ class TestCrossEntropy:
         from sfinet import config as C
         from sfinet.train import total_loss
 
-        ds, model, _ = C.build_experiment(C.preset("tiny"))
+        ds, model, _ = C.build_experiment(C.load(preset="tiny"))
         model.classifier.data *= 1e6
         for cls in model.filter_cls:
             cls.data *= 1e6

@@ -23,9 +23,7 @@ TR = importlib.import_module("sfinet.train")  # the package re-exports train()
 
 
 def preset_cfg(preset, **overrides):
-    raw = dict(C.PRESETS[preset])
-    raw.update({k: str(v) for k, v in overrides.items()})
-    return C.build_run_config(raw)
+    return C.load(preset=preset, sets=[f"{k}={v}" for k, v in overrides.items()])
 
 
 def tiny_cfg(**overrides):

@@ -15,9 +15,10 @@ through stay off the tape: a filter's selection values and the reported
 probabilities are plain arrays, each checked where it is made by
 :func:`checked`, and an op whose parents need no gradient records no
 parents and no backward closure.  A backward hands every parent its
-gradient and :func:`accumulate` drops those of tensors off the tape; only
-``backbone.backbone_stage`` skips one, its input's when that is the image
-(the reference primitives keep such guards, as tests call them with constants).
+gradient to :func:`accumulate`, the one maker of gradients (``zero_grad``
+drops one, and an absent one reads as zero), which drops those of tensors
+off the tape; only ``backbone.backbone_stage`` skips one, its input's when
+that is the image (the reference primitives keep such guards, as tests call them with constants).
 
 Most of a sample's cost is the Python work per node, so a chain the
 model always builds the same way is one op with a hand-written backward:
@@ -79,12 +80,12 @@ _taping = True
 
 
 class Tensor:
-    """N-dimensional float64 array plus an optional gradient buffer.
+    """N-dimensional float64 array plus an optional gradient.
 
-    Leaf tensors with ``requires_grad=True`` get a zero gradient buffer at
-    construction; intermediate tensors get one lazily during backward.
-    ``requires_grad`` propagates from parents, so anything computed from a
-    trainable leaf participates in the tape.
+    For leaves and op outputs alike ``grad`` is None until :func:`accumulate`
+    makes it, :meth:`zero_grad` drops it, and an absent gradient reads as
+    zero.  ``requires_grad`` propagates from parents, so anything computed
+    from a trainable leaf participates in the tape.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "op", "_parents", "_backward_fn", "_seq_id")
@@ -93,7 +94,7 @@ class Tensor:
         arr = np.asarray(data, dtype=np.float64)
         self.data = arr
         self.requires_grad = bool(requires_grad)
-        self.grad = np.zeros_like(arr) if requires_grad else None
+        self.grad = None
         self.op = "leaf"
         self._parents: tuple[Tensor, ...] = ()
         self._backward_fn: Callable[[np.ndarray], None] | None = None
@@ -115,13 +116,8 @@ class Tensor:
         return float(self.data)
 
     def zero_grad(self) -> None:
-        """Reset the gradient buffer to zeros, in place when it already fits the data."""
-        if not self.requires_grad:
-            self.grad = None
-        elif self.grad is None or self.grad.shape != self.data.shape:
-            self.grad = np.zeros_like(self.data)
-        else:
-            self.grad.fill(0.0)
+        """Drop the gradient; the next :func:`accumulate` makes a fresh one."""
+        self.grad = None
 
     def backward(self) -> None:
         backward(self)
@@ -212,9 +208,9 @@ def chain_error(op: str, steps: Sequence[tuple[str, np.ndarray]]) -> NonFiniteEr
 def accumulate(t: Tensor, g: np.ndarray) -> None:
     """Add ``g`` into ``t.grad``; a no-op for a tensor off the tape.
 
-    Backwards hand every parent its gradient and leave that test to this.
-    The first gradient is stored as ``g + 0.0``: a fresh array equal bit
-    for bit to ``0.0 + g``, so -0.0 becomes +0.0 as in a zero buffer.
+    The one maker of gradients, for parameters and op outputs alike: the
+    first is stored as ``g + 0.0``, a fresh array equal bit for bit to
+    ``0.0 + g`` (-0.0 becomes +0.0).  Backwards leave the tape test to this.
     """
     if t.requires_grad:
         if t.grad is None:
@@ -260,18 +256,17 @@ class CompGraph:
 def backward(loss: Tensor) -> None:
     """Propagate d(loss)/d(tensor) into every requires_grad ancestor.
 
-    Gradients accumulate; call ``zero_grad`` on leaves between passes.
-    Discrete selections (masks, gather indices) were frozen at forward
-    time, so gradients flow only through the gathered values.
+    The loss is seeded through :func:`accumulate`, and an absent gradient
+    reads as zero.  Gradients accumulate; call ``zero_grad`` on leaves
+    between passes.  Discrete selections (masks, gather indices) were
+    frozen at forward time, so gradients flow only through the gathered values.
     """
     if loss.ndim != 0:
         raise GraphError(f"backward requires a scalar loss, got shape {loss.shape}")
     if not loss.requires_grad:
         raise GraphError("loss does not depend on any requires_grad tensor")
     graph = CompGraph.from_output(loss)
-    if loss.grad is None:
-        loss.grad = np.zeros_like(loss.data)
-    loss.grad += 1.0
+    accumulate(loss, np.ones_like(loss.data))
     for t in reversed(graph.nodes):
         if t._backward_fn is not None:
             g = t.grad if t.grad is not None else np.zeros_like(t.data)

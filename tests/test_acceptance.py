@@ -205,15 +205,20 @@ def test_criterion_04_gradient_suite():
               f"over {len(rows)} parameter tensors")
 
 
-@pytest.fixture
-def tiny_without_adjacency_grad(monkeypatch):
-    """``tiny`` at init, with ``gcn_layer``'s backward handing the adjacency a zero gradient."""
+def tiny_with_planted_grad(monkeypatch, name: str, factor: float):
+    """``tiny`` at init; ``reconstitution``'s backwards hand parameter ``name`` its gradient × ``factor``."""
     cfg = C.load(preset="tiny")
     ds, model, _ = C.build_experiment(cfg)
+    target = model.parameters()[name]
     accumulate = R.accumulate
     monkeypatch.setattr(R, "accumulate", lambda t, g: accumulate(
-        t, np.zeros_like(g) if t is model.adjacency else g))
+        t, g * factor if t is target else g))
     return cfg, ds.train_images[0], int(ds.train_labels[0]), model
+
+
+@pytest.fixture
+def tiny_without_adjacency_grad(monkeypatch):
+    return tiny_with_planted_grad(monkeypatch, "sir.gcn.adjacency", 0.0)
 
 
 def test_the_zero_adjacency_gradient_reaches_the_model(tiny_without_adjacency_grad):
@@ -223,12 +228,23 @@ def test_the_zero_adjacency_gradient_reaches_the_model(tiny_without_adjacency_gr
     assert model.adjacency.grad is not None and not model.adjacency.grad.any()
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 14")
-def test_model_gradcheck_fails_on_a_zero_adjacency_gradient(tiny_without_adjacency_grad):
-    # the adjacency's true gradient entries are all below the error's floor of 1
-    cfg, image, label, model = tiny_without_adjacency_grad
+def assert_model_gradcheck_reads(planted, name: str, err: float):
+    """``check_model`` fails ``name`` alone, and reads its planted error at the tensor's own scale."""
+    cfg, image, label, model = planted
     rows = check_model(model, image, label, cfg.train.xi, tol=1e-3)
-    assert not next(r for r in rows if r.name == "sir.gcn.adjacency").passed
+    assert [r.name for r in rows if not r.passed] == [name]
+    assert next(r for r in rows if r.name == name).max_rel_err == pytest.approx(err, abs=1e-3)
+
+
+def test_model_gradcheck_fails_on_a_zero_adjacency_gradient(tiny_without_adjacency_grad):
+    # the adjacency's true gradient entries are all below 5e-5
+    assert_model_gradcheck_reads(tiny_without_adjacency_grad, "sir.gcn.adjacency", 1.0)
+
+
+def test_model_gradcheck_fails_on_a_halved_query_gradient(monkeypatch):
+    # the query weights' true gradient entries are all below 1.5e-5
+    assert_model_gradcheck_reads(tiny_with_planted_grad(monkeypatch, "sir.attn.wq", 0.5),
+                                 "sir.attn.wq", 0.5)
 
 
 @pytest.mark.parametrize("overrides", [{}, {"model.bypass_filters": "true"}],

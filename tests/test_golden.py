@@ -10,11 +10,16 @@ to leave every number alone must pass unchanged; a change meant to move
 numbers updates the pins and records the old and new hashes, with the
 reason, in CHANGES.md.
 
-The pins hold for numpy 2.4.6 with OpenBLAS on x86-64, where they were
-recorded.  Another numpy or BLAS may round a matmul differently and move
-``metrics.csv`` and ``checkpoint.csv`` without any change to the program.
+The pins hold for numpy 2.4.6 with OpenBLAS on x86-64, on the kernel set
+named by ``PINNED_KERNELS``: numpy's enabled SIMD dispatch targets and
+OpenBLAS's core name.  Another kernel set rounds ``np.exp``, ``np.log`` or
+a matmul differently and moves ``metrics.csv`` and ``checkpoint.csv``
+without any change to the program, so on another identity one test fails
+with a message naming both identities, and the recipe runs are skipped
+rather than failing on six bare hash mismatches.
 """
 
+import ctypes
 import hashlib
 import os
 
@@ -70,12 +75,57 @@ EXPORT_PINS = {
 }
 
 
+# the kernel identity the pins above were recorded on, as kernel_identity() reads it
+PINNED_KERNELS = "numpy SIMD X86_V3 X86_V4 AVX512_ICL AVX512_SPR; OpenBLAS SkylakeX"
+
+
+def numpy_simd() -> str:
+    """numpy's SIMD dispatch targets that this CPU and ``NPY_DISABLE_CPU_FEATURES`` leave enabled."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+        targets = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+    except (ImportError, AttributeError):
+        return "unreadable"
+    return " ".join(targets) or "none"
+
+
+def openblas_core() -> str:
+    """The core name of the OpenBLAS that numpy loaded, found through the process's mapped libraries."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.split()[-1] for line in fh if "openblas" in line and ".so" in line}
+    except OSError:
+        return "unreadable"
+    for path in sorted(paths):
+        lib = ctypes.CDLL(path)
+        for symbol in ("scipy_openblas_get_corename64_", "openblas_get_corename64_",
+                       "openblas_get_corename"):
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                fn.argtypes, fn.restype = [], ctypes.c_char_p
+                return fn().decode()
+    return "unreadable"
+
+
+def kernel_identity() -> str:
+    return f"numpy SIMD {numpy_simd()}; OpenBLAS {openblas_core()}"
+
+
 def sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def test_the_pins_hold_for_this_kernel_set():
+    identity = kernel_identity()
+    assert identity == PINNED_KERNELS, (
+        f"the golden pins were recorded on kernel set '{PINNED_KERNELS}' and cannot be "
+        f"checked on this one, '{identity}'")
+
+
 @pytest.mark.parametrize("run, seed", sorted(PINS), ids=[f"{r}-{s}" for r, s in sorted(PINS)])
 def test_recipe_run_keeps_its_bits(tmp_path, monkeypatch, run, seed):
+    if kernel_identity() != PINNED_KERNELS:
+        pytest.skip("pinned on another kernel set: see test_the_pins_hold_for_this_kernel_set")
     monkeypatch.delenv("SFI_SEED", raising=False)
     out = tmp_path / f"{run}-{seed}"
     assert cli.main(["train", "--quiet", "--out", str(out), *RUNS[run],

@@ -214,7 +214,8 @@ class TestCrossEntropy:
         npt.assert_allclose(res.probs.sum(), 1.0, atol=1e-12)
         model.zero_grad()
         loss.backward()
-        assert all(np.all(np.isfinite(p.grad)) for p in model.parameters().values())
+        assert all(p.grad is None or np.all(np.isfinite(p.grad))  # absent reads as zero
+                   for p in model.parameters().values())
 
     def test_label_and_shape_checked(self):
         with pytest.raises(ShapeError):
@@ -371,37 +372,52 @@ class TestFiniteDifferences:
 
         assert check_grad(lambda: T.sum_all(planted_tanh(x)), {"x": x})["x"] > 0.1
 
+    def test_a_parameter_the_loss_never_reaches_reads_zero(self):
+        from sfinet import config as C
+        from sfinet.gradcheck import check_grad
+        from sfinet.train import total_loss
+
+        cfg = C.load(preset="tiny")
+        ds, model, _ = C.build_experiment(cfg)
+        p = model.parameters()["mff.stage0.class_proj"]  # the class maps are not trained yet
+
+        def build():
+            res = model.forward(ds.train_images[0], int(ds.train_labels[0]))
+            return total_loss(res.filter_loss, res.class_loss, cfg.train.xi)
+
+        assert check_grad(build, {"class_proj": p}) == {"class_proj": 0.0}
+        assert p.grad is None
+
 
 class TestAccumulate:
     def test_first_write_is_a_fresh_zero_plus_g(self):
-        t = T.scale(Tensor(np.ones(3), requires_grad=True), 1.0)  # op output: no buffer yet
-        g = np.array([-0.0, 1.5, -2.5])
-        zero_plus_g = np.zeros(3) + g
-        T.accumulate(t, g)
-        assert t.grad.tobytes() == zero_plus_g.tobytes()
-        assert not np.signbit(t.grad[0])  # -0.0 became +0.0
-        assert not np.shares_memory(t.grad, g)
-        T.accumulate(t, g)
-        npt.assert_array_equal(t.grad, 2 * g)
-        npt.assert_array_equal(g, [-0.0, 1.5, -2.5])  # g was not written through
+        leaf = Tensor(np.ones(3), requires_grad=True)
+        for t in (leaf, T.scale(leaf, 1.0)):  # a parameter and an op output: one rule
+            g = np.array([-0.0, 1.5, -2.5])
+            zero_plus_g = np.zeros(3) + g
+            T.accumulate(t, g)
+            assert t.grad.tobytes() == zero_plus_g.tobytes()
+            assert not np.signbit(t.grad[0])  # -0.0 became +0.0
+            assert not np.shares_memory(t.grad, g)
+            T.accumulate(t, g)
+            npt.assert_array_equal(t.grad, 2 * g)
+            npt.assert_array_equal(g, [-0.0, 1.5, -2.5])  # g was not written through
 
     def test_no_op_outside_the_tape(self):
         t = Tensor(np.ones(2))
         T.accumulate(t, np.ones(2))
         assert t.grad is None
 
-    def test_zero_grad_reuses_a_fitting_buffer(self):
+    def test_zero_grad_drops_the_gradient(self):
         p = Tensor(np.ones((2, 3)), requires_grad=True)
-        buf = p.grad
-        T.accumulate(p, np.full((2, 3), -1.5))
-        p.zero_grad()
-        assert p.grad is buf and p.grad.tobytes() == np.zeros((2, 3)).tobytes()
-        p.grad = np.ones(4)  # a buffer that does not fit is replaced
-        p.zero_grad()
-        assert p.grad.shape == (2, 3) and not p.grad.any()
-        out = T.scale(p, 2.0)  # an op output has no buffer until its backward
-        out.zero_grad()
-        assert out.grad.shape == (2, 3) and not out.grad.any()
+        out = T.scale(p, 2.0)
+        for t in (p, out):
+            T.accumulate(t, np.full((2, 3), -1.5))
+            first = t.grad
+            t.zero_grad()
+            assert t.grad is None
+            T.accumulate(t, np.full((2, 3), 0.5))  # a fresh gradient, not the dropped one refilled
+            assert t.grad is not first and t.grad.tobytes() == np.full((2, 3), 0.5).tobytes()
 
 
 class TestCompGraph:
@@ -565,9 +581,8 @@ class TestNoTape:
 
 
 class TestTensorBasics:
-    def test_requires_grad_allocates_zero_buffer(self):
-        t = Tensor(np.ones((2, 2)), requires_grad=True)
-        npt.assert_array_equal(t.grad, np.zeros((2, 2)))
+    def test_a_fresh_leaf_has_no_gradient(self):
+        assert Tensor(np.ones((2, 2)), requires_grad=True).grad is None
 
     def test_requires_grad_propagates(self):
         a = Tensor(np.ones(3), requires_grad=True)

@@ -83,6 +83,19 @@ class TestSgdMomentum:
         with pytest.raises(T.ShapeError):
             sgd_momentum_step({"p": p}, {"p": np.zeros(2)}, 0.1, 0.9, 0.0)
 
+    def test_a_parameter_the_loss_never_reaches_moves_by_weight_decay_alone(self):
+        cfg = tiny_cfg()
+        ds, model, _ = C.build_experiment(cfg)
+        params = model.parameters()
+        p = params["mff.stage0.class_proj"]  # the class maps are not trained yet
+        res = model.forward(ds.train_images[0], int(ds.train_labels[0]))
+        total_loss(res.filter_loss, res.class_loss, cfg.train.xi).backward()
+        assert p.grad is None
+        old = p.data.copy()
+        state = {name: np.zeros_like(q.data) for name, q in params.items()}
+        sgd_momentum_step(params, state, lr=0.1, momentum=0.9, weight_decay=0.5)
+        assert p.data.tobytes() == (old - 0.1 * (0.5 * old)).tobytes()
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_gradient_rejected_before_any_change(self, value):
         p, q = (Tensor(np.array([1.0, 2.0]), requires_grad=True) for _ in range(2))
@@ -412,7 +425,7 @@ def steps(monkeypatch):
     real = TR.sgd_momentum_step
 
     def sgd_momentum_step(params, *args):
-        grads = {k: p.grad.tobytes() for k, p in params.items()}
+        grads = {k: None if p.grad is None else p.grad.tobytes() for k, p in params.items()}
         real(params, *args)
         record.append((grads, {k: p.data.tobytes() for k, p in params.items()}))
 

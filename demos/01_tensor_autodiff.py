@@ -1,4 +1,9 @@
-"""Walk through the tensor core: forward ops, the tape, and gradients.
+"""Walk through the tensor core: the tape, a custom op, and gradients.
+
+A graph convolution (``reconstitution.gcn_layer``) feeds the stacked
+pooled cross-entropy (``tensor.pooled_cross_entropy``), after a softplus
+that this script defines itself with ``tensor.node``, the extension point
+for new ops.
 
 Run:  python demos/01_tensor_autodiff.py
 """
@@ -6,44 +11,50 @@ Run:  python demos/01_tensor_autodiff.py
 import numpy as np
 
 from sfinet import tensor as T
-from sfinet.gradcheck import finite_diff_grad, max_rel_err
+from sfinet.gradcheck import check_grad
+from sfinet.reconstitution import gcn_layer
 from sfinet.tensor import CompGraph, Tensor
 
 rng = np.random.default_rng(0)
 
-print("== a tiny expression and its tape ==")
-a = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
-b = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
-w = Tensor(rng.standard_normal((2, 2)))
+
+def softplus(x: Tensor) -> Tensor:
+    """log(1 + e^x) elementwise: its backward hands each parent its gradient through ``accumulate``."""
+    def bw(g):
+        T.accumulate(x, g / (1.0 + np.exp(-x.data)))  # d softplus / dx = sigmoid(x)
+
+    return T.node(np.logaddexp(0.0, x.data), (x,), bw, "softplus")
+
+
+print("== a tiny graph and its tape ==")
+params = {
+    "rows": Tensor(rng.standard_normal((5, 3)), requires_grad=True),
+    "adjacency": Tensor(rng.uniform(0.0, 0.4, (5, 5)), requires_grad=True),
+    "weight": Tensor(rng.standard_normal((3, 4)), requires_grad=True),
+    "head": Tensor(rng.standard_normal((4, 3)), requires_grad=True),
+}
 
 
 def expression():
-    return T.sum_all(T.hadamard(T.softmax(T.matmul(T.tanh(a), b), axis=-1), w))
+    graph_rows = gcn_layer(softplus(params["rows"]), params["adjacency"], params["weight"])
+    return T.pooled_cross_entropy([(graph_rows, params["head"])], label=1)[0][0]
 
 
 loss = expression()
-graph = CompGraph.from_output(loss)
 print("ops executed, in order:")
-for node in graph.nodes:
-    print(f"  {node.op:10s} shape {node.shape}")
+for node in CompGraph.from_output(loss).nodes:
+    print(f"  {node.op:20s} shape {node.shape}")
 
 loss.backward()
-print("\nanalytic dL/da:\n", a.grad)
+print("\nanalytic dL/d(rows):\n", params["rows"].grad)
 
 print("\n== cross-checking against central finite differences ==")
-numeric = finite_diff_grad(lambda: expression().item(), a.data)
-print("worst relative error:", max_rel_err(a.grad, numeric))
-
-print("\n== the documented mask broadcast ==")
-features = Tensor(rng.standard_normal((2, 2, 3)), requires_grad=True)
-mask = Tensor(np.array([[1.0, 0.0], [1.0, 1.0]]))
-masked = T.hadamard(features, mask)
-print("masked position (0,1) is zero across channels:", masked.data[0, 1])
-T.sum_all(masked).backward()
-print("gradient at the dropped position is zero:", features.grad[0, 1])
+for name, err in check_grad(expression, params).items():
+    print(f"  {name:10s} worst relative error {err:.3e}")
 
 print("\n== determinism: repeated backward is bit-identical ==")
-first = a.grad.copy()
-a.zero_grad(); b.zero_grad()
+first = {name: p.grad.copy() for name, p in params.items()}
+for p in params.values():
+    p.zero_grad()
 expression().backward()
-print("bitwise equal:", np.array_equal(first, a.grad))
+print("bitwise equal:", all(np.array_equal(first[name], p.grad) for name, p in params.items()))

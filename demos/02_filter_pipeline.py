@@ -10,7 +10,7 @@ Run:  python demos/02_filter_pipeline.py
 import numpy as np
 
 from sfinet.export import export_stage_maps
-from sfinet.filters import AmbiguityParams, NoiseParams, filter_stage
+from sfinet.filters import AmbiguityParams, filter_pass, split_stages, stage_layout
 from sfinet.tensor import Tensor
 
 rng = np.random.default_rng(7)
@@ -23,9 +23,12 @@ features[1:3, 1:3] += 2.0
 
 projection = Tensor(rng.uniform(-0.5, 0.5, size=(8, 5)))
 amb = AmbiguityParams(k=3, gamma1=0.15)
-noise = NoiseParams(gamma2=0.3)
+# one stage of 36 rows; the noise filter drops the fraction gamma2 = 0.3
+layout = stage_layout([36], amb.gamma1, 0.3)
 
-arts = filter_stage(Tensor(features.reshape(36, 8)), projection, amb, noise)
+# a pass stacks every stage's values; split_stages gives each stage its own record
+stacked = filter_pass([Tensor(features.reshape(36, 8))], [projection], amb, layout)
+arts = split_stages(stacked, layout)[0]
 
 print("coarse prediction p:", np.round(arts.coarse, 3))
 print("top-k classes:", arts.topk_indices.tolist(), "with weights", np.round(arts.weights, 3))

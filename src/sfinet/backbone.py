@@ -140,14 +140,14 @@ class Backbone:
     def parameters(self) -> dict[str, Tensor]:
         return dict(self._params)
 
-    def forward(self, image: Tensor) -> list[Tensor]:
-        """Each stage's (W_i * H_i, C_i) feature rows, row-major over its grid."""
+    def forward(self, image: np.ndarray) -> list[Tensor]:
+        """Each stage's (W_i * H_i, C_i) feature rows, row-major over its grid, for a (W, H, C) image."""
         cfg = self.config
         w, h = cfg.input_size
         expected = (w, h, cfg.in_channels)
         if image.shape != expected:
             raise T.ShapeError(f"backbone: image shape {image.shape}, config expects {expected}")
-        x = Tensor(T.checked(image.data.reshape(w * h, cfg.in_channels), "reshape"))
+        x = Tensor(T.checked(image.reshape(w * h, cfg.in_channels), "reshape"))
         stages = []
         for stride, weight, bias in zip(cfg.strides, self.weights, self.biases):
             x = backbone_stage(x, (w, h), stride, weight, bias)

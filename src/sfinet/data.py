@@ -136,21 +136,24 @@ def make_synthetic(cfg: DataConfig, rng: np.random.Generator) -> SyntheticDatase
     return SyntheticDataset(cfg, train_x, train_y, test_x, test_y)
 
 
-def augment_image(img: np.ndarray, rng: np.random.Generator, pad: int = 2) -> np.ndarray:
-    """Random horizontal flip plus a random crop from a zero-padded canvas."""
+AUGMENT_PAD = 2  # zero border of the augmentation canvas, in pixels per side
+PROBE_RIDGE = 1e-3  # the linear probe's ridge penalty
+
+
+def augment_image(img: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Random horizontal flip plus a random crop from a canvas zero-padded by :data:`AUGMENT_PAD`."""
     out = img
     if rng.random() < 0.5:
         out = out[:, ::-1]
-    size = out.shape[0]
+    size, pad = out.shape[0], AUGMENT_PAD
     padded = np.zeros((size + 2 * pad, size + 2 * pad, out.shape[2]))
     padded[pad:pad + size, pad:pad + size] = out
     ox, oy = rng.integers(0, 2 * pad + 1, size=2)
     return padded[ox:ox + size, oy:oy + size].copy()
 
 
-def linear_probe(train_x: np.ndarray, train_y: np.ndarray, test_x: np.ndarray,
-                 ridge: float = 1e-3) -> np.ndarray:
-    """Closed-form ridge regression to one-hot targets; returns predictions.
+def linear_probe(train_x: np.ndarray, train_y: np.ndarray, test_x: np.ndarray) -> np.ndarray:
+    """Closed-form ridge regression (:data:`PROBE_RIDGE`) to one-hot targets; returns predictions.
 
     Solved in sample space so the pixel count never enters the linear
     system.  Deterministic, training-free: the independent baseline for
@@ -160,14 +163,14 @@ def linear_probe(train_x: np.ndarray, train_y: np.ndarray, test_x: np.ndarray,
     x = train_x.reshape(n, -1)
     y = np.eye(int(train_y.max()) + 1)[train_y]
     k = x @ x.T
-    alpha = np.linalg.solve(k + ridge * np.eye(n), y)
+    alpha = np.linalg.solve(k + PROBE_RIDGE * np.eye(n), y)
     scores = test_x.reshape(test_x.shape[0], -1) @ x.T @ alpha
     return np.argmax(scores, axis=1)
 
 
-def probe_accuracies(ds: SyntheticDataset, ridge: float = 1e-3) -> dict[str, float]:
+def probe_accuracies(ds: SyntheticDataset) -> dict[str, float]:
     """Overall test accuracy plus accuracy restricted to the ambiguous pair."""
-    preds = linear_probe(ds.train_images, ds.train_labels, ds.test_images, ridge)
+    preds = linear_probe(ds.train_images, ds.train_labels, ds.test_images)
     overall = float(np.mean(preds == ds.test_labels))
     a, b = ds.ambiguous_pair
     pair_sel = (ds.test_labels == a) | (ds.test_labels == b)

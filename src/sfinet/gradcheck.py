@@ -8,7 +8,6 @@ so a gradient wrong by half reads 0.5 whether its entries are near 1 or 1e-5.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -70,38 +69,13 @@ def check_grad(build_loss: Callable[[], Tensor], params: dict[str, Tensor],
     return errs
 
 
-@dataclass
-class CheckRow:
-    """One parameter tensor's gradient-check outcome."""
-    name: str
-    module: str
-    shape: tuple[int, ...]
-    max_rel_err: float
-    passed: bool
-
-
 def check_model(model, image: np.ndarray, label: int, xi: float,
-                step: float = DEFAULT_STEP, tol: float = DEFAULT_TOL) -> list[CheckRow]:
-    """Check every trainable tensor of a full model against the total loss."""
+                step: float = DEFAULT_STEP) -> dict[str, float]:
+    """:func:`check_grad` of every trainable tensor of a full model against its total loss."""
     from .train import total_loss
-
-    params = model.parameters()
 
     def build() -> Tensor:
         res = model.forward(image, label)
         return total_loss(res.filter_loss, res.class_loss, xi)
 
-    errs = check_grad(build, params, step=step)
-    rows = []
-    for name, p in params.items():
-        module = name.split(".", 1)[0]
-        e = errs[name]
-        rows.append(CheckRow(name, module, p.shape, e, e < tol))
-    return rows
-
-
-def worst_by_module(rows: list[CheckRow]) -> dict[str, float]:
-    worst: dict[str, float] = {}
-    for r in rows:
-        worst[r.module] = max(worst.get(r.module, 0.0), r.max_rel_err)
-    return worst
+    return check_grad(build, model.parameters(), step=step)

@@ -139,7 +139,7 @@ class SFINet:
         return F.split_stages(arts, self.layout)
 
     def forward(self, image: np.ndarray, label: int | None = None) -> ForwardResult:
-        stages = self.backbone.forward(Tensor(image))
+        stages = self.backbone.forward(image)
         selected = (stages if self.bypass_filters else
                     F.filter_pass(stages, self.class_projs, self.amb, self.layout).selected_features)
 

@@ -22,7 +22,7 @@ class TestConfig:
         cfg = tiny_config()
         bb = Backbone(cfg, rng)
         for img in (np.zeros((16, 16, 3)), rng.standard_normal((16, 16, 3))):
-            shapes = [s.shape for s in bb.forward(Tensor(img))]
+            shapes = [s.shape for s in bb.forward(img)]
             assert shapes == [(16, 5), (4, 8)]
 
     def test_indivisible_extent_rejected(self):
@@ -40,7 +40,7 @@ class TestConfig:
     def test_wrong_image_shape_rejected(self, rng):
         bb = Backbone(tiny_config(), rng)
         with pytest.raises(ShapeError, match="image shape"):
-            bb.forward(Tensor(np.zeros((8, 8, 3))))
+            bb.forward(np.zeros((8, 8, 3)))
 
 
 class TestForward:
@@ -49,7 +49,7 @@ class TestForward:
         for w, b in zip(bb.weights, bb.biases):
             w.data = np.zeros_like(w.data)
             b.data = np.zeros_like(b.data)
-        stages = bb.forward(Tensor(rng.standard_normal((16, 16, 3))))
+        stages = bb.forward(rng.standard_normal((16, 16, 3)))
         for s in stages:
             npt.assert_array_equal(s.data, 0.0)
 
@@ -58,7 +58,7 @@ class TestForward:
         img = rng.standard_normal((16, 16, 3))
 
         def loss():
-            return T.sum_all(T.tanh(bb.forward(Tensor(img))[-1]))
+            return T.sum_all(T.tanh(bb.forward(img)[-1]))
 
         assert_grads_match(loss, bb.parameters())
 
@@ -70,15 +70,15 @@ class TestForward:
         shifted = np.zeros_like(img)
         shifted[4:] = img[:-4]  # shift by the stage-1 stride
         # stage-0 rows are its 4x4 grid in row-major order
-        base = bb.forward(Tensor(img))[0].data.reshape(4, 4, 5)
-        moved = bb.forward(Tensor(shifted))[0].data.reshape(4, 4, 5)
+        base = bb.forward(img)[0].data.reshape(4, 4, 5)
+        moved = bb.forward(shifted)[0].data.reshape(4, 4, 5)
         npt.assert_array_equal(moved[1:], base[:-1])
 
     def test_deterministic_given_weights(self, rng):
         bb = Backbone(tiny_config(), rng)
         img = rng.standard_normal((16, 16, 3))
-        a = bb.forward(Tensor(img))[-1].data
-        b = bb.forward(Tensor(img))[-1].data
+        a = bb.forward(img)[-1].data
+        b = bb.forward(img)[-1].data
         npt.assert_array_equal(a, b)
 
     def test_init_scale_follows_fan_in(self):

@@ -9,6 +9,7 @@ import pytest
 from sfinet import cli
 from sfinet import config as C
 from sfinet import data as D
+from sfinet import reconstitution as R
 from sfinet import tensor as T
 from sfinet.export import export_adjacency, export_stage_maps
 from sfinet.serialization import load_checkpoint, load_tensor, save_checkpoint, save_tensor
@@ -499,6 +500,28 @@ class TestGradcheckCommand:
         rc = run_cli(["gradcheck"])
         assert rc == 1
         assert "FAIL" in capsys.readouterr().out
+
+    def test_planted_zero_gradient_is_judged_against_tol(self, monkeypatch, capsys):
+        # the GCN's backward hands the adjacency a zero gradient: its error reads exactly 1
+        build = C.build_experiment
+
+        def planted(cfg):
+            dataset, model, rng = build(cfg)
+            target, accumulate = model.parameters()["sir.gcn.adjacency"], R.accumulate
+            monkeypatch.setattr(R, "accumulate", lambda t, g: accumulate(
+                t, g * 0.0 if t is target else g))
+            return dataset, model, rng
+
+        monkeypatch.setattr(C, "build_experiment", planted)
+        assert run_cli(["gradcheck"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        failed = [line for line in lines if line.startswith("[FAIL]")]
+        assert len(failed) == 1
+        assert failed[0].split()[1] == "sir.gcn.adjacency"
+        assert failed[0].endswith("max rel err 1.000e+00")
+        assert "  sir        1.000e+00" in lines
+        assert run_cli(["gradcheck", "--tol", "2"]) == 0
+        assert "FAIL" not in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("case", ["train-file", "train-under-file", "export-file"])

@@ -475,7 +475,7 @@ class TestEndToEndDifferentiability:
         img = rng.standard_normal((8, 8, 3))
 
         def loss():
-            stages = bb.forward(Tensor(img))
+            stages = bb.forward(img)
             selected = []
             for feats, proj in zip(stages, projs):
                 art = filter_stage(feats, proj, amb, noise)

@@ -151,9 +151,9 @@ class TestAgainstTheChain:
         params = [(twin(w.data), twin(b.data)) for w, b in zip(bb.weights, bb.biases)]
         bb.weights = [w for (w, _), _ in params]
         bb.biases = [b for _, (b, _) in params]
-        image = Tensor(rng.standard_normal((*cfg.backbone.input_size, cfg.backbone.in_channels)))
+        image = rng.standard_normal((*cfg.backbone.input_size, cfg.backbone.in_channels))
         fused = bb.forward(image)
-        x = T.reshape(image, (-1, image.shape[2]))
+        x = T.reshape(Tensor(image), (-1, image.shape[2]))
         chain = []
         for grid, stride, ((_, w_ref), (_, b_ref)) in zip(input_grids(cfg), cfg.backbone.strides,
                                                           params):

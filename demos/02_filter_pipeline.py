@@ -31,7 +31,7 @@ stacked = filter_pass([Tensor(features.reshape(36, 8))], [projection], amb, layo
 arts = split_stages(stacked, layout)[0]
 
 print("coarse prediction p:", np.round(arts.coarse, 3))
-print("top-k classes:", arts.topk_indices.tolist(), "with weights", np.round(arts.weights, 3))
+print("top-k classes:", arts.topk_indices.tolist(), "with weights", np.round(amb.weights, 3))
 print("\nambiguity map (higher = more confusable):")
 print(np.round(arts.ambiguity_map.reshape(grid), 2))
 print(f"\nkeep-mask ({int(arts.mask.sum())} of 36 kept; 0 = dropped):")

@@ -1,9 +1,9 @@
 """Deterministic synthetic image datasets for desk-scale training.
 
 Every image is background noise plus a planted class patch at a fixed
-anchor.  Classes 0 and 1 always share their anchor and, when ``overlap``
-is positive, also share that fraction of their patch area, which makes
-them a deliberately confusable pair.  All randomness comes from one
+anchor.  The classes of :data:`CONFUSABLE_PAIR` share their anchor and,
+when ``overlap`` is positive, that fraction of their patch area, which
+makes them a deliberately confusable pair.  All randomness comes from one
 generator, so a seed pins the dataset bit for bit; train and test splits
 are disjoint by construction.  Each split is one array filled in place
 from the generator, with no per-image arrays or stacking copy.
@@ -17,6 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensor import ConfigError
+
+CONFUSABLE_PAIR = (0, 1)  # the two classes that share an anchor and part of their patch
 
 
 @dataclass(frozen=True)
@@ -62,15 +64,11 @@ class DataConfig:
 
 @dataclass
 class SyntheticDataset:
-    config: DataConfig
+    """The two splits' ``(n, W, H, C)`` images and ``intp`` labels; nothing else."""
     train_images: np.ndarray
     train_labels: np.ndarray
     test_images: np.ndarray
     test_labels: np.ndarray
-
-    @property
-    def ambiguous_pair(self) -> tuple[int, int]:
-        return (0, 1)
 
 
 def _anchors(cfg: DataConfig) -> list[tuple[int, int]]:
@@ -106,7 +104,7 @@ def _class_patches(cfg: DataConfig, rng: np.random.Generator) -> np.ndarray:
     shared_mask = shared_mask.reshape(p, p)[..., None]
     for c in range(cfg.num_classes):
         own = cfg.signal_amplitude * rng.uniform(-1.0, 1.0, size=(p, p, ch))
-        if c in (0, 1):
+        if c in CONFUSABLE_PAIR:
             patches[c] = shared * shared_mask + own * (1.0 - shared_mask)
         else:
             patches[c] = own
@@ -133,7 +131,7 @@ def make_synthetic(cfg: DataConfig, rng: np.random.Generator) -> SyntheticDatase
             slab[:, ax:ax + p, ay:ay + p] += patches[c]
     train_x, test_x = (split.reshape(-1, size, size, ch) for split in splits)
     train_y, test_y = (np.repeat(np.arange(cfg.num_classes, dtype=np.intp), n) for n in counts)
-    return SyntheticDataset(cfg, train_x, train_y, test_x, test_y)
+    return SyntheticDataset(train_x, train_y, test_x, test_y)
 
 
 AUGMENT_PAD = 2  # zero border of the augmentation canvas, in pixels per side
@@ -169,10 +167,10 @@ def linear_probe(train_x: np.ndarray, train_y: np.ndarray, test_x: np.ndarray) -
 
 
 def probe_accuracies(ds: SyntheticDataset) -> dict[str, float]:
-    """Overall test accuracy plus accuracy restricted to the ambiguous pair."""
+    """Overall test accuracy plus accuracy restricted to :data:`CONFUSABLE_PAIR`."""
     preds = linear_probe(ds.train_images, ds.train_labels, ds.test_images)
     overall = float(np.mean(preds == ds.test_labels))
-    a, b = ds.ambiguous_pair
+    a, b = CONFUSABLE_PAIR
     pair_sel = (ds.test_labels == a) | (ds.test_labels == b)
     pair = float(np.mean(preds[pair_sel] == ds.test_labels[pair_sel])) if pair_sel.any() else float("nan")
     return {"overall": overall, "pair": pair}

@@ -108,9 +108,9 @@ class StageLayout(NamedTuple):
     ``kept[i]`` of the kept indices.  A ranking sorts the stack by
     ``stage`` first, so each stage's rows refill its own block, whose
     first floor((1 - gamma1) * S_i) places ``mask_ranks`` marks and first
-    floor((1 - gamma2) * S_i) ``kept_ranks`` (every place under bypass);
-    ``kept_starts`` is each kept place's block start, ``sizes`` the (L, 1)
-    float row counts.
+    floor((1 - gamma2) * S_i) ``kept_ranks`` (every place under
+    ``bypass``, the filters switched off); ``kept_starts`` is each kept
+    place's block start, ``sizes`` the (L, 1) float row counts.
     """
     rows: tuple[slice, ...]
     kept: tuple[slice, ...]
@@ -119,6 +119,7 @@ class StageLayout(NamedTuple):
     mask_ranks: np.ndarray
     kept_ranks: np.ndarray
     kept_starts: np.ndarray
+    bypass: bool
 
 
 def validate_filter_ratios(sizes: Sequence[int], gamma1: float,
@@ -158,7 +159,7 @@ def stage_layout(sizes: Sequence[int], gamma1: float, gamma2: float,
                        tuple(map(slice, kept_bounds, kept_bounds[1:])),
                        np.array(sizes, dtype=np.float64).reshape(-1, 1),
                        np.repeat(np.arange(len(sizes)), sizes), rank < np.repeat(keep1, sizes),
-                       kept_ranks, starts[kept_ranks])
+                       kept_ranks, starts[kept_ranks], bypass)
 
 
 class FilterArtifacts(NamedTuple):
@@ -171,7 +172,8 @@ class FilterArtifacts(NamedTuple):
     floor((1 - gamma2) * S) row indices, each at a mask=1 row, in
     descending noise-score order (with the filters bypassed: S ones and
     every row in order).  Every value is a float64 array, the indices
-    ``intp``, except selected_features, the one tensor on the tape.
+    ``intp``, except selected_features, the one tensor on the tape.  The
+    top-k vote weights are ``AmbiguityParams.weights``.
 
     Stacked (:func:`filter_pass`): per-row values follow each other stage
     by stage, ``coarse`` and ``topk_indices`` have a row per stage, stage
@@ -181,7 +183,6 @@ class FilterArtifacts(NamedTuple):
     maps: np.ndarray
     coarse: np.ndarray
     topk_indices: np.ndarray
-    weights: np.ndarray
     ambiguity_map: np.ndarray
     mask: np.ndarray
     masked_maps: np.ndarray
@@ -293,34 +294,30 @@ def filter_pass(features: Sequence[Tensor], projections: Sequence[Tensor], amb: 
     """Run every stage through both filters at once, computing each stacked value in selection order.
 
     ``features`` are the stages' (S_i, C_i) rows.  Each stage's kept rows
-    are its one tape node, gathered here.  A layout that keeps every row
-    is the bypass (with the filters on, each stage drops at least one):
-    the mask is all ones and every row is kept in order, so the kept rows
-    are the features tensors themselves.  Every other value is computed
-    as with the filters on.
+    are its one tape node, gathered here.  Under a ``layout.bypass`` the
+    mask is all ones and every row is kept in order, so the kept rows are
+    the features tensors themselves.  Every other value is computed as
+    with the filters on.
     """
-    bypass = layout.kept[-1].stop == layout.rows[-1].stop
     maps, coarse = class_maps([f.data for f in features], [p.data for p in projections], layout)
     topk, weights = topk_weights(coarse, amb)
     amb_map = ambiguity_map(maps, topk, weights, layout)
-    mask = np.ones(amb_map.size) if bypass else ambiguity_mask(amb_map, layout)
+    mask = np.ones(amb_map.size) if layout.bypass else ambiguity_mask(amb_map, layout)
     masked_maps = apply_mask(mask, maps)
     scores = noise_scores(masked_maps)
-    if bypass:  # every place is kept, so kept_starts is each row's stage start
+    if layout.bypass:  # every place is kept, so kept_starts is each row's stage start
         chosen, selected = np.arange(scores.size) - layout.kept_starts, list(features)
     else:
         chosen = noise_select(scores, mask, layout)
         selected = [gather_kept_rows(f, chosen[k]) for f, k in zip(features, layout.kept)]
-    return FilterArtifacts(maps, coarse, topk, weights, amb_map, mask, masked_maps,
-                           scores, chosen, selected)
+    return FilterArtifacts(maps, coarse, topk, amb_map, mask, masked_maps, scores, chosen, selected)
 
 
 def split_stages(arts: FilterArtifacts, layout: StageLayout) -> list[FilterArtifacts]:
     """One record per stage of a pass's stacked values, each array a view of the stage's part."""
-    return [FilterArtifacts(arts.maps[r], arts.coarse[i], arts.topk_indices[i], arts.weights,
-                            arts.ambiguity_map[r], arts.mask[r], arts.masked_maps[r],
-                            arts.noise_scores[r], arts.selected_indices[k],
-                            arts.selected_features[i])
+    return [FilterArtifacts(arts.maps[r], arts.coarse[i], arts.topk_indices[i], arts.ambiguity_map[r],
+                            arts.mask[r], arts.masked_maps[r], arts.noise_scores[r],
+                            arts.selected_indices[k], arts.selected_features[i])
             for i, (r, k) in enumerate(zip(layout.rows, layout.kept))]
 
 

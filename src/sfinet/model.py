@@ -54,7 +54,10 @@ class ForwardResult:
 
 
 class SFINet:
-    """Filter-and-reconstitute classifier over the toy backbone."""
+    """Filter-and-reconstitute classifier over the toy backbone.
+
+    The filters are off when ``layout.bypass``; the class count is ``classifier.shape[1]``.
+    """
 
     def __init__(self, backbone_cfg: BackboneConfig, amb: F.AmbiguityParams,
                  noise: F.NoiseParams, sir_cfg: R.SirConfig, n_classes: int,
@@ -65,8 +68,6 @@ class SFINet:
         self.layout = F.stage_layout([w * h for w, h, _ in shapes], amb.gamma1, noise.gamma2,
                                      bypass_filters)
         self.amb = amb
-        self.n_classes = n_classes
-        self.bypass_filters = bypass_filters
 
         self.backbone = Backbone(backbone_cfg, rng)
         self._params = self.backbone.parameters()
@@ -140,7 +141,7 @@ class SFINet:
 
     def forward(self, image: np.ndarray, label: int | None = None) -> ForwardResult:
         stages = self.backbone.forward(image)
-        selected = (stages if self.bypass_filters else
+        selected = (stages if self.layout.bypass else
                     F.filter_pass(stages, self.class_projs, self.amb, self.layout).selected_features)
 
         concatenated = R.concat_stages(selected, self.stage_projs)

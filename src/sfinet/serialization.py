@@ -11,8 +11,8 @@ temporary file next to the target, which replaces the target only once
 it is complete, so a write that fails part way leaves the previous file
 as it was.  Files are read through :func:`read_text`: a file that is
 missing, is a directory, cannot be opened or is not UTF-8 raises
-:class:`SerializationError` naming it, as does an output directory that
-:func:`make_dirs` cannot create.
+:class:`SerializationError` naming it, as do an output file that cannot
+be written and an output directory that :func:`make_dirs` cannot create.
 """
 
 from __future__ import annotations
@@ -36,19 +36,26 @@ def atomic_open(path: str | os.PathLike) -> Iterator[TextIO]:
 
     Writes go to a temporary file in the target's directory, which
     ``os.replace`` moves over ``path`` when the block exits normally.  If
-    the block raises, the temporary file is removed and ``path`` keeps its
-    previous content.  (This guards against a failed or interrupted
-    process, not against power loss: nothing is fsynced.)
+    the block raises, the temporary file is removed, ``path`` keeps its
+    previous content and the exception passes on unchanged; a temporary
+    file that cannot be made or cannot replace ``path`` raises
+    :class:`SerializationError` naming ``path``.  (Nothing is fsynced.)
     """
     path = os.fspath(path)
     tmp = f"{path}.{uuid.uuid4().hex[:8]}.tmp"
     try:
-        with open(tmp, "x", encoding="utf-8") as fh:
+        fh = open(tmp, "x", encoding="utf-8")
+    except OSError as exc:
+        raise SerializationError(f"{path}: cannot write ({exc.strerror})") from exc
+    try:
+        with fh:
             yield fh
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise SerializationError(f"{path}: cannot write ({exc.strerror})") from exc
     except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
+        os.remove(tmp)
         raise
 
 

@@ -18,7 +18,7 @@ parents and no backward closure.  A backward hands every parent its
 gradient to :func:`accumulate`, the one maker of gradients (``zero_grad``
 drops one, and an absent one reads as zero), which drops those of tensors
 off the tape; only ``backbone.backbone_stage`` skips one, its input's when
-that is the image (the reference primitives keep such guards, as tests call them with constants).
+that is the image.
 
 Most of a sample's cost is the Python work per node, so a chain the
 model always builds the same way is one op with a hand-written backward:
@@ -351,10 +351,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul: shapes {a.shape} and {b.shape} do not chain")
 
     def bw(g):
-        if a.requires_grad:
-            accumulate(a, g @ b.data.T)
-        if b.requires_grad:
-            accumulate(b, a.data.T @ g)
+        accumulate(a, g @ b.data.T)
+        accumulate(b, a.data.T @ g)
 
     return node(a.data @ b.data, (a, b), bw, "matmul")
 
@@ -380,10 +378,9 @@ def gather_rows(a: Tensor, indices: Sequence[int] | np.ndarray) -> Tensor:
         raise ShapeError(f"gather_rows: indices of shape {idx.shape} do not fit rows of shape {a.shape}")
 
     def bw(g):
-        if a.requires_grad:
-            ga = np.zeros_like(a.data)
-            np.add.at(ga, idx, g)
-            accumulate(a, ga)
+        ga = np.zeros_like(a.data)
+        np.add.at(ga, idx, g)
+        accumulate(a, ga)
 
     return node(a.data[idx], (a,), bw, "gather_rows")
 
@@ -394,10 +391,9 @@ def gather_cols(a: Tensor, indices: Sequence[int]) -> Tensor:
     idx = np.asarray(indices, dtype=np.intp)
 
     def bw(g):
-        if a.requires_grad:
-            ga = np.zeros_like(a.data)
-            np.add.at(ga, (slice(None), idx), g)
-            accumulate(a, ga)
+        ga = np.zeros_like(a.data)
+        np.add.at(ga, (slice(None), idx), g)
+        accumulate(a, ga)
 
     return node(a.data[:, idx], (a,), bw, "gather_cols")
 

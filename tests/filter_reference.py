@@ -80,5 +80,4 @@ def filter_stage(features: Tensor, projection: Tensor, amb: AmbiguityParams,
     else:
         chosen = noise_select(scores, noise.gamma2, mask)
         selected = gather_kept_rows(features, chosen)
-    return FilterArtifacts(maps, coarse, topk, weights, amb_map, mask, masked_maps,
-                           scores, chosen, selected)
+    return FilterArtifacts(maps, coarse, topk, amb_map, mask, masked_maps, scores, chosen, selected)

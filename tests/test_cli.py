@@ -541,3 +541,24 @@ def test_unusable_out_path_exits_2_naming_it(tmp_path, capsys, case):
     assert run_cli(argv) == 2
     assert capsys.readouterr().err.startswith(f"error: {out}: cannot create directory (")
     assert blocker.read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize("case", ["export-long-name", "train-metrics-dir"])
+def test_unwritable_output_file_exits_2_naming_it(tmp_path, capsys, case):
+    out = tmp_path / "out"
+    if case == "export-long-name":  # each map's name is longer than a file name may be
+        cfg = C.load(preset="tiny")
+        ds, model, _ = C.build_experiment(cfg)
+        ckpt, img = tmp_path / "ckpt.csv", tmp_path / ("x" * 235 + ".csv")
+        save_checkpoint(ckpt, model.parameters())
+        save_tensor(img, ds.test_images[0])
+        argv = ["export-maps", *TINY, "--checkpoint", ckpt, "--image", img, "--out", out]
+        target, why = out / ("x" * 235 + "_stage0_ambiguity.csv"), "File name too long"
+    else:  # training runs to the end, then finds a directory where metrics.csv goes
+        target, why = out / "metrics.csv", "Is a directory"
+        target.mkdir(parents=True)
+        argv = ["train", *TINY, "--out", out, "--quiet"]
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {target}: cannot write ({why})\n"
+    assert not [f for f in os.listdir(out) if f.endswith(".tmp")]

@@ -33,8 +33,7 @@ def per_image_synthetic(cfg, rng):
             else:
                 test_x.append(img)
                 test_y.append(c)
-    return SyntheticDataset(cfg,
-                            np.asarray(train_x), np.asarray(train_y, dtype=np.intp),
+    return SyntheticDataset(np.asarray(train_x), np.asarray(train_y, dtype=np.intp),
                             np.asarray(test_x), np.asarray(test_y, dtype=np.intp))
 
 

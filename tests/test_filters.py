@@ -335,6 +335,26 @@ class TestOracleEquivalence:
         assert chosen.tolist() == naive_select(maps, gamma, None)
 
 
+class TestStageLayout:
+    def test_bypass_is_the_flag_and_means_every_row_is_kept(self):
+        """``bypass`` equals the derivation from slice stops that it replaced."""
+        g = np.random.default_rng(20261022)
+        seen = {False: 0, True: 0}
+        for _ in range(300):
+            sizes = g.integers(1, 70, size=int(g.integers(1, 5))).tolist()
+            gamma1 = float(g.uniform(0.01, 0.6))
+            gamma2 = float(g.uniform(gamma1, 0.99))
+            for bypass in (False, True):
+                try:
+                    layout = stage_layout(sizes, gamma1, gamma2, bypass)
+                except ConfigError:
+                    continue
+                assert layout.bypass is bypass
+                assert layout.bypass == (layout.kept[-1].stop == layout.rows[-1].stop)
+                seen[bypass] += 1
+        assert min(seen.values()) >= 100, seen
+
+
 class TestStackedPassMatchesTheOneStageReference:
     """Every record of the stacked pass equals its stage filtered alone, byte for byte."""
 
@@ -518,9 +538,9 @@ class TestCheckedConstants:
         for bypass in (False, True):
             feats = Tensor(data.reshape(w * h, c), requires_grad=True)
             old_feats = Tensor(data.copy(), requires_grad=True)
-            art = filter_stage(feats, proj, AmbiguityParams(k=2 + seed % 3, gamma1=0.2),
-                               NoiseParams(gamma2=0.3), bypass=bypass)
-            old = self.old_tape_chains(old_feats, proj, art.topk_indices, art.weights,
+            amb = AmbiguityParams(k=2 + seed % 3, gamma1=0.2)
+            art = filter_stage(feats, proj, amb, NoiseParams(gamma2=0.3), bypass=bypass)
+            old = self.old_tape_chains(old_feats, proj, art.topk_indices, amb.weights,
                                        Tensor(art.mask.reshape(w, h)),
                                        art.selected_indices, bypass)
             new = (art.maps, art.coarse, art.ambiguity_map, art.masked_maps, art.noise_scores,

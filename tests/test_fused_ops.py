@@ -108,7 +108,7 @@ def model_for(name):
 
 def stage_rows(cfg, model):
     """(kept rows, channels) per stage, as the filters hand them to the concat."""
-    return [(w * h if model.bypass_filters else F.kept_rows(w * h, cfg.noise.gamma2), c)
+    return [(w * h if model.layout.bypass else F.kept_rows(w * h, cfg.noise.gamma2), c)
             for w, h, c in cfg.backbone.stage_shapes()]
 
 

@@ -146,7 +146,7 @@ class TestPooledCrossEntropyMatchesThePerLossReference:
         assert len(seen) == 3 and all(len(pairs) == 1 + len(model.filter_cls) for pairs, _ in seen)
         g = np.random.default_rng(7)
         for pairs, label in seen:
-            for lab in {label, *range(model.n_classes)}:
+            for lab in {label, *range(model.classifier.shape[1])}:
                 assert_matches_reference(pairs, lab, g.standard_normal(len(pairs)))
 
     def test_a_training_forward_takes_one_log_per_loss(self, monkeypatch):
@@ -249,7 +249,7 @@ def test_the_forwards_with_and_without_a_label_report_the_same_probabilities(nam
         unlabelled = model.forward(image).probs
         with T.no_tape():
             assert model.forward(image).probs.tobytes() == unlabelled.tobytes()
-            for y in range(model.n_classes):
+            for y in range(model.classifier.shape[1]):
                 assert model.forward(image, y).probs.tobytes() == unlabelled.tobytes()
         assert model.forward(image, int(label)).probs.tobytes() == unlabelled.tobytes()
 
@@ -270,7 +270,7 @@ def test_both_forwards_share_one_head_and_the_unlabelled_one_tapes_none_of_it(mo
     monkeypatch.setattr(R, "node", counting_node)
     rows = Tensor(np.ones((model.seq_len, model.classifier.shape[0])), requires_grad=True)
     logits = R.classify(rows, model.classifier)
-    assert made == [] and isinstance(logits, np.ndarray) and logits.shape == (model.n_classes,)
+    assert made == [] and isinstance(logits, np.ndarray) and logits.shape == model.classifier.shape[1:]
     model.classifier.data[1, 2] = np.nan
     for label in (None, int(ds.test_labels[0])):
         with pytest.raises(NonFiniteError, match="^op 'pooled_logits' produced non-finite values$"):

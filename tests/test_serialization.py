@@ -151,6 +151,19 @@ class TestAtomicWrites:
         npt.assert_array_equal(load_tensor(path), np.zeros(3))
         assert os.listdir(tmp_path) == ["t.csv"]
 
+    def test_temporary_file_that_cannot_be_made_names_the_target(self, tmp_path):
+        path = tmp_path / ("x" * 250 + ".csv")  # its temporary file's name is too long
+        with pytest.raises(SerializationError, match=f"^{path}: cannot write \\(File name too long\\)$"):
+            save_tensor(path, np.ones(2))
+        assert os.listdir(tmp_path) == []
+
+    def test_target_that_cannot_be_replaced_names_it(self, tmp_path):
+        path = tmp_path / "metrics.csv"
+        path.mkdir()
+        with pytest.raises(SerializationError, match=f"^{path}: cannot write \\(Is a directory\\)$"):
+            save_tensor(path, np.ones(2))
+        assert os.listdir(tmp_path) == ["metrics.csv"] and os.listdir(path) == []
+
 
 class TestCheckpoint:
     def test_round_trip_preserves_names_order_values(self, tmp_path, rng):

@@ -679,12 +679,18 @@ class TestFusedOps:
         _weighted_sum_backward(old, upstream)
         assert x.grad.tobytes() == old_x.grad.tobytes()
 
-    def test_matmul_skips_the_constant_operand(self, rng):
-        a_data, b_data = rng.standard_normal((5, 4)), rng.standard_normal((4, 3))
+    @pytest.mark.parametrize("op", [
+        lambda a, b: T.matmul(a, b),
+        lambda a, b: T.matmul(T.gather_rows(a, [4, 0, 0, 2, 1]), b),
+        lambda a, b: T.matmul(a, T.gather_cols(b, [2, 0, 2])),
+    ], ids=["matmul", "gather_rows", "gather_cols"])
+    @pytest.mark.parametrize("constant", [0, 1])
+    def test_constant_operand_gets_no_gradient_other_unchanged(self, rng, op, constant):
+        data = rng.standard_normal((5, 4)), rng.standard_normal((4, 3))
         upstream = rng.standard_normal((5, 3))
-        a, b = Tensor(a_data), Tensor(b_data, requires_grad=True)
-        both_a, both_b = Tensor(a_data, requires_grad=True), Tensor(b_data, requires_grad=True)
-        _weighted_sum_backward(T.matmul(a, b), upstream)
-        _weighted_sum_backward(T.matmul(both_a, both_b), upstream)
-        assert a.grad is None
-        assert b.grad.tobytes() == both_b.grad.tobytes()
+        some = [Tensor(x, requires_grad=i != constant) for i, x in enumerate(data)]
+        both = [Tensor(x, requires_grad=True) for x in data]
+        _weighted_sum_backward(op(*some), upstream)
+        _weighted_sum_backward(op(*both), upstream)
+        assert some[constant].grad is None
+        assert some[1 - constant].grad.tobytes() == both[1 - constant].grad.tobytes()

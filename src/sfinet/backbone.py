@@ -36,13 +36,13 @@ from .tensor import ConfigError, Tensor
 
 @dataclass(frozen=True)
 class BackboneConfig:
-    """Stage layout: spatial sizes derive from the input size and strides.
+    """Stage layout: spatial sizes derive from the square input's side and the strides.
 
     Invariants: spatial extents never grow, channel depths never shrink,
     and the final stage stays at least 2x2 so drop ratios remain
     meaningful.
     """
-    input_size: tuple[int, int] = (32, 32)
+    input: int = 32  # side of the square input image
     in_channels: int = 3
     strides: tuple[int, ...] = (4, 2, 2, 1)
     channels: tuple[int, ...] = (16, 32, 64, 64)
@@ -59,21 +59,19 @@ class BackboneConfig:
         for a, b in zip(self.channels, self.channels[1:]):
             if b < a:
                 raise ConfigError(f"backbone: channel depth must not shrink ({a} -> {b})")
-        w, h = self.input_size
-        for i, s in enumerate(self.strides):
-            if w % s or h % s:
-                raise ConfigError(f"backbone: stage {i} extent {w}x{h} not divisible by stride {s}")
-            w, h = w // s, h // s
-        if w < 2 or h < 2:
-            raise ConfigError(f"backbone: final stage extent {w}x{h} below 2x2")
+        side = self.stage_shapes()[-1][0]
+        if side < 2:
+            raise ConfigError(f"backbone: final stage extent {side}x{side} below 2x2")
 
     def stage_shapes(self) -> list[tuple[int, int, int]]:
         """(W_i, H_i, C_i) per stage; stage i's features are W_i * H_i rows of C_i."""
         shapes = []
-        w, h = self.input_size
-        for s, c in zip(self.strides, self.channels):
-            w, h = w // s, h // s
-            shapes.append((w, h, c))
+        side = self.input
+        for i, (s, c) in enumerate(zip(self.strides, self.channels)):
+            if side % s:
+                raise ConfigError(f"backbone: stage {i} extent {side}x{side} not divisible by stride {s}")
+            side //= s
+            shapes.append((side, side, c))
         return shapes
 
 
@@ -143,7 +141,7 @@ class Backbone:
     def forward(self, image: np.ndarray) -> list[Tensor]:
         """Each stage's (W_i * H_i, C_i) feature rows, row-major over its grid, for a (W, H, C) image."""
         cfg = self.config
-        w, h = cfg.input_size
+        w = h = cfg.input
         expected = (w, h, cfg.in_channels)
         if image.shape != expected:
             raise T.ShapeError(f"backbone: image shape {image.shape}, config expects {expected}")

@@ -74,7 +74,7 @@ def cmd_export_maps(args) -> int:
     model = C.build_model(cfg, np.random.default_rng(cfg.train.seed))
     model.load_state(load_checkpoint(args.checkpoint))
     image = load_tensor(args.image)
-    expected = (*cfg.backbone.input_size, cfg.backbone.in_channels)
+    expected = (cfg.backbone.input, cfg.backbone.input, cfg.backbone.in_channels)
     if image.shape != expected:
         raise ConfigError(f"image shape {image.shape} does not match backbone input {expected}")
     if not finite(image):

@@ -2,7 +2,7 @@
 
 One file drives a whole run: backbone layout, filter ratios, attention
 sizes, optimizer settings, dataset recipe, and output directory.  All keys
-but four are settings dataclass fields, declared only there (_FIELDS).
+but two are `section.field` of a settings dataclass, declared there (_FIELDS).
 Unknown keys are rejected by name.  A preset is a config file shipped in
 ``presets/``; :func:`load` reads it, or any other file, the same way.
 The resolved snapshot written next to each run's outputs parses back to
@@ -29,23 +29,18 @@ from .tensor import ConfigError
 from .train import TrainConfig
 
 # Key `section.field` sets that field of _SECTIONS[section], takes its default
-# and parses by the default's type (_TYPES); `data.classes` sets
-# DataConfig.num_classes, and build_run_config sets _HAND_SET from its own keys.
+# and parses by the default's type (_TYPES); build_run_config sets _HAND_SET,
+# the data's copy of the image shape, from the backbone.
 _SECTIONS = {"backbone": BackboneConfig, "ambiguity": AmbiguityParams, "noise": NoiseParams,
              "sir": SirConfig, "train": TrainConfig, "data": DataConfig}
-_RENAMED = {(DataConfig, "num_classes"): "classes"}
-_HAND_SET = {(BackboneConfig, "input_size"), (BackboneConfig, "in_channels"),
-             (DataConfig, "image_size"), (DataConfig, "channels")}
+_HAND_SET = {(DataConfig, "image_size"), (DataConfig, "channels")}
 _FIELDS: dict[str, tuple[type, str]] = {
-    f"{section}.{_RENAMED.get((cls, f.name), f.name)}": (cls, f.name)
-    for section, cls in _SECTIONS.items() for f in dataclasses.fields(cls)
-    if (cls, f.name) not in _HAND_SET}
+    f"{section}.{f.name}": (cls, f.name) for section, cls in _SECTIONS.items()
+    for f in dataclasses.fields(cls) if (cls, f.name) not in _HAND_SET}
 
-# every key -> its default; build_run_config applies the last four by hand
+# every key -> its default; build_run_config applies the last two by hand
 _SCHEMA: dict[str, object] = {
     **{key: getattr(cls, name) for key, (cls, name) in _FIELDS.items()},
-    "backbone.input": BackboneConfig.input_size[0],  # input_size and DataConfig.image_size
-    "backbone.in_channels": BackboneConfig.in_channels,  # also DataConfig.channels
     "model.bypass_filters": False,
     "output.dir": "runs/default",
 }
@@ -141,17 +136,15 @@ def build_run_config(raw: dict[str, str]) -> RunConfig:
     fields: dict[type, dict[str, object]] = defaultdict(dict)
     for key, (cls, name) in _FIELDS.items():
         fields[cls][name] = values[key]
-    size, channels = values["backbone.input"], values["backbone.in_channels"]
-    backbone = BackboneConfig(input_size=(size, size), in_channels=channels,
-                              **fields[BackboneConfig])
+    backbone = BackboneConfig(**fields[BackboneConfig])
     amb = AmbiguityParams(**fields[AmbiguityParams])
     noise = NoiseParams(**fields[NoiseParams])
     sir = SirConfig(**fields[SirConfig])
     train = TrainConfig(**fields[TrainConfig])
-    data = DataConfig(image_size=size, channels=channels, **fields[DataConfig])
+    data = DataConfig(image_size=backbone.input, channels=backbone.in_channels, **fields[DataConfig])
     bypass = values["model.bypass_filters"]
-    if amb.k > data.num_classes:
-        raise ConfigError(f"ambiguity.k ({amb.k}) exceeds data.classes ({data.num_classes})")
+    if amb.k > data.classes:
+        raise ConfigError(f"ambiguity.k ({amb.k}) exceeds data.classes ({data.classes})")
     if not bypass:
         validate_filter_ratios([w * h for w, h, _ in backbone.stage_shapes()], amb.gamma1,
                                noise.gamma2)
@@ -176,7 +169,7 @@ def resolved_text(cfg: RunConfig) -> str:
 def build_model(cfg: RunConfig, rng: np.random.Generator) -> SFINet:
     """The configured model, its initial weights drawn from ``rng``."""
     return SFINet(cfg.backbone, cfg.ambiguity, cfg.noise, cfg.sir,
-                  cfg.data.num_classes, rng, bypass_filters=cfg.bypass_filters)
+                  cfg.data.classes, rng, bypass_filters=cfg.bypass_filters)
 
 
 def build_experiment(cfg: RunConfig) -> tuple[SyntheticDataset, SFINet, np.random.Generator]:

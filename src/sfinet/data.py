@@ -23,7 +23,8 @@ CONFUSABLE_PAIR = (0, 1)  # the two classes that share an anchor and part of the
 
 @dataclass(frozen=True)
 class DataConfig:
-    num_classes: int = 4
+    """Dataset recipe; ``image_size`` and ``channels`` copy the backbone's image shape."""
+    classes: int = 4
     samples_per_class: int = 64
     image_size: int = 32
     channels: int = 3
@@ -34,8 +35,8 @@ class DataConfig:
     train_fraction: float = 0.75
 
     def __post_init__(self):
-        if self.num_classes < 2:
-            raise ConfigError(f"data: need at least 2 classes, got {self.num_classes}")
+        if self.classes < 2:
+            raise ConfigError(f"data: need at least 2 classes, got {self.classes}")
         if self.patch_size < 1:
             raise ConfigError(f"data.patch_size must be >= 1, got {self.patch_size}")
         for key, value in (("signal_amplitude", self.signal_amplitude),
@@ -72,14 +73,14 @@ class SyntheticDataset:
 
 
 def _anchors(cfg: DataConfig) -> list[tuple[int, int]]:
-    """One distinct anchor per class, except classes 0 and 1 share slot 0.
+    """One distinct anchor per class, except that :data:`CONFUSABLE_PAIR` shares one.
 
     Raises ConfigError when the image leaves no room for distinct anchors.
     """
     margin = max((cfg.image_size - cfg.patch_size) // 6, 0)
     hi = cfg.image_size - cfg.patch_size - margin
     corners = [(margin, margin), (hi, hi), (margin, hi), (hi, margin)]
-    slots_needed = cfg.num_classes - 1
+    slots_needed = cfg.classes - 1
     slots = []
     for s in range(slots_needed):
         if s < len(corners):
@@ -89,20 +90,21 @@ def _anchors(cfg: DataConfig) -> list[tuple[int, int]]:
             step = (hi - margin) // (slots_needed - 1)
             slots.append((margin + s * step, margin + s * step))
     if len(set(slots)) < len(slots):
-        raise ConfigError(f"data: {cfg.num_classes} classes get colliding anchors with "
+        raise ConfigError(f"data: {cfg.classes} classes get colliding anchors with "
                           f"{cfg.patch_size} px patches in {cfg.image_size} px images")
-    return [slots[0], *slots]
+    a, b = CONFUSABLE_PAIR
+    return [*slots[:b], slots[a], *slots[b:]]
 
 
 def _class_patches(cfg: DataConfig, rng: np.random.Generator) -> np.ndarray:
     p, ch = cfg.patch_size, cfg.channels
-    patches = np.empty((cfg.num_classes, p, p, ch))
+    patches = np.empty((cfg.classes, p, p, ch))
     shared = cfg.signal_amplitude * rng.uniform(-1.0, 1.0, size=(p, p, ch))
     n_shared = int(round(cfg.overlap * p * p))
     shared_mask = np.zeros(p * p)
     shared_mask[:n_shared] = 1.0
     shared_mask = shared_mask.reshape(p, p)[..., None]
-    for c in range(cfg.num_classes):
+    for c in range(cfg.classes):
         own = cfg.signal_amplitude * rng.uniform(-1.0, 1.0, size=(p, p, ch))
         if c in CONFUSABLE_PAIR:
             patches[c] = shared * shared_mask + own * (1.0 - shared_mask)
@@ -122,7 +124,7 @@ def make_synthetic(cfg: DataConfig, rng: np.random.Generator) -> SyntheticDatase
     patches = _class_patches(cfg, rng)
     size, ch, p = cfg.image_size, cfg.channels, cfg.patch_size
     counts = (cfg.train_per_class, cfg.samples_per_class - cfg.train_per_class)
-    splits = [np.empty((cfg.num_classes, n, size, size, ch)) for n in counts]
+    splits = [np.empty((cfg.classes, n, size, size, ch)) for n in counts]
     for c, (ax, ay) in enumerate(anchors):
         for split in splits:
             slab = split[c]
@@ -130,7 +132,7 @@ def make_synthetic(cfg: DataConfig, rng: np.random.Generator) -> SyntheticDatase
             slab *= cfg.noise_amplitude
             slab[:, ax:ax + p, ay:ay + p] += patches[c]
     train_x, test_x = (split.reshape(-1, size, size, ch) for split in splits)
-    train_y, test_y = (np.repeat(np.arange(cfg.num_classes, dtype=np.intp), n) for n in counts)
+    train_y, test_y = (np.repeat(np.arange(cfg.classes, dtype=np.intp), n) for n in counts)
     return SyntheticDataset(train_x, train_y, test_x, test_y)
 
 

@@ -109,16 +109,14 @@ def _parse_block(header: str, value_lines: list[str], origin: str) -> np.ndarray
     dims_text = header[len("shape:"):].strip()
     try:
         shape = tuple(int(d) for d in dims_text.split(",")) if dims_text else ()
-        values = [float(v) for line in value_lines for v in line.split(",")]
+        arr = np.array([float(v) for line in value_lines for v in line.split(",")], dtype=np.float64)
+        if any(d < 0 for d in shape):
+            raise ValueError(f"negative dimension in shape {shape}")
+        if arr.size != math.prod(shape):
+            raise ValueError(f"shape {shape} needs {math.prod(shape)} values, found {arr.size}")
+        return arr.reshape(shape)  # numpy refuses some shapes, such as 2**32 x 2**32 x 0
     except ValueError as exc:
         raise SerializationError(f"{origin}: {exc}") from exc
-    if any(d < 0 for d in shape):
-        raise SerializationError(f"{origin}: negative dimension in shape {shape}")
-    arr = np.array(values, dtype=np.float64)
-    expected = int(np.prod(shape)) if shape else 1
-    if arr.size != expected:
-        raise SerializationError(f"{origin}: shape {shape} needs {expected} values, found {arr.size}")
-    return arr.reshape(shape)
 
 
 def load_tensor(path: str | os.PathLike) -> np.ndarray:

@@ -316,8 +316,8 @@ def test_criterion_06_permutation_equivariance():
 def test_criterion_07_end_to_end_learning():
     with criterion(7, "clean synthetic run reaches 95% train / 85% held-out in 30 epochs"):
         cfg = C.build_run_config({"train.epochs": "30"})
-        assert cfg.data.num_classes == 4 and cfg.data.samples_per_class == 64
-        assert cfg.train.seed == 42 and cfg.backbone.input_size == (32, 32)
+        assert cfg.data.classes == 4 and cfg.data.samples_per_class == 64
+        assert cfg.train.seed == 42 and cfg.backbone.input == 32
         ds, model, rng = C.build_experiment(cfg)
         rows = train(model, ds, cfg.train, rng=rng)
         train_accs = [r.acc for r in rows if r.split == "train"]
@@ -369,7 +369,7 @@ def test_criterion_09_loss_constants():
             cls.data = np.zeros_like(cls.data)
         model.classifier.data = np.zeros_like(model.classifier.data)
         res = model.forward(ds.train_images[0], int(ds.train_labels[0]))
-        n, stages = cfg.data.num_classes, len(cfg.backbone.strides)
+        n, stages = cfg.data.classes, len(cfg.backbone.strides)
         npt.assert_allclose(res.filter_loss.item(), stages * np.log(n), atol=1e-9, rtol=0)
         npt.assert_allclose(res.class_loss.item(), np.log(n), atol=1e-9, rtol=0)
 

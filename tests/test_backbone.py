@@ -10,7 +10,7 @@ from conftest import assert_grads_match, loop_patch_indices
 
 
 def tiny_config():
-    return BackboneConfig(input_size=(16, 16), in_channels=3, strides=(4, 2), channels=(5, 8))
+    return BackboneConfig(input=16, in_channels=3, strides=(4, 2), channels=(5, 8))
 
 
 class TestConfig:
@@ -27,15 +27,15 @@ class TestConfig:
 
     def test_indivisible_extent_rejected(self):
         with pytest.raises(ConfigError, match="divisible"):
-            BackboneConfig(input_size=(10, 10), strides=(4, 2), channels=(4, 8))
+            BackboneConfig(input=10, strides=(4, 2), channels=(4, 8))
 
     def test_shrinking_channels_rejected(self):
         with pytest.raises(ConfigError, match="shrink"):
-            BackboneConfig(input_size=(16, 16), strides=(2, 2), channels=(8, 4))
+            BackboneConfig(input=16, strides=(2, 2), channels=(8, 4))
 
     def test_final_extent_below_2x2_rejected(self):
         with pytest.raises(ConfigError, match="2x2"):
-            BackboneConfig(input_size=(8, 8), strides=(4, 2), channels=(4, 8))
+            BackboneConfig(input=8, strides=(4, 2), channels=(4, 8))
 
     def test_wrong_image_shape_rejected(self, rng):
         bb = Backbone(tiny_config(), rng)

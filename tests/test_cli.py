@@ -472,6 +472,26 @@ def test_unreadable_input_file_exits_2_naming_it(tmp_path, capsys, case):
     assert capsys.readouterr().err.startswith(f"error: {bad}: ")
 
 
+@pytest.mark.parametrize("dims", ["4294967296,4294967296", "4294967296,4294967296,0"])
+@pytest.mark.parametrize("command", ["export-maps", "eval"])
+def test_header_beyond_int64_exits_2_naming_the_file(tmp_path, capsys, command, dims):
+    # 2**32 * 2**32 values, a count that wraps to 0 in int64
+    bad = tmp_path / "bad.csv"
+    if command == "eval":
+        bad.write_text(f"tensor: sir.classifier\nshape: {dims}\n")
+        argv, where = ["eval", *TINY, "--checkpoint", bad], f"{bad}:sir.classifier"
+    else:
+        ckpt = tmp_path / "ckpt.csv"
+        save_checkpoint(ckpt, C.build_experiment(C.load(preset="tiny"))[1].parameters())
+        bad.write_text(f"shape: {dims}\n")
+        argv = ["export-maps", *TINY, "--checkpoint", ckpt, "--image", bad,
+                "--out", tmp_path / "maps"]
+        where = str(bad)
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {where}: ") and err.count("\n") == 1
+
+
 class TestGradcheckCommand:
     def test_default_tiny_passes(self, capsys):
         rc = run_cli(["gradcheck"])

@@ -27,7 +27,7 @@ def shipped(name):
 class TestParsing:
     def test_defaults_build(self):
         cfg = C.build_run_config({})
-        assert cfg.backbone.input_size == (32, 32)
+        assert cfg.backbone.input == 32
         assert cfg.ambiguity.k == 4
         assert cfg.train.seed == 42
         assert cfg.data.image_size == 32
@@ -100,7 +100,7 @@ def sfinet(n_classes, amb=AmbiguityParams()):
 @pytest.mark.parametrize("build, name", [
     (lambda: BackboneConfig(strides=(2, 2), channels=(8,)), "strides and channels"),
     (lambda: BackboneConfig(strides=(0, 2, 2, 1)), "strides must be >= 1"),
-    (lambda: DataConfig(num_classes=1), "2 classes"),
+    (lambda: DataConfig(classes=1), "2 classes"),
     (lambda: DataConfig(train_fraction=1.0), "train_fraction"),
     (lambda: TrainConfig(batch_size=0), "batch_size"),
     (lambda: TrainConfig(epochs=0), "epochs"),
@@ -152,10 +152,9 @@ class TestResolvedSnapshot:
 
 
 class TestKeyTable:
-    # the fields that build_run_config sets by hand, and the keys that set them
-    HAND_SET = {(BackboneConfig, "input_size"), (BackboneConfig, "in_channels"),
-                (DataConfig, "image_size"), (DataConfig, "channels")}
-    HAND_KEYS = {"backbone.input", "backbone.in_channels", "model.bypass_filters", "output.dir"}
+    # the fields that build_run_config sets by hand, and the keys it applies by hand
+    HAND_SET = {(DataConfig, "image_size"), (DataConfig, "channels")}
+    HAND_KEYS = {"model.bypass_filters", "output.dir"}
 
     def test_every_field_is_set_by_exactly_one_key(self):
         entries = list(C._FIELDS.values())
@@ -165,6 +164,11 @@ class TestKeyTable:
                  for f in dataclasses.fields(cls)}
         assert set(entries) == every - self.HAND_SET
         assert set(C._SCHEMA) - set(C._FIELDS) == self.HAND_KEYS
+
+    def test_every_key_is_section_dot_field(self):
+        for key, (cls, name) in C._FIELDS.items():
+            section = key.split(".")[0]
+            assert C._SECTIONS[section] is cls and key == f"{section}.{name}", key
 
     def test_every_default_has_a_parser_that_reads_its_resolved_text(self):
         for key, default in C._SCHEMA.items():
@@ -192,7 +196,7 @@ class TestPresets:
     def test_paper_protocol_preset_valid(self):
         # documentation only, as a config file: 384 px does not fit at desk scale
         cfg = shipped("paper-protocol.txt")
-        assert cfg.backbone.input_size == (384, 384)
+        assert cfg.backbone.input == 384
         assert cfg.train.epochs == 60
         assert cfg.train.batch_size == 12
 

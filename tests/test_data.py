@@ -4,13 +4,14 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from sfinet import data
 from sfinet.backbone import ConfigError
 from sfinet.data import (DataConfig, SyntheticDataset, _anchors, _class_patches, augment_image,
                          linear_probe, make_synthetic, probe_accuracies)
 
 
 def small_cfg(**kw):
-    base = dict(num_classes=4, samples_per_class=16, image_size=16, patch_size=6)
+    base = dict(classes=4, samples_per_class=16, image_size=16, patch_size=6)
     base.update(kw)
     return DataConfig(**base)
 
@@ -22,7 +23,7 @@ def per_image_synthetic(cfg, rng):
     size, ch, p = cfg.image_size, cfg.channels, cfg.patch_size
     n_train = cfg.train_per_class
     train_x, train_y, test_x, test_y = [], [], [], []
-    for c in range(cfg.num_classes):
+    for c in range(cfg.classes):
         ax, ay = anchors[c]
         for s in range(cfg.samples_per_class):
             img = cfg.noise_amplitude * rng.standard_normal((size, size, ch))
@@ -94,7 +95,7 @@ class TestSplitFill:
     @pytest.mark.parametrize("cfg", [
         DataConfig(),
         AMBIGUOUS_PAIR,
-        DataConfig(num_classes=3, samples_per_class=8, image_size=8, patch_size=4),  # tiny
+        DataConfig(classes=3, samples_per_class=8, image_size=8, patch_size=4),  # tiny
         small_cfg(noise_amplitude=0.0),
         small_cfg(samples_per_class=2, train_fraction=0.5),
     ], ids=["default", "ambiguous-pair", "tiny", "zero-noise", "smallest-split"])
@@ -128,12 +129,18 @@ class TestAnchors:
         (8, [(3, 3), (3, 3), (17, 17), (3, 17), (17, 3), (11, 11), (13, 13), (15, 15)]),
     ])
     def test_anchors_at_32px_unchanged(self, classes, expected):
-        assert _anchors(DataConfig(num_classes=classes)) == expected
+        assert _anchors(DataConfig(classes=classes)) == expected
+
+    @pytest.mark.parametrize("classes", [4, 8])
+    def test_anchor_shared_by_the_confusable_pair_alone(self, monkeypatch, classes):
+        monkeypatch.setattr(data, "CONFUSABLE_PAIR", (1, 3))
+        anchors = _anchors(DataConfig(classes=classes))
+        assert anchors[1] == anchors[3] and len(set(anchors)) == classes - 1
 
     def test_colliding_anchors_rejected(self):
         # 19 slots on a 14 px diagonal: the fill step rounds down to 0
         with pytest.raises(ConfigError, match="20 classes get colliding anchors"):
-            DataConfig(num_classes=20, image_size=32, patch_size=12)
+            DataConfig(classes=20, image_size=32, patch_size=12)
 
 
 class TestLinearProbe:

@@ -484,7 +484,7 @@ class TestEndToEndDifferentiability:
     def test_filter_loss_gradient_reaches_backbone(self, rng):
         from sfinet.backbone import Backbone, BackboneConfig
 
-        cfg = BackboneConfig(input_size=(8, 8), strides=(2, 2), channels=(4, 6))
+        cfg = BackboneConfig(input=8, strides=(2, 2), channels=(4, 6))
         bb = Backbone(cfg, rng)
         amb = AmbiguityParams(k=2, gamma1=0.1)
         noise = NoiseParams(gamma2=0.2)

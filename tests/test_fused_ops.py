@@ -114,7 +114,7 @@ def stage_rows(cfg, model):
 
 def input_grids(cfg):
     """Each backbone stage's input grid (W, H)."""
-    return [cfg.backbone.input_size] + [(w, h) for w, h, _ in cfg.backbone.stage_shapes()]
+    return [(cfg.backbone.input, cfg.backbone.input)] + [(w, h) for w, h, _ in cfg.backbone.stage_shapes()]
 
 
 def uniform(rng, shape, fan_in):
@@ -126,7 +126,7 @@ class TestAgainstTheChain:
     def test_backbone_stages(self, rng, name):
         cfg, model = model_for(name)
         bb = model.backbone
-        rows = cfg.backbone.input_size[0] * cfg.backbone.input_size[1]
+        rows = cfg.backbone.input ** 2
         c_in = cfg.backbone.in_channels
         strides = cfg.backbone.strides
         for i, (grid, stride, weight, bias) in enumerate(zip(input_grids(cfg), strides,
@@ -151,7 +151,7 @@ class TestAgainstTheChain:
         params = [(twin(w.data), twin(b.data)) for w, b in zip(bb.weights, bb.biases)]
         bb.weights = [w for (w, _), _ in params]
         bb.biases = [b for _, (b, _) in params]
-        image = rng.standard_normal((*cfg.backbone.input_size, cfg.backbone.in_channels))
+        image = rng.standard_normal((cfg.backbone.input, cfg.backbone.input, cfg.backbone.in_channels))
         fused = bb.forward(image)
         x = T.reshape(Tensor(image), (-1, image.shape[2]))
         chain = []

@@ -136,7 +136,7 @@ def test_recipe_run_keeps_its_bits(tmp_path, monkeypatch, run, seed):
     resolved = str(out / "config_resolved.txt")
     cfg = C.build_run_config(C.parse_config_file(resolved))
     image = np.random.default_rng(20261019).standard_normal(
-        (*cfg.backbone.input_size, cfg.backbone.in_channels))
+        (cfg.backbone.input, cfg.backbone.input, cfg.backbone.in_channels))
     save_tensor(str(tmp_path / "probe.csv"), image)
     maps = tmp_path / "maps"
     assert cli.main(["export-maps", "--config", resolved, "--checkpoint", str(out / "checkpoint.csv"),

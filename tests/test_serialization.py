@@ -47,6 +47,20 @@ class TestTensorRoundTrip:
         with pytest.raises(SerializationError):
             load_tensor(path)
 
+    @pytest.mark.parametrize("dims, message", [
+        ("4294967296,4294967296", "needs 18446744073709551616 values, found 0"),
+        ("4294967296,4294967296,0", "cannot reshape"),
+    ], ids=["count-2**64", "count-0"])
+    def test_header_beyond_int64_names_the_file(self, tmp_path, dims, message):
+        # the product of the dims wraps to 0 in int64
+        path = tmp_path / "big.csv"
+        path.write_text(f"shape: {dims}\n")
+        with pytest.raises(SerializationError, match=f"{path}: .*{message}"):
+            load_tensor(path)
+        path.write_text(f"tensor: a\nshape: {dims}\n")
+        with pytest.raises(SerializationError, match=f"{path}:a: .*{message}"):
+            load_checkpoint(path)
+
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("1.0,2.0\n")

@@ -336,7 +336,7 @@ class TestBackward:
         from sfinet.train import total_loss
         from sfinet.gradcheck import check_grad
 
-        cfg = BackboneConfig(input_size=(6, 6), in_channels=4, strides=(2, 1), channels=(4, 6))
+        cfg = BackboneConfig(input=6, in_channels=4, strides=(2, 1), channels=(4, 6))
         model = SFINet(cfg, AmbiguityParams(k=2), NoiseParams(), SirConfig(channels=8, heads=2),
                        n_classes=3, rng=rng)
         image = rng.standard_normal((6, 6, 4))

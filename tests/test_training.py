@@ -239,7 +239,7 @@ class TestTrainingLoop:
         via_config = run(*C.build_experiment(cfg))
         rng = np.random.default_rng(11)
         ds = make_synthetic(cfg.data, rng)
-        model = SFINet(cfg.backbone, cfg.ambiguity, cfg.noise, cfg.sir, cfg.data.num_classes,
+        model = SFINet(cfg.backbone, cfg.ambiguity, cfg.noise, cfg.sir, cfg.data.classes,
                        rng, bypass_filters=cfg.bypass_filters)
         assert run(ds, model, rng) == via_config
 
